@@ -74,13 +74,13 @@ from .syntax import (
     Var,
     alpha_eq,
     eo_var,
-    fresh_name,
     join,
     subst1,
     subst_eo,
     subst_ty_in_ty,
+    unfold,
 )
-from .wf import econ_ty_wf, eo_wf, rec_guarded
+from .wf import eo_wf, rec_guarded, ty_wf
 
 UNROLL_LIMIT = 64
 
@@ -170,12 +170,8 @@ class EconTypingResult:
     deriv: Derivation
 
 
-def unfold(ty: SRec) -> EconType:
-    return subst_ty_in_ty(ty, ty.var, ty.body)
-
-
 def econ_check(ctx: EconCtx, e: Expr, ty: EconType) -> EconTypingResult:
-    if not econ_ty_wf(ctx, ty):
+    if not ty_wf(ctx, ty):
         raise IllFormedType(f"type is not well-formed here: {ty!r}")
     if not rec_guarded(ty):
         raise GuardednessViolation(f"unguarded recursive type: {ty!r}")
@@ -197,12 +193,6 @@ def econ_synth(ctx: EconCtx, e: Expr) -> EconTypingResult:
     return r
 
 
-def _fresh_for(ctx: EconCtx, name: str) -> str:
-    if ctx.declares("x", name) or ctx.declares("u", name):
-        return fresh_name(name, ctx.names())
-    return name
-
-
 def _check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingResult:
     if isinstance(e, _SYNTH_FORMS):
         return _subsume(ctx, e, ty, budget)
@@ -215,7 +205,7 @@ def _check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingResult
         return EconTypingResult(ty, v, d)
 
     if isinstance(ty, SAllEo):
-        a = ty.var if not ctx.declares("eo", ty.var) else fresh_name(ty.var, ctx.names())
+        a = ctx.fresh(ty.var, "eo")
         body_ty = subst_eo(eo_var(a), ty.var, ty.body)
         # Annotations inside e refer to the binder by its written name.
         e_inner = subst_eo(eo_var(a), ty.var, e) if a != ty.var else e
@@ -231,7 +221,7 @@ def _check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingResult
             raise TypeMismatch(
                 "only a type abstraction checks against a universal type"
             )
-        a = ty.var if not ctx.declares("ty", ty.var) else fresh_name(ty.var, ctx.names())
+        a = ctx.fresh(ty.var, "ty")
         body_ty = subst_ty_in_ty(STyVar(a), ty.var, ty.body)
         body_e = subst1(e.body, "ty", e.var, STyVar(a))
         inner = _check(ctx.with_ty(a), body_e, body_ty, UNROLL_LIMIT)
@@ -259,7 +249,7 @@ def _check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingResult
         case Lam(x, body):
             if not isinstance(ty, SArrow):
                 raise TypeMismatch(f"a function cannot have type {ty!r}")
-            xx = _fresh_for(ctx, x)
+            xx = ctx.fresh(x, "x", "u")
             body = subst1(body, "x", x, Var(xx)) if xx != x else body
             inner = _check(ctx.with_x(xx, ty.dom), body, ty.cod, UNROLL_LIMIT)
             d = Derivation("r-arrow-intro", ctx, e, CHECK, ty, VAL,
@@ -283,7 +273,7 @@ def _check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingResult
                            (inner.deriv,), {"k": k})
             return EconTypingResult(ty, inner.valueness, d)
         case Fix(u, body):
-            uu = _fresh_for(ctx, u)
+            uu = ctx.fresh(u, "x", "u")
             body = subst1(body, "u", u, FixVar(uu)) if uu != u else body
             inner = _check(ctx.with_u(uu, ty), body, ty, UNROLL_LIMIT)
             d = Derivation("r-fix", ctx, e, CHECK, ty, TOP, (inner.deriv,),
@@ -293,9 +283,9 @@ def _check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingResult
             rs = _synth(ctx, scrut)
             rs = expose(ctx, scrut, rs, "sum")
             assert isinstance(rs.ty, SSum)
-            xx1 = _fresh_for(ctx, x1)
+            xx1 = ctx.fresh(x1, "x", "u")
             e1 = subst1(e1, "x", x1, Var(xx1)) if xx1 != x1 else e1
-            xx2 = _fresh_for(ctx, x2)
+            xx2 = ctx.fresh(x2, "x", "u")
             e2 = subst1(e2, "x", x2, Var(xx2)) if xx2 != x2 else e2
             r1 = _check(ctx.with_x(xx1, rs.ty.left), e1, ty, UNROLL_LIMIT)
             r2 = _check(ctx.with_x(xx2, rs.ty.right), e2, ty, UNROLL_LIMIT)
@@ -378,7 +368,7 @@ def _synth(ctx: EconCtx, e: Expr) -> EconTypingResult:
                 ty, TOP, Derivation("r-fixvar", ctx, e, SYNTH, ty, TOP)
             )
         case Anno(body, ty):
-            if not econ_ty_wf(ctx, ty):
+            if not ty_wf(ctx, ty):
                 raise IllFormedType(f"annotation is not well-formed: {ty!r}")
             if not rec_guarded(ty):
                 raise GuardednessViolation(
@@ -405,7 +395,7 @@ def _synth(ctx: EconCtx, e: Expr) -> EconTypingResult:
                            {"k": k})
             return EconTypingResult(ty, TOP, d)
         case TyApp(body, arg_ty):
-            if not econ_ty_wf(ctx, arg_ty):
+            if not ty_wf(ctx, arg_ty):
                 raise IllFormedType(f"type argument is not well-formed: {arg_ty!r}")
             if not rec_guarded(arg_ty):
                 raise GuardednessViolation(

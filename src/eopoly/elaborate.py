@@ -39,7 +39,6 @@ from .syntax import (
     AUnit,
     Case,
     Derivation,
-    EO,
     EconType,
     Expr,
     Fix,
@@ -86,16 +85,21 @@ from .syntax import (
     alpha_eq,
     alpha_key,
     children,
-    eo_var,
+    dedup,
     free_names,
     fresh_name,
     join,
+    match_instantiate,
+    node_count,
+    refold_candidates,
     subst_eo,
     subst_expr,
     subst_fix_expr,
     subst_fix_term,
     subst_term,
     subst_ty_in_ty,
+    subterms,
+    unfold,
 )
 from .target import is_value
 
@@ -315,115 +319,6 @@ def _nf(ty: EconType) -> EconType:
     return ty
 
 
-def _subterms_econ(ty: EconType) -> list[EconType]:
-    out = [ty]
-    for _, v in children(ty):
-        if isinstance(v, EconType):
-            out.extend(_subterms_econ(v))
-    return out
-
-
-def _dedup(tys: list[EconType]) -> list[EconType]:
-    out: dict = {}
-    for t in tys:
-        out.setdefault(alpha_key(t), t)
-    return list(out.values())
-
-
-@lru_cache(maxsize=None)
-def node_count(node) -> int:
-    n = 1
-    for _, v in children(node):
-        if hasattr(v, "__dataclass_fields__"):
-            n += node_count(v)
-    return n
-
-
-def _order_generalizations(ty: EconType, concrete: EO, var: str,
-                           limit: int = 10) -> list[EconType]:
-    """All ways to abstract a nonempty subset of ``concrete`` occurrences."""
-    positions = _count_orders(ty, concrete)
-    if positions == 0 or positions > limit:
-        return []
-    out = []
-    for mask in range(1, 1 << positions):
-        counter = [0]
-        out.append(_replace_orders(ty, concrete, var, mask, counter))
-    return out
-
-
-def _count_orders(node, concrete: EO) -> int:
-    n = 0
-    for _, v in children(node):
-        if isinstance(v, EO):
-            if v == concrete:
-                n += 1
-        elif isinstance(v, EconType):
-            n += _count_orders(v, concrete)
-    return n
-
-
-def _replace_orders(node, concrete: EO, var: str, mask: int, counter):
-    import dataclasses as _dc
-
-    updates = {}
-    for fname, v in children(node):
-        if isinstance(v, EO):
-            if v == concrete:
-                if mask & (1 << counter[0]):
-                    updates[fname] = eo_var(var)
-                counter[0] += 1
-        elif isinstance(v, EconType):
-            new = _replace_orders(v, concrete, var, mask, counter)
-            if new is not v:
-                updates[fname] = new
-    return _dc.replace(node, **updates) if updates else node
-
-
-def match_econ_instantiate(pattern: EconType, var: str, goal: EconType):
-    """Solve ``[X/var]pattern == goal`` for ``X`` ("any" if var is unused)."""
-    solution: list[EconType] = []
-
-    def go(p, g, env) -> bool:
-        if isinstance(p, STyVar) and p.name == var and not any(a == var for a, _ in env):
-            if any(b in free_names(g, "ty") for _, b in env):
-                return False
-            if solution:
-                return alpha_eq(solution[0], g)
-            solution.append(g)
-            return True
-        if type(p) is not type(g):
-            return False
-        if isinstance(p, STyVar):
-            for a, b in reversed(env):
-                if a == p.name:
-                    return b == g.name
-                if b == g.name:
-                    return False
-            return p.name == g.name
-        binder_fields = {bf for bf, _, _ in type(p).scopes}
-        env2 = env
-        for bf, _, _ in type(p).scopes:
-            env2 = env2 + ((getattr(p, bf), getattr(g, bf)),)
-        for fname, v in children(p):
-            if fname in binder_fields:
-                continue
-            w = getattr(g, fname)
-            if isinstance(v, EconType):
-                if not go(v, w, env2):
-                    return False
-            elif isinstance(v, EO):
-                if v != w:
-                    return False
-            elif v != w:
-                return False
-        return True
-
-    if not go(pattern, goal, ()):
-        return None
-    return solution[0] if solution else "any"
-
-
 def collect_annotation_types(e: Expr) -> list[EconType]:
     """Every type written in (suspension-point phase) annotations of ``e``."""
     out: list[EconType] = []
@@ -465,7 +360,7 @@ def type_closure(types: list[EconType], rounds: int = 3,
     for _ in range(rounds):
         new: list[EconType] = []
         for t in frontier:
-            for s in _subterms_econ(t):
+            for s in subterms(t):
                 if add(s):
                     new.append(s)
                 if isinstance(s, SAllEo):
@@ -479,7 +374,7 @@ def type_closure(types: list[EconType], rounds: int = 3,
                         if add(inst):
                             new.append(inst)
                 if isinstance(s, SRec):
-                    unrolled = subst_ty_in_ty(s, s.var, s.body)
+                    unrolled = unfold(s)
                     if add(unrolled):
                         new.append(unrolled)
         if not new or len(seen) >= cap:
@@ -488,32 +383,24 @@ def type_closure(types: list[EconType], rounds: int = 3,
     return tuple(seen.values())
 
 
-@lru_cache(maxsize=None)
-def _expr_counts(e: Expr) -> tuple[int, ...]:
-    out = [0] * 10
-    idx = {Lam: 0, App: 1, Fix: 2, Case: 3, Pair: 4, Inj: 5, Unit: 6, Proj: 7,
-           Var: 8, FixVar: 9}
-    i = idx.get(type(e))
-    if i is not None:
-        out[i] = 1
-    for _, v in children(e):
-        if isinstance(v, Expr):
-            for j, n in enumerate(_expr_counts(v)):
-                out[j] += n
-    return tuple(out)
+# Source constructors and their core images, by counter position.
+_COUNTED = {c: i for i, pair in enumerate([
+    (Lam, MLam), (App, MApp), (Fix, MFix), (Case, MCase), (Pair, MPair),
+    (Inj, MInj), (Unit, MUnit), (Proj, MProj), (Var, MVar), (FixVar, MFixVar),
+]) for c in pair}
 
 
 @lru_cache(maxsize=None)
-def _term_counts(m: Term) -> tuple[int, ...]:
+def _ctor_counts(node: Expr | Term) -> tuple[int, ...]:
+    """Occurrences of each counted constructor in an expression or a core
+    term (annotation types are not entered)."""
     out = [0] * 10
-    idx = {MLam: 0, MApp: 1, MFix: 2, MCase: 3, MPair: 4, MInj: 5,
-           MUnit: 6, MProj: 7, MVar: 8, MFixVar: 9}
-    i = idx.get(type(m))
+    i = _COUNTED.get(type(node))
     if i is not None:
         out[i] = 1
-    for _, v in children(m):
-        if isinstance(v, Term):
-            for j, n in enumerate(_term_counts(v)):
+    for _, v in children(node):
+        if isinstance(v, (Expr, Term)):
+            for j, n in enumerate(_ctor_counts(v)):
                 out[j] += n
     return tuple(out)
 
@@ -524,24 +411,27 @@ class ElabChecker:
     One instance owns the candidate pool and a memo table, so a
     simulation run can re-relate many (source, core) pairs cheaply.
     Successes are always cached; failures only when computed without
-    hitting the depth bound (so a cached "no" is definitive).
+    hitting the depth bound (so a cached "no" is definitive).  After each
+    :meth:`check`, ``clean`` tells whether the search ran to completion:
+    a miss with ``clean`` False was cut by the bound, not refuted.
     """
 
     def __init__(self, pool: tuple[EconType, ...] = ()):
-        self.pool = tuple(_dedup([_nf(p) for p in pool]))
+        self.pool = tuple(dedup([_nf(p) for p in pool]))
+        self.clean = True
         self.memo: dict = {}
         self.in_progress: set = set()
         self._cand_cache: dict = {}
         self._syn_cache: dict = {}
         self._pool_foralls = [p for p in self.pool if isinstance(p, SForall)]
         self._pool_alleos = [p for p in self.pool if isinstance(p, SAllEo)]
-        self._pool_subterms = _dedup(
-            [s for p in self.pool for s in _subterms_econ(p)] + [SUnit()]
+        self._pool_subterms = dedup(
+            [s for p in self.pool for s in subterms(p)] + [SUnit()]
         )
 
     def check(self, e: Expr, ty: EconType, m: Term) -> Valueness | None:
         budget = 2 * (node_count(m) + node_count(ty)) + 64
-        result, _ = self._ce(EconCtx(), e, _nf(ty), m, budget)
+        result, self.clean = self._ce(EconCtx(), e, _nf(ty), m, budget)
         return result
 
     # -- plumbing ---------------------------------------------------------
@@ -550,11 +440,11 @@ class ElabChecker:
         key = (alpha_key(ty), ctx.entries)
         hit = self._cand_cache.get(key)
         if hit is None:
-            cands = list(self._pool_subterms) + _subterms_econ(ty)
+            cands = list(self._pool_subterms) + subterms(ty)
             for kind, _, payload in ctx.entries:
                 if kind in ("x", "u"):
-                    cands.extend(_subterms_econ(payload))
-            hit = _dedup(cands)
+                    cands.extend(subterms(payload))
+            hit = dedup(cands)
             self._cand_cache[key] = hit
         return hit
 
@@ -567,7 +457,7 @@ class ElabChecker:
             arrows = [a for a in cands
                       if isinstance(a, SArrow) and alpha_key(a.cod) == tkey]
             arrows += [SArrow(dom, ty) for dom in cands]
-            hit = _dedup(arrows)
+            hit = dedup(arrows)
             self._cand_cache[key] = hit
         return hit
 
@@ -582,7 +472,7 @@ class ElabChecker:
                      and alpha_key(p.left if k == 1 else p.right) == tkey]
             prods += [SProd(ty, other) if k == 1 else SProd(other, ty)
                       for other in cands]
-            hit = _dedup(prods)
+            hit = dedup(prods)
             self._cand_cache[key] = hit
         return hit
 
@@ -609,7 +499,7 @@ class ElabChecker:
             case MUnroll(m1):
                 t = self._esynth(ctx, e, m1)
                 if isinstance(t, SRec):
-                    out = _nf(subst_ty_in_ty(t, t.var, t.body))
+                    out = _nf(unfold(t))
             case MForce(m1):
                 t = self._esynth(ctx, e, m1)
                 if isinstance(t, SSusp) and t.eo == N:
@@ -677,9 +567,7 @@ class ElabChecker:
             return None, False
         if depth <= 0:
             return None, False
-        ec = _expr_counts(e)
-        mc = _term_counts(m)
-        if any(a > b for a, b in zip(ec, mc)):
+        if any(a > b for a, b in zip(_ctor_counts(e), _ctor_counts(m))):
             # Every source constructor reappears in the core term at least
             # once; a shortfall refutes membership outright.
             self.memo[key] = None
@@ -729,8 +617,7 @@ class ElabChecker:
             case MTyLam(mbody):
                 if not isinstance(ty, SForall):
                     return None, True
-                a = ty.var if not ctx.declares("ty", ty.var) else fresh_name(
-                    ty.var, ctx.names())
+                a = ctx.fresh(ty.var, "ty")
                 body_ty = subst_ty_in_ty(STyVar(a), ty.var, ty.body)
                 inner, c = self._ce(ctx.with_ty(a), e, body_ty, mbody, d)
                 return (VAL if inner == VAL else None), c
@@ -771,8 +658,7 @@ class ElabChecker:
                 return None, True
             case MRoll(mbody):
                 if isinstance(ty, SRec):
-                    unrolled = _nf(subst_ty_in_ty(ty, ty.var, ty.body))
-                    return self._ce(ctx, e, unrolled, mbody, d)
+                    return self._ce(ctx, e, _nf(unfold(ty)), mbody, d)
                 return None, True
             case MApp(m1, m2):
                 if not isinstance(e, App):
@@ -832,7 +718,7 @@ class ElabChecker:
                     inner, c = self._ce(ctx, e, g, mbody, d)
                     return (TOP, True) if inner is not None else (None, c)
                 clean = True
-                for cand in self._rec_candidates(ty):
+                for cand in refold_candidates(ty, self.pool):
                     v, c = self._ce(ctx, e, cand, mbody, d)
                     if v is not None:
                         return TOP, True
@@ -876,12 +762,10 @@ class ElabChecker:
             case MTyApp(mbody):
                 unused = fresh_name("b", free_names(ty, "ty"))
                 foralls: list[EconType] = [SForall(unused, ty)]
-                for cand in self._pool_foralls:
-                    sol = match_econ_instantiate(cand.body, cand.var, ty)
-                    if sol is not None:
-                        foralls.append(cand)
+                foralls += [cand for cand in self._pool_foralls
+                            if match_instantiate(cand.body, cand.var, ty) is not None]
                 clean = True
-                for f in _dedup(foralls):
+                for f in dedup(foralls):
                     v, c = self._ce(ctx, e, f, mbody, d)
                     if v is not None:
                         return v, True
@@ -893,24 +777,11 @@ class ElabChecker:
         var = fresh_name("a", free_names(goal, "eo"))
         out = [SAllEo(var, goal)]
         concrete = V if k == 1 else N
-        for gen in _order_generalizations(goal, concrete, var):
-            out.append(SAllEo(var, gen))
         for cand in self._pool_alleos:
             inst = _nf(subst_eo(concrete, cand.var, cand.body))
             if alpha_eq(inst, goal):
                 out.append(cand)
-        return _dedup(out)
-
-    def _rec_candidates(self, goal: EconType) -> list[EconType]:
-        def unrolls_to_goal(t: EconType) -> bool:
-            return isinstance(t, SRec) and alpha_eq(
-                _nf(subst_ty_in_ty(t, t.var, t.body)), goal
-            )
-
-        out = [t for t in _subterms_econ(goal) if unrolls_to_goal(t)]
-        out += [t for t in self.pool if unrolls_to_goal(t)]
-        out.append(SRec(fresh_name("rec", free_names(goal, "ty")), goal))
-        return _dedup(out)
+        return dedup(out)
 
 
 def check_elab(e: Expr, ty: EconType, m: Term,

@@ -39,9 +39,11 @@ from .syntax import (
     V,
     VAL,
     Var,
+    alpha_eq,
     alpha_key,
     eo_var,
     subst_eo,
+    unfold,
     valof,
 )
 
@@ -72,7 +74,7 @@ def _expose_type(ty: ImpType, want: type, budget: int = 16) -> ImpType | None:
         if isinstance(ty, want):
             return ty
         if isinstance(ty, IRec):
-            ty = impartial.unfold(ty)
+            ty = unfold(ty)
             budget -= 1
             continue
         return None
@@ -80,16 +82,14 @@ def _expose_type(ty: ImpType, want: type, budget: int = 16) -> ImpType | None:
 
 
 def _compat(a: ImpType, b: ImpType, budget: int = 16) -> bool:
-    from .syntax import alpha_eq
-
     if alpha_eq(a, b):
         return True
     if budget <= 0:
         return False
     if isinstance(b, IRec):
-        return _compat(a, impartial.unfold(b), budget - 1)
+        return _compat(a, unfold(b), budget - 1)
     if isinstance(a, IRec):
-        return _compat(impartial.unfold(a), b, budget - 1)
+        return _compat(unfold(a), b, budget - 1)
     return False
 
 
@@ -115,7 +115,7 @@ class Enumerator:
                 body = subst_eo(eo_var(a), ty.var, ty.body)
                 out.extend(self.gen_check(ctx.with_eo(a), body, n))
             elif isinstance(ty, IRec):
-                out.extend(self.gen_check(ctx, impartial.unfold(ty), n))
+                out.extend(self.gen_check(ctx, unfold(ty), n))
             else:
                 if isinstance(ty, IUnit) and n == 1:
                     out.append(Unit())

@@ -62,14 +62,14 @@ from .syntax import (
     Var,
     alpha_eq,
     eo_var,
-    fresh_name,
     join,
     subst1,
     subst_eo,
     subst_ty_in_ty,
+    unfold,
     valof,
 )
-from .wf import eo_wf, impartial_ty_wf, rec_guarded
+from .wf import eo_wf, rec_guarded, ty_wf
 
 UNROLL_LIMIT = 64
 
@@ -83,12 +83,8 @@ class TypingResult:
     deriv: Derivation
 
 
-def unfold(ty: IRec) -> ImpType:
-    return subst_ty_in_ty(ty, ty.var, ty.body)
-
-
 def check(ctx: ImpCtx, e: Expr, ty: ImpType) -> TypingResult:
-    if not impartial_ty_wf(ctx, ty):
+    if not ty_wf(ctx, ty):
         raise IllFormedType(f"type is not well-formed here: {ty!r}")
     if not rec_guarded(ty):
         raise GuardednessViolation(f"unguarded recursive type: {ty!r}")
@@ -99,30 +95,12 @@ def synth(ctx: ImpCtx, e: Expr) -> TypingResult:
     return _synth(ctx, e)
 
 
-def _fresh_for(ctx: ImpCtx, name: str) -> str:
-    if ctx.declares("x", name) or ctx.declares("u", name):
-        return fresh_name(name, ctx.names())
-    return name
-
-
-def _fresh_binder_ty(ctx: ImpCtx, name: str) -> str:
-    if ctx.declares("ty", name):
-        return fresh_name(name, ctx.names())
-    return name
-
-
-def _fresh_binder_eo(ctx: ImpCtx, name: str) -> str:
-    if ctx.declares("eo", name):
-        return fresh_name(name, ctx.names())
-    return name
-
-
 def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
     if isinstance(e, _SYNTH_FORMS):
         return _subsume(ctx, e, ty, budget)
 
     if isinstance(ty, IAllEo):
-        a = _fresh_binder_eo(ctx, ty.var)
+        a = ctx.fresh(ty.var, "eo")
         body_ty = subst_eo(eo_var(a), ty.var, ty.body)
         # Annotations inside e refer to the binder by its written name.
         e_inner = subst_eo(eo_var(a), ty.var, e) if a != ty.var else e
@@ -140,7 +118,7 @@ def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
             raise TypeMismatch(
                 "only a type abstraction checks against a universal type"
             )
-        a = _fresh_binder_ty(ctx, ty.var)
+        a = ctx.fresh(ty.var, "ty")
         body_ty = subst_ty_in_ty(ITyVar(a), ty.var, ty.body)
         body_e = subst1(e.body, "ty", e.var, ITyVar(a))
         inner = _check(ctx.with_ty(a), body_e, body_ty, UNROLL_LIMIT)
@@ -167,7 +145,7 @@ def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
         case Lam(x, body):
             if not isinstance(ty, IArrow):
                 raise TypeMismatch(f"a function cannot have type {ty!r}")
-            xx = _fresh_for(ctx, x)
+            xx = ctx.fresh(x, "x", "u")
             body = subst1(body, "x", x, Var(xx)) if xx != x else body
             inner = _check(ctx.with_x(xx, valof(ty.eo), ty.dom), body, ty.cod,
                            UNROLL_LIMIT)
@@ -192,7 +170,7 @@ def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
                            (inner.deriv,), {"k": k})
             return TypingResult(ty, inner.valueness, d)
         case Fix(u, body):
-            uu = _fresh_for(ctx, u)
+            uu = ctx.fresh(u, "x", "u")
             body = subst1(body, "u", u, FixVar(uu)) if uu != u else body
             inner = _check(ctx.with_u(uu, ty), body, ty, UNROLL_LIMIT)
             d = Derivation("i-fix", ctx, e, CHECK, ty, TOP, (inner.deriv,),
@@ -202,9 +180,9 @@ def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
             rs = _synth(ctx, scrut)
             rs = expose(ctx, scrut, rs, "sum")
             assert isinstance(rs.ty, ISum)
-            xx1 = _fresh_for(ctx, x1)
+            xx1 = ctx.fresh(x1, "x", "u")
             e1 = subst1(e1, "x", x1, Var(xx1)) if xx1 != x1 else e1
-            xx2 = _fresh_for(ctx, x2)
+            xx2 = ctx.fresh(x2, "x", "u")
             e2 = subst1(e2, "x", x2, Var(xx2)) if xx2 != x2 else e2
             r1 = _check(ctx.with_x(xx1, VAL, rs.ty.left), e1, ty, UNROLL_LIMIT)
             r2 = _check(ctx.with_x(xx2, VAL, rs.ty.right), e2, ty, UNROLL_LIMIT)
@@ -264,7 +242,7 @@ def _synth(ctx: ImpCtx, e: Expr) -> TypingResult:
             return TypingResult(ty, TOP,
                                 Derivation("i-fixvar", ctx, e, SYNTH, ty, TOP))
         case Anno(body, ty):
-            if not impartial_ty_wf(ctx, ty):
+            if not ty_wf(ctx, ty):
                 raise IllFormedType(f"annotation is not well-formed: {ty!r}")
             if not rec_guarded(ty):
                 raise GuardednessViolation(
@@ -291,7 +269,7 @@ def _synth(ctx: ImpCtx, e: Expr) -> TypingResult:
                            {"k": k})
             return TypingResult(ty, TOP, d)
         case TyApp(body, arg_ty):
-            if not impartial_ty_wf(ctx, arg_ty):
+            if not ty_wf(ctx, arg_ty):
                 raise IllFormedType(
                     f"type argument is not well-formed: {arg_ty!r}"
                 )

@@ -2,9 +2,11 @@
 
 One binding engine serves all five syntactic categories (three type
 grammars, source expressions, target terms).  Every node is a frozen
-dataclass; binding structure is declared per class via ``scopes``, and the
-generic functions ``free_names``, ``subst`` and ``alpha_eq`` interpret that
-declaration.  Names live in four namespaces that never mix:
+dataclass; binding structure is declared per class via ``scopes`` and
+``ref``, and generic functions interpret that declaration: ``free_names``,
+``subst`` and ``alpha_key``, and on top of them the structural helpers
+every grammar shares (``unfold``, ``match_instantiate``, ``subterms`` and
+the like).  Names live in four namespaces that never mix:
 
     "x"   term variables
     "u"   fixed-point variables
@@ -21,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import ClassVar, Iterator
 
 
@@ -97,12 +100,14 @@ class Node:
     ref: ClassVar[tuple[str, str] | None] = None
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def children(node: Node) -> Iterator[tuple[str, object]]:
-    for f in dataclasses.fields(node):
-        yield f.name, getattr(node, f.name)
-
-
-_fresh_counter = 0
+    for name in _field_names(type(node)):
+        yield name, getattr(node, name)
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -122,10 +127,7 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{stem}_{k}"
 
 
-from functools import lru_cache as _lru_cache
-
-
-@_lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def free_names(node: object, ns: str) -> frozenset[str]:
     """Free names of ``node`` in namespace ``ns``."""
     if isinstance(node, EO):
@@ -157,66 +159,31 @@ def subst1(node: object, ns: str, name: str, replacement: object) -> object:
     return subst(node, {(ns, name): replacement})
 
 
-def alpha_eq(a: object, b: object, _env: tuple[tuple[str, str, str], ...] = ()) -> bool:
-    """Equality up to consistent renaming of bound names, all namespaces."""
-    if isinstance(a, EO) or isinstance(b, EO):
-        if not (isinstance(a, EO) and isinstance(b, EO)):
-            return False
-        if a.is_var() and b.is_var():
-            for ns, x, y in reversed(_env):
-                if ns == "eo" and x == a.name:
-                    return y == b.name
-                if ns == "eo" and y == b.name:
-                    return False
-            return a.name == b.name
-        return a == b
-    if not isinstance(a, Node) or type(a) is not type(b):
-        return a == b
-    cls = type(a)
-    if cls.ref is not None:
-        ns = cls.ref[0]
-        x = getattr(a, cls.ref[1])
-        y = getattr(b, cls.ref[1])
-        for ens, ex, ey in reversed(_env):
-            if ens == ns and ex == x:
-                return ey == y
-            if ens == ns and ey == y:
-                return False
-        return x == y
-    scope_of: dict[str, list[tuple[str, str, str]]] = {}
-    for binder_field, bns, scoped in cls.scopes:
-        for f in scoped:
-            scope_of.setdefault(f, []).append(
-                (bns, getattr(a, binder_field), getattr(b, binder_field))
-            )
-    for fname, value_a in children(a):
-        value_b = getattr(b, fname)
-        if any(binder_field == fname for binder_field, _, _ in cls.scopes):
-            continue  # binder names are compared via _env
-        if isinstance(value_a, (Node, EO)) or isinstance(value_b, (Node, EO)):
-            if not alpha_eq(value_a, value_b, _env + tuple(scope_of.get(fname, ()))):
-                return False
-        elif value_a != value_b:
-            return False
-    return True
-
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
 def alpha_key(node: object, _env: tuple[tuple[str, str], ...] = ()) -> object:
     """A hashable key equal across alpha-equivalent nodes.
 
     Bound names are replaced by binder indices; free names stay themselves.
+    A node's own key is kept on the node: looking it up in a shared table
+    would compare it structurally with an equal node already stored there.
     """
+    if _env or not isinstance(node, Node):
+        return _scoped_key(node, _env)
+    d = node.__dict__
+    key = d.get("_alpha_key")
+    if key is None:
+        key = d["_alpha_key"] = _scoped_key(node, ())
+    return key
+
+
+@lru_cache(maxsize=None)
+def _scoped_key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
     if isinstance(node, EO):
         if node.is_var():
             for i, (ns, x) in enumerate(reversed(_env)):
                 if ns == "eo" and x == node.name:
                     return ("eo", i)
             return ("eo", node.name)
-        return ("eo", node.tag)
+        return node
     if not isinstance(node, Node):
         return node
     cls = type(node)
@@ -242,6 +209,11 @@ def alpha_key(node: object, _env: tuple[tuple[str, str], ...] = ()) -> object:
         else:
             parts.append(value)
     return tuple(parts)
+
+
+def alpha_eq(a: object, b: object) -> bool:
+    """Equality up to consistent renaming of bound names, all namespaces."""
+    return alpha_key(a) == alpha_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +610,24 @@ class MUnroll(Term):
     body: Term
 
 
+# Per type grammar: its type-variable constructor and its recursive-type
+# constructor.  An impartial recursive type carries an order; the only one
+# built here binds an unused variable, where the order makes no difference.
+_TYPE_GRAMMARS = (
+    (ImpType, ITyVar, lambda var, body: IRec(var, body, V)),
+    (EconType, STyVar, SRec),
+    (TgtType, ATyVar, ARec),
+)
+REC_TYPES = (IRec, SRec, ARec)
+
+
+def _grammar(ty: Node) -> tuple:
+    for g in _TYPE_GRAMMARS:
+        if isinstance(ty, g[0]):
+            return g
+    raise TypeError(f"not a type: {ty!r}")
+
+
 def _make_ref(ns: str, name: str, sample: Node):
     # Binder renaming needs a reference node of the right family.
     if ns == "eo":
@@ -646,13 +636,7 @@ def _make_ref(ns: str, name: str, sample: Node):
         return {"x": MVar, "u": MFixVar}[ns](name)
     if isinstance(sample, Expr):
         return {"x": Var, "u": FixVar}[ns](name)
-    if isinstance(sample, ImpType):
-        return ITyVar(name)
-    if isinstance(sample, EconType):
-        return STyVar(name)
-    if isinstance(sample, TgtType):
-        return ATyVar(name)
-    raise TypeError(f"no reference constructor for {sample!r}")
+    return _grammar(sample)[1](name)
 
 
 def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
@@ -737,6 +721,111 @@ def subst_fix_term(replacement: Term, var: str, m: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Structural helpers, generic over the grammars via ``scopes`` and ``ref``
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def node_count(node: object) -> int:
+    """Number of nodes in ``node``; types and orders count as nodes."""
+    n = 1
+    for _, v in children(node):
+        if isinstance(v, (Node, EO)):
+            n += node_count(v)
+    return n
+
+
+def subterms(node: Node) -> list[Node]:
+    """``node`` and every node below it, in pre-order."""
+    out = [node]
+    for _, v in children(node):
+        if isinstance(v, Node):
+            out.extend(subterms(v))
+    return out
+
+
+def dedup(nodes: list[Node]) -> list[Node]:
+    """``nodes`` without alpha-equivalent repeats, first occurrences kept."""
+    out: dict = {}
+    for n in nodes:
+        out.setdefault(alpha_key(n), n)
+    return list(out.values())
+
+
+def unfold(ty: Node) -> Node:
+    """One-step unfolding of a recursive type, in any type grammar."""
+    return subst(ty.body, {("ty", ty.var): ty})
+
+
+def refold_candidates(ty: Node, pool: tuple[Node, ...] = ()) -> list[Node]:
+    """Recursive types whose one-step unfolding is ``ty``.
+
+    Any such type occurs in ``ty`` itself (when its variable occurs), or
+    wraps ``ty`` with an unused binder; the pool adds externally known ones.
+    """
+    wrap = _grammar(ty)[2]
+    cands = [t for t in subterms(ty) + list(pool)
+             if isinstance(t, REC_TYPES) and alpha_eq(unfold(t), ty)]
+    cands.append(wrap(fresh_name("rec", free_names(ty, "ty")), ty))
+    return dedup(cands)
+
+
+def _same_ref(ns: str, x: str, y: str, env: tuple) -> bool:
+    # Two references agree when the same pair of binders binds them, or,
+    # bound by neither side, when they are the same free name.
+    for ens, a, b in reversed(env):
+        if ens == ns and (a == x or b == y):
+            return a == x and b == y
+    return x == y
+
+
+def match_instantiate(pattern: Node, var: str, goal: Node) -> Node | None | str:
+    """Solve ``[X/var]pattern == goal`` for the type ``X`` (up to alpha).
+
+    Returns the solution, the marker string ``"any"`` when ``var`` does not
+    occur (any well-formed instantiation works), or None on mismatch.
+    Binders crossed on the way are paired per namespace, and a solution
+    may not mention a goal-side one.
+    """
+    solution: list[Node] = []
+
+    def go(p: object, g: object, env: tuple[tuple[str, str, str], ...]) -> bool:
+        if isinstance(p, EO) or isinstance(g, EO):
+            if not (isinstance(p, EO) and isinstance(g, EO)):
+                return False
+            if p.is_var() and g.is_var():
+                return _same_ref("eo", p.name, g.name, env)
+            return p == g
+        if not isinstance(p, Node):
+            return p == g
+        cls = type(p)
+        if (cls.ref is not None and cls.ref[0] == "ty"
+                and getattr(p, cls.ref[1]) == var
+                and not any(ns == "ty" and a == var for ns, a, _ in env)):
+            if any(b in free_names(g, ns) for ns, _, b in env):
+                return False
+            if solution:
+                return alpha_eq(solution[0], g)
+            solution.append(g)
+            return True
+        if type(g) is not cls:
+            return False
+        if cls.ref is not None:
+            ns, f = cls.ref
+            return _same_ref(ns, getattr(p, f), getattr(g, f), env)
+        inner: dict[str, tuple] = {}
+        for bf, ns, scoped in cls.scopes:
+            for f in scoped:
+                inner[f] = inner.get(f, env) + ((ns, getattr(p, bf), getattr(g, bf)),)
+        binders = {bf for bf, _, _ in cls.scopes}
+        return all(go(v, getattr(g, f), inner.get(f, env))
+                   for f, v in children(p) if f not in binders)
+
+    if not go(pattern, goal, ()):
+        return None
+    return solution[0] if solution else "any"
+
+
+# ---------------------------------------------------------------------------
 # Erasure
 # ---------------------------------------------------------------------------
 
@@ -781,17 +870,6 @@ def is_erased(e: Expr) -> bool:
     raise TypeError(f"not a source expression: {e!r}")
 
 
-def size(node: Node) -> int:
-    """Node count, counting expression/term constructors (not types)."""
-    n = 1
-    for _, value in children(node):
-        if isinstance(value, Node) and not isinstance(
-            value, (ImpType, EconType, TgtType)
-        ):
-            n += size(value)
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Typing contexts
 # ---------------------------------------------------------------------------
@@ -807,7 +885,7 @@ def size(node: Node) -> int:
 class Ctx:
     entries: tuple[tuple[str, str, object], ...] = ()
 
-    def _declared(self, kind: str) -> frozenset[str]:
+    def declared(self, kind: str) -> frozenset[str]:
         return frozenset(n for k, n, _ in self.entries if k == kind)
 
     def declares(self, kind: str, name: str) -> bool:
@@ -835,6 +913,13 @@ class Ctx:
 
     def names(self) -> frozenset[str]:
         return frozenset(n for _, n, _ in self.entries)
+
+    def fresh(self, name: str, *kinds: str) -> str:
+        """``name`` for a new binder, renamed apart from every declared
+        name when the context already declares it in one of ``kinds``."""
+        if any(self.declares(k, name) for k in kinds):
+            return fresh_name(name, self.names())
+        return name
 
 
 class ImpCtx(Ctx):

@@ -52,14 +52,18 @@ from .syntax import (
     TgtType,
     alpha_eq,
     alpha_key,
-    children,
+    dedup,
     fresh_name,
     free_names,
+    match_instantiate,
+    refold_candidates,
     subst_fix_term,
     subst_term,
     subst_ty_in_ty,
+    subterms,
+    unfold,
 )
-from .wf import target_ty_wf
+from .wf import ty_wf
 
 VALUE = "value"
 VALUABLE = "valuable"
@@ -100,84 +104,6 @@ def classify(m: Term) -> str:
 # Typechecking
 # ---------------------------------------------------------------------------
 
-def unfold(ty: ARec) -> TgtType:
-    return subst_ty_in_ty(ty, ty.var, ty.body)
-
-
-def subtypes_of(ty: TgtType) -> list[TgtType]:
-    out = [ty]
-    for _, v in children(ty):
-        if isinstance(v, TgtType):
-            out.extend(subtypes_of(v))
-    return out
-
-
-def _dedup(tys: list[TgtType]) -> list[TgtType]:
-    out: dict = {}
-    for t in tys:
-        out.setdefault(alpha_key(t), t)
-    return list(out.values())
-
-
-def refold_candidates(ty: TgtType, pool: tuple[TgtType, ...] = ()) -> list[TgtType]:
-    """Recursive types whose one-step unfolding is ``ty``.
-
-    Any such type occurs in ``ty`` itself (when its variable occurs), or
-    wraps ``ty`` with an unused binder; the pool adds externally known ones.
-    """
-    cands = [t for t in subtypes_of(ty) if isinstance(t, ARec) and alpha_eq(unfold(t), ty)]
-    cands += [t for t in pool if isinstance(t, ARec) and alpha_eq(unfold(t), ty)]
-    wrapper = ARec(fresh_name("rec", free_names(ty, "ty")), ty)
-    return _dedup(cands + [wrapper])
-
-
-def match_instantiate(pattern: TgtType, var: str, goal: TgtType) -> TgtType | None | str:
-    """Solve ``[A/var]pattern == goal`` for ``A`` (up to alpha).
-
-    Returns the solution, the marker string ``"any"`` when ``var`` does not
-    occur (any well-formed instantiation works), or ``None`` on mismatch.
-    """
-    solution: list[TgtType] = []
-
-    def go(p: TgtType, g: TgtType, env: tuple[tuple[str, str], ...]) -> bool:
-        if isinstance(p, ATyVar) and p.name == var and not any(a == var for a, _ in env):
-            # A solution may not mention binders crossed inside the pattern.
-            if any(b in free_names(g, "ty") for _, b in env):
-                return False
-            if solution:
-                return alpha_eq(solution[0], g)
-            solution.append(g)
-            return True
-        if type(p) is not type(g):
-            return False
-        if isinstance(p, ATyVar):
-            x = p.name
-            for a, b in reversed(env):
-                if a == x:
-                    return b == g.name
-                if b == g.name:
-                    return False
-            return x == g.name
-        binder_fields = {bf for bf, _, _ in type(p).scopes}
-        env2 = env
-        for bf, _, _ in type(p).scopes:
-            env2 = env2 + ((getattr(p, bf), getattr(g, bf)),)
-        for fname, v in children(p):
-            if fname in binder_fields:
-                continue
-            w = getattr(g, fname)
-            if isinstance(v, TgtType):
-                if not go(v, w, env2):
-                    return False
-            elif v != w:
-                return False
-        return True
-
-    if not go(pattern, goal, ()):
-        return None
-    return solution[0] if solution else "any"
-
-
 class TargetChecker:
     """Memoizing checker for core terms against a fixed candidate pool.
 
@@ -195,7 +121,7 @@ class TargetChecker:
         key = alpha_key(ty)
         hit = self._cands.get(key)
         if hit is None:
-            hit = _dedup(list(self.pool) + subtypes_of(ty) + [AUnit()])
+            hit = dedup(list(self.pool) + subterms(ty) + [AUnit()])
             self._cands[key] = hit
         return hit
 
@@ -250,8 +176,8 @@ class TargetChecker:
                 s = self.synth(ctx, scrut)
                 if not isinstance(s, ASum):
                     return None
-                a = self.synth(_bind(ctx, x1, s.left), m1)
-                b = self.synth(_bind(ctx, x2, s.right), m2)
+                a = self.synth(_bind(ctx, "x", x1, s.left), m1)
+                b = self.synth(_bind(ctx, "x", x2, s.right), m2)
                 if a is not None and b is not None and alpha_eq(a, b):
                     return a
                 return None
@@ -282,15 +208,14 @@ class TargetChecker:
                     return False
             case MLam(x, body):
                 return isinstance(ty, AArrow) and self.check(
-                    _bind(ctx, x, ty.dom), body, ty.cod
+                    _bind(ctx, "x", x, ty.dom), body, ty.cod
                 )
             case MFix(u, body):
-                return self.check(_bind_u(ctx, u, ty), body, ty)
+                return self.check(_bind(ctx, "u", u, ty), body, ty)
             case MTyLam(body):
                 if not isinstance(ty, AForall) or not is_valuable(body):
                     return False
-                a = ty.var if not ctx.declares("ty", ty.var) else fresh_name(
-                    ty.var, ctx.names())
+                a = ctx.fresh(ty.var, "ty")
                 body_ty = subst_ty_in_ty(ATyVar(a), ty.var, ty.body)
                 return self.check(ctx.with_ty(a), body, body_ty)
             case MThunk(body):
@@ -351,8 +276,8 @@ class TargetChecker:
                 for cand in sums:
                     if not isinstance(s, ASum) and not self.check(ctx, scrut, cand):
                         continue
-                    if self.check(_bind(ctx, x1, cand.left), m1, ty) and self.check(
-                        _bind(ctx, x2, cand.right), m2, ty
+                    if self.check(_bind(ctx, "x", x1, cand.left), m1, ty) and self.check(
+                        _bind(ctx, "x", x2, cand.right), m2, ty
                     ):
                         return True
                 return False
@@ -362,7 +287,7 @@ class TargetChecker:
                     sol = match_instantiate(t.body, t.var, ty)
                     if sol == "any":
                         return True
-                    if sol is not None and target_ty_wf(ctx, sol):
+                    if sol is not None and ty_wf(ctx, sol):
                         return True
                     return False
                 if isinstance(body, MTyLam):
@@ -376,30 +301,17 @@ class TargetChecker:
                 for cand in self.pool:
                     if isinstance(cand, AForall):
                         sol = match_instantiate(cand.body, cand.var, ty)
-                        if sol == "any" or (sol is not None and target_ty_wf(ctx, sol)):
+                        if sol == "any" or (sol is not None and ty_wf(ctx, sol)):
                             if self.check(ctx, body, cand):
                                 return True
                 return False
         return False
 
 
-def _bind(ctx: TgtCtx, name: str, ty: TgtType) -> TgtCtx:
-    if ctx.declares("x", name):
-        # Shadowing: rebuild without the old entry.
-        entries = tuple(en for en in ctx.entries if not (en[0] == "x" and en[1] == name))
-        return TgtCtx(entries).with_x(name, ty)
-    return ctx.with_x(name, ty)
-
-
-def _bind_u(ctx: TgtCtx, name: str, ty: TgtType) -> TgtCtx:
-    if ctx.declares("u", name):
-        entries = tuple(en for en in ctx.entries if not (en[0] == "u" and en[1] == name))
-        return TgtCtx(entries).with_u(name, ty)
-    return ctx.with_u(name, ty)
-
-
-def target_synth(ctx: TgtCtx, m: Term) -> TgtType | None:
-    return TargetChecker().synth(ctx, m)
+def _bind(ctx: TgtCtx, kind: str, name: str, ty: TgtType) -> TgtCtx:
+    """Declare ``name``, shadowing an earlier declaration of it."""
+    entries = tuple(en for en in ctx.entries if en[:2] != (kind, name))
+    return TgtCtx(entries + ((kind, name, ty),))
 
 
 def target_check(ctx: TgtCtx, m: Term, ty: TgtType,

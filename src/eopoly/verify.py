@@ -32,7 +32,6 @@ from . import source as src_mod
 from . import target as tgt_mod
 from .elaborate import (
     ElabChecker,
-    check_elab,
     collect_annotation_types,
     elaborate,
     ty_target,
@@ -83,9 +82,11 @@ from .syntax import (
     erase,
     free_names,
     join,
+    node_count,
     subst1,
     subst_eo,
     subst_ty_in_ty,
+    unfold,
     valof,
     vleq,
 )
@@ -238,7 +239,7 @@ def run_elab_soundness(
         )
     if checker.check(erase(e), r.ty, er.term) is None:
         return CheckOutcome(
-            name, program, FAIL,
+            name, program, FAIL if checker.clean else SEARCH_EXHAUSTED,
             {"reason": "elaboration relation does not relate the output",
              "term": er.term},
         )
@@ -259,8 +260,6 @@ def run_type_safety(m: Term, ty, pool, fuel: int = 10_000,
     the run stops there and reports the checked prefix (never masking a
     stuck state or a preservation failure inside it).
     """
-    from .elaborate import node_count
-
     name = "target-type-safety"
     if checker is None:
         checker = tgt_mod.TargetChecker(pool)
@@ -404,8 +403,12 @@ def run_consistency(e: Expr, ty: EconType | None, direction: str,
     e_cur = erase(e)
     phi = checker.check(e_cur, r.ty, m)
     if phi is None:
-        report.verdict = FAIL
-        report.reason = "the program does not re-relate to its own elaboration"
+        report.verdict = FAIL if checker.clean else SEARCH_EXHAUSTED
+        report.reason = (
+            "the program does not re-relate to its own elaboration"
+            if checker.clean else
+            "the membership search hit its bound on the program's own elaboration"
+        )
         return report
     for i in range(fuel):
         st = tgt_mod.step(m)
@@ -431,11 +434,12 @@ def run_consistency(e: Expr, ty: EconType | None, direction: str,
         found, pruned = _search_match(e_cur, r.ty, m2, checker, search_depth,
                                       byvalue_only=nfree, prefer_rule=st.rule)
         if found is None:
-            # A pruned frontier means the match may lie deeper; a fully
-            # explored one refutes the existence of a match outright.
+            # A pruned search means the match may lie beyond a bound; a
+            # fully explored one refutes the existence of a match outright.
             report.verdict = SEARCH_EXHAUSTED if pruned else FAIL
             report.reason = (
-                f"no source match within depth {search_depth}" if pruned
+                f"no source match within the search bounds (depth {search_depth})"
+                if pruned
                 else "no reachable source term re-relates (refuted)"
             )
             report.final_target = m2
@@ -465,8 +469,9 @@ def run_consistency(e: Expr, ty: EconType | None, direction: str,
 def _search_match(e: Expr, ty: EconType, m: Term, checker: ElabChecker,
                   depth_bound: int, byvalue_only: bool,
                   prefer_rule: str = ""):
-    """Breadth-first match search; second component reports whether the
-    depth bound pruned anything (False = the space was fully explored).
+    """Breadth-first match search; second component reports whether a
+    bound pruned anything (False = the space was fully explored): the
+    depth bound here, or the membership search's own bound.
 
     Source steps whose reduction rule matches the core step's are tried
     first within each depth: the match is usually the mirrored redex, and
@@ -487,12 +492,14 @@ def _search_match(e: Expr, ty: EconType, m: Term, checker: ElabChecker,
             v = checker.check(s.result, ty, m)
             if v is not None:
                 return (s.result, 1, v, s.flavor != src_mod.BYVALUE), pruned
+            pruned |= not checker.clean
     frontier = deque([(e, 0, False)])
     while frontier:
         cand, depth, used_byname = frontier.popleft()
         v = checker.check(cand, ty, m)
         if v is not None:
             return (cand, depth, v, used_byname), pruned
+        pruned |= not checker.clean
         if depth >= depth_bound:
             pruned = True
             continue
@@ -535,11 +542,12 @@ def run_cbv_endpoint(e: Expr, ty: EconType | None, direction: str,
     if sv.kind != "value":
         return CheckOutcome(name, program, FAIL,
                             {"reason": f"source run did not finish: {sv.kind}"})
-    pool = build_pool(e, [r.ty])
-    v = check_elab(sv.expr, r.ty, tv.term, pool)
+    checker = ElabChecker(build_pool(e, [r.ty]))
+    v = checker.check(sv.expr, r.ty, tv.term)
     if v != VAL:
         return CheckOutcome(
-            name, program, FAIL,
+            name, program,
+            SEARCH_EXHAUSTED if v is None and not checker.clean else FAIL,
             {"reason": "final source value does not elaborate to the core value",
              "source": sv.expr, "target": tv.term},
         )
@@ -667,12 +675,12 @@ def replay_impartial(d: Derivation) -> None:
         _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
     elif r == "i-rec-intro":
         _expect(d.direction == CHECK and isinstance(d.ty, IRec), d, "shape")
-        _expect(alpha_eq(ch[0].ty, imp_mod.unfold(d.ty)), d, "unfolding")
+        _expect(alpha_eq(ch[0].ty, unfold(d.ty)), d, "unfolding")
         _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
     elif r == "i-rec-elim":
         _expect(d.direction == SYNTH and d.valueness == TOP, d, "shape")
         _expect(isinstance(ch[0].ty, IRec), d, "premise must be recursive")
-        _expect(alpha_eq(d.ty, imp_mod.unfold(ch[0].ty)), d, "unfolding")
+        _expect(alpha_eq(d.ty, unfold(ch[0].ty)), d, "unfolding")
     else:
         raise ReplayError(f"unknown impartial rule {r}")
 
@@ -763,11 +771,11 @@ def replay_econ(d: Derivation) -> None:
         _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
     elif r == "r-rec-intro":
         _expect(isinstance(d.ty, SRec), d, "shape")
-        _expect(alpha_eq(ch[0].ty, econ_mod.unfold(d.ty)), d, "unfolding")
+        _expect(alpha_eq(ch[0].ty, unfold(d.ty)), d, "unfolding")
         _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
     elif r == "r-rec-elim":
         _expect(d.valueness == TOP and isinstance(ch[0].ty, SRec), d, "shape")
-        _expect(alpha_eq(d.ty, econ_mod.unfold(ch[0].ty)), d, "unfolding")
+        _expect(alpha_eq(d.ty, unfold(ch[0].ty)), d, "unfolding")
     else:
         raise ReplayError(f"unknown rule {r}")
 

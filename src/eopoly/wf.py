@@ -5,7 +5,8 @@ All judgments are decidable syntax-directed checks returning booleans.
 loops of the typecheckers: under every recursive binder, each occurrence
 of the bound variable must sit beneath an arrow, product, or sum.  A
 suspension point does not count as a guard, because the economical checker
-strips suspensions silently during synthesis.
+strips suspensions silently during synthesis; nor does a thunk type, its
+image in the target grammar.
 """
 
 from __future__ import annotations
@@ -13,35 +14,22 @@ from __future__ import annotations
 from .syntax import (
     EO,
     AArrow,
-    AForall,
     AProd,
-    ARec,
     ASum,
-    AThunk,
-    ATyVar,
-    AUnit,
     Ctx,
-    EconType,
-    IAllEo,
     IArrow,
-    IForall,
-    ImpType,
     IProd,
-    IRec,
     ISum,
-    ITyVar,
-    IUnit,
-    SAllEo,
+    Node,
+    REC_TYPES,
     SArrow,
-    SForall,
     SProd,
-    SRec,
     SSum,
-    SSusp,
-    STyVar,
-    SUnit,
-    TgtType,
+    children,
+    free_names,
 )
+
+_GUARDS = (IArrow, IProd, ISum, SArrow, SProd, SSum, AArrow, AProd, ASum)
 
 
 def eo_wf(ctx: Ctx, eo: EO) -> bool:
@@ -50,123 +38,33 @@ def eo_wf(ctx: Ctx, eo: EO) -> bool:
     return True
 
 
-def impartial_ty_wf(ctx: Ctx, ty: ImpType) -> bool:
-    match ty:
-        case IUnit():
-            return True
-        case ITyVar(name):
-            return ctx.declares("ty", name)
-        case IForall(var, body):
-            return impartial_ty_wf(_shadow_ty(ctx, var), body)
-        case IAllEo(var, body):
-            return impartial_ty_wf(_shadow_eo(ctx, var), body)
-        case IArrow(dom, cod, eo):
-            return eo_wf(ctx, eo) and impartial_ty_wf(ctx, dom) and impartial_ty_wf(ctx, cod)
-        case IProd(left, right, eo) | ISum(left, right, eo):
-            return eo_wf(ctx, eo) and impartial_ty_wf(ctx, left) and impartial_ty_wf(ctx, right)
-        case IRec(var, body, eo):
-            return eo_wf(ctx, eo) and impartial_ty_wf(_shadow_ty(ctx, var), body)
-    raise TypeError(f"not an impartial type: {ty!r}")
+def ty_wf(ctx: Ctx, ty: Node) -> bool:
+    """A type of any grammar is well formed when the context declares each
+    of its free type and order variables."""
+    return (free_names(ty, "ty") <= ctx.declared("ty")
+            and free_names(ty, "eo") <= ctx.declared("eo"))
 
 
-def econ_ty_wf(ctx: Ctx, ty: EconType) -> bool:
-    match ty:
-        case SUnit():
-            return True
-        case STyVar(name):
-            return ctx.declares("ty", name)
-        case SForall(var, body):
-            return econ_ty_wf(_shadow_ty(ctx, var), body)
-        case SAllEo(var, body):
-            return econ_ty_wf(_shadow_eo(ctx, var), body)
-        case SSusp(eo, body):
-            return eo_wf(ctx, eo) and econ_ty_wf(ctx, body)
-        case SArrow(dom, cod):
-            return econ_ty_wf(ctx, dom) and econ_ty_wf(ctx, cod)
-        case SProd(left, right) | SSum(left, right):
-            return econ_ty_wf(ctx, left) and econ_ty_wf(ctx, right)
-        case SRec(var, body):
-            return econ_ty_wf(_shadow_ty(ctx, var), body)
-    raise TypeError(f"not an economical type: {ty!r}")
+def rec_guarded(ty: Node) -> bool:
+    """True iff every recursive binder in ``ty`` is structurally guarded."""
+    return _guarded(ty, frozenset())
 
 
-def target_ty_wf(ctx: Ctx, ty: TgtType) -> bool:
-    match ty:
-        case AUnit():
-            return True
-        case ATyVar(name):
-            return ctx.declares("ty", name)
-        case AForall(var, body) | ARec(var, body):
-            return target_ty_wf(_shadow_ty(ctx, var), body)
-        case AThunk(body):
-            return target_ty_wf(ctx, body)
-        case AArrow(dom, cod):
-            return target_ty_wf(ctx, dom) and target_ty_wf(ctx, cod)
-        case AProd(left, right) | ASum(left, right):
-            return target_ty_wf(ctx, left) and target_ty_wf(ctx, right)
-    raise TypeError(f"not a target type: {ty!r}")
-
-
-def _shadow_ty(ctx: Ctx, name: str) -> Ctx:
-    if ctx.declares("ty", name):
-        return ctx  # shadowing: the inner binder hides the outer declaration
-    return ctx.with_ty(name)
-
-
-def _shadow_eo(ctx: Ctx, name: str) -> Ctx:
-    if ctx.declares("eo", name):
-        return ctx
-    return ctx.with_eo(name)
-
-
-def rec_guarded(ty: ImpType | EconType) -> bool:
-    """True iff every recursive binder in ``ty`` is structurally guarded.
-
-    ``unguarded`` tracks the recursive variables whose binder has not yet
-    been separated from the current position by an arrow, product, or sum.
-    """
-    if isinstance(ty, ImpType):
-        return _guarded_imp(ty, frozenset())
-    return _guarded_econ(ty, frozenset())
-
-
-def _guarded_imp(ty: ImpType, unguarded: frozenset[str]) -> bool:
-    match ty:
-        case IUnit():
-            return True
-        case ITyVar(name):
-            return name not in unguarded
-        case IForall(var, body):
-            return _guarded_imp(body, unguarded - {var})
-        case IAllEo(_, body):
-            return _guarded_imp(body, unguarded)
-        case IArrow(dom, cod, _):
-            return _guarded_imp(dom, frozenset()) and _guarded_imp(cod, frozenset())
-        case IProd(l, r, _) | ISum(l, r, _):
-            return _guarded_imp(l, frozenset()) and _guarded_imp(r, frozenset())
-        case IRec(var, body, _):
+def _guarded(ty: Node, unguarded: frozenset[str]) -> bool:
+    # ``unguarded`` holds the recursive variables whose binder has not yet
+    # been separated from the current position by an arrow, product, or sum.
+    cls = type(ty)
+    if cls.ref is not None:
+        return getattr(ty, cls.ref[1]) not in unguarded
+    if isinstance(ty, _GUARDS):
+        unguarded = frozenset()
+    for binder, ns, _ in cls.scopes:
+        if ns == "ty":
+            var = getattr(ty, binder)
             # Nesting under another recursive binder does not guard.
-            return _guarded_imp(body, unguarded | {var})
-    raise TypeError(f"not an impartial type: {ty!r}")
-
-
-def _guarded_econ(ty: EconType, unguarded: frozenset[str]) -> bool:
-    match ty:
-        case SUnit():
-            return True
-        case STyVar(name):
-            return name not in unguarded
-        case SForall(var, body):
-            return _guarded_econ(body, unguarded - {var})
-        case SAllEo(_, body):
-            return _guarded_econ(body, unguarded)
-        case SSusp(_, body):
-            # Suspensions strip silently in synthesis, so they do not guard.
-            return _guarded_econ(body, unguarded)
-        case SArrow(dom, cod):
-            return _guarded_econ(dom, frozenset()) and _guarded_econ(cod, frozenset())
-        case SProd(l, r) | SSum(l, r):
-            return _guarded_econ(l, frozenset()) and _guarded_econ(r, frozenset())
-        case SRec(var, body):
-            return _guarded_econ(body, unguarded | {var})
-    raise TypeError(f"not an economical type: {ty!r}")
+            unguarded = (unguarded | {var} if isinstance(ty, REC_TYPES)
+                         else unguarded - {var})
+    for _, v in children(ty):
+        if isinstance(v, Node) and not _guarded(v, unguarded):
+            return False
+    return True

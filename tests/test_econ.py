@@ -172,7 +172,7 @@ def test_context_order_substitution():
 
 def test_econ_type_preserves_wellformedness():
     from eopoly.enum_terms import default_menu
-    from eopoly.wf import econ_ty_wf, impartial_ty_wf
+    from eopoly.wf import ty_wf
 
     a = eo_var("a")
     tys = list(default_menu()) + [
@@ -181,5 +181,5 @@ def test_econ_type_preserves_wellformedness():
     ]
     ctx = ImpCtx().with_ty("t")
     for ty in tys:
-        assert impartial_ty_wf(ctx, ty)
-        assert econ_ty_wf(econ.econ_ctx(ctx), econ.econ_type(ty))
+        assert ty_wf(ctx, ty)
+        assert ty_wf(econ.econ_ctx(ctx), econ.econ_type(ty))

@@ -33,18 +33,27 @@ from eopoly.syntax import (
     V,
     VAL,
     Var,
+    REC_TYPES,
     alpha_eq,
     alpha_key,
+    dedup,
     eo_var,
     erase,
     free_names,
     is_erased,
     join,
+    match_instantiate,
+    node_count,
+    refold_candidates,
     subst_eo,
     subst_expr,
     subst_ty_in_ty,
+    subterms,
+    unfold,
     valof,
 )
+
+from grammars import ECON, GRAMMARS, TGT
 
 
 def test_valof():
@@ -217,3 +226,91 @@ def test_rename_round_trip(e):
     renamed = subst_expr(Var("fresh_q"), "x", e)
     back = subst_expr(Var("x"), "fresh_q", renamed)
     assert alpha_eq(back, e) or "x" not in free_names(e, "x")
+
+
+def test_alpha_key_separates_orders_from_order_variables():
+    assert not alpha_eq(eo_var("V"), V)
+    assert not alpha_eq(SSusp(eo_var("N"), SUnit()), SSusp(N, SUnit()))
+    assert alpha_eq(SAllEo("a", SSusp(eo_var("a"), SUnit())),
+                    SAllEo("V", SSusp(eo_var("V"), SUnit())))
+
+
+# -- structural helpers, in every type grammar ---------------------------------
+
+_ids = [g.name for g in GRAMMARS]
+
+
+@pytest.mark.parametrize("g", GRAMMARS, ids=_ids)
+def test_unfold(g):
+    nat = g.rec("t", g.sum(g.unit, g.var("t")))
+    assert unfold(nat) == g.sum(g.unit, nat)
+    assert unfold(g.rec("t", g.unit)) == g.unit
+    # The free "s" of the recursive type must not be captured by the inner
+    # binder it is substituted under.
+    ty = g.rec("t", g.prod(g.var("s"), g.forall("s", g.prod(g.var("t"), g.var("s")))))
+    want = g.prod(g.var("s"), g.forall("z", g.prod(ty, g.var("z"))))
+    assert alpha_eq(unfold(ty), want)
+
+
+@pytest.mark.parametrize("g", GRAMMARS, ids=_ids)
+def test_refold_candidates(g):
+    nat = g.rec("t", g.sum(g.unit, g.var("t")))
+    cands = refold_candidates(unfold(nat))
+    assert alpha_eq(cands[0], nat)
+    assert all(isinstance(c, REC_TYPES) and alpha_eq(unfold(c), unfold(nat))
+               for c in cands)
+    # A type with no recursive subterm refolds only under an unused binder,
+    # and a pool type doing the same is that one candidate.
+    plain = g.arrow(g.unit, g.unit)
+    (only,) = refold_candidates(plain)
+    assert isinstance(only, REC_TYPES) and unfold(only) == plain
+    pooled = g.rec("r", plain)
+    assert refold_candidates(plain, (pooled, nat)) == [pooled]
+
+
+@pytest.mark.parametrize("g", GRAMMARS, ids=_ids)
+def test_subterms_dedup_node_count(g):
+    ty = g.arrow(g.forall("a", g.var("a")), g.forall("b", g.var("b")))
+    subs = subterms(ty)
+    assert subs[0] == ty and len(subs) == 5
+    assert dedup(subs) == [ty, g.forall("a", g.var("a")), g.var("a"), g.var("b")]
+    assert node_count(ty) == len(subs) + (g is GRAMMARS[0])  # the order
+
+
+@pytest.mark.parametrize("g", [ECON, TGT], ids=["econ", "target"])
+def test_match_instantiate_pairs_binders(g):
+    pattern = g.forall("a", g.arrow(g.var("a"), g.var("x")))
+    assert match_instantiate(pattern, "x", g.forall("b", g.arrow(g.var("b"), g.unit))) == g.unit
+    assert match_instantiate(pattern, "x", g.forall("b", g.arrow(g.unit, g.unit))) is None
+    # Under a binder of its own name, "x" is not the variable solved for.
+    shadowed = g.forall("x", g.arrow(g.var("x"), g.var("x")))
+    assert match_instantiate(shadowed, "x", g.forall("y", g.arrow(g.var("y"), g.var("y")))) == "any"
+
+
+@pytest.mark.parametrize("g", [ECON, TGT], ids=["econ", "target"])
+def test_match_instantiate_any(g):
+    ty = g.arrow(g.unit, g.unit)
+    assert match_instantiate(ty, "x", ty) == "any"
+    assert match_instantiate(ty, "x", g.prod(g.unit, g.unit)) is None
+
+
+@pytest.mark.parametrize("g", [ECON, TGT], ids=["econ", "target"])
+def test_match_instantiate_rejects_capture(g):
+    # The only solution would mention the goal's bound "c".
+    pattern = g.forall("b", g.arrow(g.var("x"), g.var("b")))
+    assert match_instantiate(pattern, "x", g.forall("c", g.arrow(g.var("c"), g.var("c")))) is None
+    assert match_instantiate(pattern, "x", g.forall("c", g.arrow(g.var("d"), g.var("c")))) == g.var("d")
+    # Two occurrences must agree.
+    twice = g.prod(g.var("x"), g.var("x"))
+    assert match_instantiate(twice, "x", g.prod(g.unit, g.var("d"))) is None
+
+
+def test_match_instantiate_pairs_order_binders():
+    pattern = SAllEo("a", SSusp(eo_var("a"), STyVar("x")))
+    for b in ("a", "b"):
+        goal = SAllEo(b, SSusp(eo_var(b), SUnit()))
+        assert match_instantiate(pattern, "x", goal) == SUnit()
+    assert match_instantiate(pattern, "x", SAllEo("b", SSusp(V, SUnit()))) is None
+    # A solution may not mention a bound order variable.
+    goal = SAllEo("b", SSusp(eo_var("b"), SSusp(eo_var("b"), SUnit())))
+    assert match_instantiate(pattern, "x", goal) is None

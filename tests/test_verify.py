@@ -4,6 +4,7 @@ import glob
 import os
 
 from eopoly import econ
+from eopoly.elaborate import ElabChecker
 from eopoly.enum_terms import enumerate_welltyped
 from eopoly.nfree import (
     n_free_econ_type,
@@ -24,11 +25,14 @@ from eopoly.syntax import (
     IUnit,
     Lam,
     MForce,
+    MPair,
     MThunk,
     MUnit,
     N,
+    Pair,
     SAllEo,
     SArrow,
+    SProd,
     SSusp,
     SUnit,
     SYNTH,
@@ -45,12 +49,15 @@ from eopoly.verify import (
     PASS,
     SEARCH_EXHAUSTED,
     VACUOUS,
+    _search_match,
+    build_pool,
     run_cbv_endpoint,
     run_consistency,
     run_econ_preservation,
     run_elab_soundness,
     run_nfree_econ,
     run_nfree_elab,
+    target_pool,
 )
 
 U = IUnit()
@@ -320,3 +327,41 @@ def test_replay_all_enumerated_derivations():
         else:
             r2 = econ.econ_synth(EconCtx(), ee)
         replay_econ(r2.deriv)
+
+
+# -- a search cut by its bound is not a refutation -----------------------------
+
+class _TinyBudget(ElabChecker):
+    """A membership checker whose depth bound cuts every nontrivial query."""
+
+    def _ce(self, ctx, e, ty, m, depth):
+        return super()._ce(ctx, e, ty, m, min(depth, 1))
+
+
+def test_elab_soundness_budget_cut_is_search_exhausted():
+    e, _ = econ_main(os.path.join(CORPUS, "id_poly_v.eo"))
+    r = econ.econ_synth(EconCtx(), e)
+    pool = build_pool(e, [r.ty])
+    out = run_elab_soundness(e, None, SYNTH, checker=_TinyBudget(pool),
+                             tpool=target_pool(pool))
+    assert out.verdict == SEARCH_EXHAUSTED, out.detail
+    assert run_elab_soundness(e, None, SYNTH).verdict == PASS
+
+
+def test_budget_cut_is_search_exhausted(monkeypatch):
+    import eopoly.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "ElabChecker", _TinyBudget)
+    e, _ = econ_main(os.path.join(CORPUS, "nfree_map.eo"))
+    assert run_cbv_endpoint(e, None, SYNTH).verdict == SEARCH_EXHAUSTED
+    rep = run_consistency(e, None, SYNTH, fuel=100, search_depth=8)
+    assert rep.verdict == SEARCH_EXHAUSTED
+
+
+def test_search_match_counts_budget_cut_as_pruned():
+    e = Pair(Unit(), Unit())  # a source value: no steps to explore
+    ty = SProd(SU, SU)
+    m = MPair(MUnit(), MUnit())
+    assert _search_match(e, ty, m, ElabChecker(), 8, False)[0] is not None
+    assert _search_match(e, ty, MUnit(), ElabChecker(), 8, False) == (None, False)
+    assert _search_match(e, ty, m, _TinyBudget(), 8, False) == (None, True)
