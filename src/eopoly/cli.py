@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success or all checks passing, 1 on type or verification
-failure, 2 on usage or parse errors.  ``--json`` switches every command to
-one structured record on stdout.
+failure, 2 on usage or parse errors, 3 on input that nests too deeply to
+process.  ``--json`` switches every command to one structured record on
+stdout.
 """
 
 from __future__ import annotations
@@ -319,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except EopolyError as ex:
         print(f"error: {ex.__class__.__name__}: {ex}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

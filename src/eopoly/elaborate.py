@@ -16,8 +16,12 @@ memoized backtracking search keyed by the core term's head and the type's
 head.  Elimination sites whose intermediate type the pair (e, M) does not
 determine draw candidates from the concluding type's subterms, a
 caller-supplied pool, and (for recursive and quantified heads) complete
-local inversions.  The search is bounded; a miss means "not found within
-bounds", never a spurious success.
+local inversions.  The pool is the set of types the program's own
+checking derivation names, closed one step under subterms, order
+instantiation and unrolling (``verify.build_pool``): every intermediate
+type of an elaboration of the program is among them.  The search is
+bounded; a miss means "not found within bounds", never a spurious
+success.
 """
 
 from __future__ import annotations
@@ -110,8 +114,6 @@ __all__ = [
     "ctx_target",
     "elaborate",
     "check_elab",
-    "collect_annotation_types",
-    "type_closure",
 ]
 
 
@@ -317,70 +319,6 @@ def _nf(ty: EconType) -> EconType:
         case SRec(v, b):
             return SRec(v, _nf(b))
     return ty
-
-
-def collect_annotation_types(e: Expr) -> list[EconType]:
-    """Every type written in (suspension-point phase) annotations of ``e``."""
-    out: list[EconType] = []
-
-    def walk(n):
-        if not hasattr(n, "__dataclass_fields__"):
-            return
-        for _, v in children(n):
-            if isinstance(v, EconType):
-                out.append(v)
-            elif hasattr(v, "__dataclass_fields__"):
-                walk(v)
-
-    walk(e)
-    return out
-
-
-def type_closure(types: list[EconType], rounds: int = 3,
-                 cap: int = 800) -> tuple[EconType, ...]:
-    """Close a type set under subterms, instantiation, and unrolling.
-
-    Order quantifiers are instantiated at both concrete orders; universal
-    types are instantiated with the originally collected types (which
-    include every written type-application argument), so the closure
-    contains the types an elaboration derivation of the program actually
-    mentions.
-    """
-    seen: dict = {}
-    arg_types = list(types)
-
-    def add(t: EconType) -> bool:
-        k = alpha_key(t)
-        if k in seen or len(seen) >= cap:
-            return False
-        seen[k] = t
-        return True
-
-    frontier = list(types)
-    for _ in range(rounds):
-        new: list[EconType] = []
-        for t in frontier:
-            for s in subterms(t):
-                if add(s):
-                    new.append(s)
-                if isinstance(s, SAllEo):
-                    for eo in (V, N):
-                        inst = subst_eo(eo, s.var, s.body)
-                        if add(inst):
-                            new.append(inst)
-                if isinstance(s, SForall):
-                    for arg in arg_types:
-                        inst = subst_ty_in_ty(arg, s.var, s.body)
-                        if add(inst):
-                            new.append(inst)
-                if isinstance(s, SRec):
-                    unrolled = unfold(s)
-                    if add(unrolled):
-                        new.append(unrolled)
-        if not new or len(seen) >= cap:
-            break
-        frontier = new
-    return tuple(seen.values())
 
 
 # Source constructors and their core images, by counter position.

@@ -6,11 +6,14 @@ quantifier introduction is restricted to *valuable* bodies: values, or
 projection/injection/roll/unroll/type-operation chains over valuables.
 
 The typechecker works in checking mode, synthesizing where the term
-determines its own type.  Type-free type application cannot synthesize;
-the checker solves the instantiation by matching the quantifier body
-against the expected type, falling back on a caller-supplied candidate
-pool at the few joints the term does not determine (function domains,
-dropped product components, refolded recursive types).
+determines its own type; a synthesized type is the term's only type, so
+it decides outright.  Type-free type application cannot synthesize; the
+checker solves the instantiation by matching the quantifier body against
+the expected type.  Only at the few joints the term does not determine
+(function domains, dropped product components, refolded recursive types)
+does it try candidates from a caller-supplied pool: the target images of
+the types the source program's own typing derivation names
+(``verify.build_pool``, ``verify.target_pool``).
 
 The stepper is substitution-based and deterministic: a single left-to-
 right descent locates the unique redex position admitted by the
@@ -236,12 +239,12 @@ class TargetChecker:
                 return self.check(ctx, body, AThunk(ty))
             case MApp(fn, arg):
                 f = self.synth(ctx, fn)
-                if isinstance(f, AArrow) and alpha_eq(f.cod, ty):
-                    if self.check(ctx, arg, f.dom):
-                        return True
+                if f is not None:
+                    return (isinstance(f, AArrow) and alpha_eq(f.cod, ty)
+                            and self.check(ctx, arg, f.dom))
                 a = self.synth(ctx, arg)
-                if a is not None and self.check(ctx, fn, AArrow(a, ty)):
-                    return True
+                if a is not None:
+                    return self.check(ctx, fn, AArrow(a, ty))
                 return any(
                     self.check(ctx, fn, AArrow(cand, ty))
                     and self.check(ctx, arg, cand)
@@ -249,10 +252,9 @@ class TargetChecker:
                 )
             case MProj(k, body):
                 t = self.synth(ctx, body)
-                if isinstance(t, AProd):
-                    comp = t.left if k == 1 else t.right
-                    if alpha_eq(comp, ty):
-                        return True
+                if t is not None:
+                    return isinstance(t, AProd) and alpha_eq(
+                        t.left if k == 1 else t.right, ty)
                 return any(
                     self.check(
                         ctx, body,
@@ -262,19 +264,21 @@ class TargetChecker:
                 )
             case MUnroll(body):
                 t = self.synth(ctx, body)
-                if isinstance(t, ARec) and alpha_eq(unfold(t), ty):
-                    return True
+                if t is not None:
+                    return isinstance(t, ARec) and alpha_eq(unfold(t), ty)
                 return any(
                     self.check(ctx, body, cand)
                     for cand in refold_candidates(ty, self.pool)
                 )
             case MCase(scrut, x1, m1, x2, m2):
                 s = self.synth(ctx, scrut)
-                sums = [s] if isinstance(s, ASum) else [
+                if s is not None and not isinstance(s, ASum):
+                    return False
+                sums = [s] if s is not None else [
                     c for c in self.candidates(ty) if isinstance(c, ASum)
                 ]
                 for cand in sums:
-                    if not isinstance(s, ASum) and not self.check(ctx, scrut, cand):
+                    if s is None and not self.check(ctx, scrut, cand):
                         continue
                     if self.check(_bind(ctx, "x", x1, cand.left), m1, ty) and self.check(
                         _bind(ctx, "x", x2, cand.right), m2, ty
@@ -283,13 +287,11 @@ class TargetChecker:
                 return False
             case MTyApp(body):
                 t = self.synth(ctx, body)
-                if isinstance(t, AForall):
+                if t is not None:
+                    if not isinstance(t, AForall):
+                        return False
                     sol = match_instantiate(t.body, t.var, ty)
-                    if sol == "any":
-                        return True
-                    if sol is not None and ty_wf(ctx, sol):
-                        return True
-                    return False
+                    return sol == "any" or (sol is not None and ty_wf(ctx, sol))
                 if isinstance(body, MTyLam):
                     # The goal does not mention the bound variable here, so
                     # checking the body at the goal under a fresh variable

@@ -30,13 +30,7 @@ from . import econ as econ_mod
 from . import impartial as imp_mod
 from . import source as src_mod
 from . import target as tgt_mod
-from .elaborate import (
-    ElabChecker,
-    collect_annotation_types,
-    elaborate,
-    ty_target,
-    type_closure,
-)
+from .elaborate import ElabChecker, elaborate, ty_target
 from .errors import EopolyError, TypecheckError
 from .nfree import (
     n_free_econ_judgment,
@@ -79,6 +73,7 @@ from .syntax import (
     alpha_eq,
     alpha_key,
     children,
+    dedup,
     erase,
     free_names,
     join,
@@ -86,6 +81,7 @@ from .syntax import (
     subst1,
     subst_eo,
     subst_ty_in_ty,
+    subterms,
     unfold,
     valof,
     vleq,
@@ -189,11 +185,45 @@ def run_econ_preservation(
 # ---------------------------------------------------------------------------
 
 def build_pool(e: Expr, tys: list[EconType]) -> tuple[EconType, ...]:
-    return type_closure(list(tys) + collect_annotation_types(e))
+    """Candidate types for the membership searches over ``e``.
+
+    The types of ``e``'s checking derivation at each of ``tys`` (those it
+    checks at) name every instantiation the program uses.  One closure
+    step adds what a derivation leaves implicit: the two order instances
+    of a quantified type, at which elaboration re-checks without
+    recording a derivation, and the unfolding of a recursive type, which
+    a bare type list (a menu, with no program to derive) needs.
+    """
+    found = list(tys)
+    for t in tys:
+        try:
+            todo = [econ_mod.econ_check(EconCtx(), e, t).deriv]
+        except TypecheckError:
+            continue
+        while todo:
+            d = todo.pop()
+            found.append(d.ty)
+            todo.extend(reversed(d.children))
+    closed = []
+    for t in found:
+        closed.append(t)
+        if isinstance(t, SAllEo):
+            closed += [subst_eo(V, t.var, t.body), subst_eo(N, t.var, t.body)]
+        elif isinstance(t, SRec):
+            closed.append(unfold(t))
+    return tuple(dedup([s for t in closed for s in subterms(t)]))
 
 
 def target_pool(pool: tuple[EconType, ...]) -> tuple:
     return tuple(ty_target(t) for t in pool if not free_names(t, "eo"))
+
+
+def _judge(e: Expr, ty: EconType | None, direction: str):
+    """The closed suspension-point judgment of ``e``, checked against
+    ``ty`` or synthesized, by ``direction``."""
+    if direction == CHECK:
+        return econ_mod.econ_check(EconCtx(), e, ty)
+    return econ_mod.econ_synth(EconCtx(), e)
 
 
 def run_elab_soundness(
@@ -201,12 +231,8 @@ def run_elab_soundness(
     checker: ElabChecker | None = None, tpool: tuple | None = None,
 ) -> CheckOutcome:
     name = "elab-type-soundness"
-    ctx = EconCtx()
     try:
-        if direction == CHECK:
-            r = econ_mod.econ_check(ctx, e, ty)
-        else:
-            r = econ_mod.econ_synth(ctx, e)
+        r = _judge(e, ty, direction)
     except TypecheckError as ex:
         return CheckOutcome(name, program, FAIL,
                             {"reason": f"judgment failed: {ex}"})
@@ -317,16 +343,12 @@ def run_nfree_econ(ctx: ImpCtx, e: Expr, ty: ImpType | None, direction: str,
 def run_nfree_elab(e: Expr, ty: EconType | None, direction: str,
                    program: str = "?") -> CheckOutcome:
     name = "elab-preserves-nfree"
-    ctx = EconCtx()
     try:
-        if direction == CHECK:
-            r = econ_mod.econ_check(ctx, e, ty)
-        else:
-            r = econ_mod.econ_synth(ctx, e)
+        r = _judge(e, ty, direction)
     except TypecheckError as ex:
         return CheckOutcome(name, program, FAIL,
                             {"reason": f"judgment failed: {ex}"})
-    if not n_free_econ_judgment(ctx, e, r.ty):
+    if not n_free_econ_judgment(EconCtx(), e, r.ty):
         return CheckOutcome(name, program, VACUOUS)
     er = elaborate(r.deriv)
     if not n_free_target(er.term):
@@ -389,11 +411,7 @@ def run_consistency(e: Expr, ty: EconType | None, direction: str,
     search exhaustion, distinct from refutation, because the matched
     source run may be longer than any fixed bound.
     """
-    ctx = EconCtx()
-    if direction == CHECK:
-        r = econ_mod.econ_check(ctx, e, ty)
-    else:
-        r = econ_mod.econ_synth(ctx, e)
+    r = _judge(e, ty, direction)
     er = elaborate(r.deriv)
     pool = build_pool(e, [r.ty])
     checker = ElabChecker(pool)
@@ -523,12 +541,8 @@ def run_cbv_endpoint(e: Expr, ty: EconType | None, direction: str,
     """For an N-free program: the by-value-only source evaluation reaches a
     value that elaborates to the core result."""
     name = "cbv-endpoint"
-    ctx = EconCtx()
-    if direction == CHECK:
-        r = econ_mod.econ_check(ctx, e, ty)
-    else:
-        r = econ_mod.econ_synth(ctx, e)
-    if not n_free_econ_judgment(ctx, e, r.ty):
+    r = _judge(e, ty, direction)
+    if not n_free_econ_judgment(EconCtx(), e, r.ty):
         return CheckOutcome(name, program, VACUOUS)
     er = elaborate(r.deriv)
     if not n_free_target(er.term):

@@ -130,3 +130,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "check", "no_such_file.eo")
     assert code == 2
+
+
+def test_deep_input_exit_code(tmp_path, capsys):
+    lst = "inj1 ()"
+    for _ in range(30_000):
+        lst = f"inj2 ((), {lst})"
+    deep = tmp_path / "deep.eo"
+    deep.write_text("#lang impartial\n"
+                    "type VList 'e = rec[V] 'b. (1 +[V] ('e *[V] 'b))\n"
+                    f"(({lst}) : VList 1)\n")
+    code, _, err = run(capsys, "check", str(deep))
+    assert code == 3
+    assert "nests too deeply" in err
+    assert "Traceback" not in err

@@ -6,11 +6,9 @@ from eopoly import econ, target
 from eopoly.elaborate import (
     ElabChecker,
     check_elab,
-    collect_annotation_types,
     ctx_target,
     elaborate,
     ty_target,
-    type_closure,
 )
 from eopoly.errors import EvalOrderVarInContext
 from eopoly.syntax import (
@@ -146,13 +144,3 @@ def test_checker_reusable():
     assert ck.check(Unit(), SSusp(N, SU), MThunk(MUnit())) == VAL
     assert ck.check(Unit(), SSusp(N, SU), MThunk(MUnit())) == VAL
 
-
-def test_type_closure_contains_instantiations():
-    pool = type_closure([ID_TY])
-    assert any(alpha_eq(t, SArrow(SSusp(V, SU), SU)) for t in pool)
-    assert any(alpha_eq(t, SArrow(SSusp(N, SU), SU)) for t in pool)
-
-
-def test_collect_annotation_types():
-    e = Anno(Lam("x", Var("x")), SArrow(SU, SU))
-    assert collect_annotation_types(e) == [SArrow(SU, SU)]

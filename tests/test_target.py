@@ -8,6 +8,7 @@ from eopoly.syntax import (
     AForall,
     ARec,
     ASum,
+    AThunk,
     ATyVar,
     AUnit,
     MApp,
@@ -82,6 +83,19 @@ def test_typecheck_roll_unroll():
 def test_typecheck_type_application_redex():
     m = MTyApp(MTyLam(MLam("x", MVar("x"))))
     assert target.target_check(TgtCtx(), m, AArrow(AU, AU))
+
+
+def test_synthesized_function_type_decides_application(monkeypatch):
+    # f's type is known, so no candidate domain is worth trying: the
+    # codomain 1 is not the goal thunk type, and that settles it.
+    def no_candidates(self, ty):
+        raise AssertionError("candidate domains tried")
+
+    monkeypatch.setattr(target.TargetChecker, "candidates", no_candidates)
+    ctx = TgtCtx().with_x("f", AArrow(AU, AU))
+    m = MApp(MVar("f"), MUnit())
+    assert not target.TargetChecker().check(ctx, m, AThunk(AU))
+    assert target.TargetChecker().check(ctx, m, AU)
 
 
 def test_step_beta():

@@ -5,13 +5,14 @@ import os
 
 from eopoly import econ
 from eopoly.elaborate import ElabChecker
-from eopoly.enum_terms import enumerate_welltyped
+from eopoly.enum_terms import default_menu, enumerate_welltyped
 from eopoly.nfree import (
     n_free_econ_type,
     n_free_impartial_judgment,
     n_free_impartial_type,
     n_free_target,
 )
+from eopoly.parser import parse_type_text
 from eopoly.program import load_program
 from eopoly.syntax import (
     Anno,
@@ -33,6 +34,7 @@ from eopoly.syntax import (
     SAllEo,
     SArrow,
     SProd,
+    SRec,
     SSusp,
     SUnit,
     SYNTH,
@@ -42,7 +44,10 @@ from eopoly.syntax import (
     V,
     VAL,
     Var,
+    alpha_eq,
     eo_var,
+    subterms,
+    unfold,
 )
 from eopoly.verify import (
     FAIL,
@@ -365,3 +370,34 @@ def test_search_match_counts_budget_cut_as_pruned():
     assert _search_match(e, ty, m, ElabChecker(), 8, False)[0] is not None
     assert _search_match(e, ty, MUnit(), ElabChecker(), 8, False) == (None, False)
     assert _search_match(e, ty, m, _TinyBudget(), 8, False) == (None, True)
+
+
+def _in_pool(ty, pool):
+    return any(alpha_eq(t, ty) for t in pool)
+
+
+def test_build_pool_contains_order_instances():
+    id_ty = SAllEo("a", SArrow(SSusp(eo_var("a"), SU), SU))
+    pool = build_pool(Unit(), [id_ty])
+    assert _in_pool(SArrow(SSusp(V, SU), SU), pool)
+    assert _in_pool(SArrow(SSusp(N, SU), SU), pool)
+
+
+def test_build_pool_unfolds_menu_recursive_types():
+    menu = [econ.econ_type(t) for t in default_menu()]
+    pool = build_pool(Unit(), menu)
+    recs = [s for t in menu for s in subterms(t) if isinstance(s, SRec)]
+    assert recs
+    for rec in recs:
+        assert _in_pool(unfold(rec), pool), rec
+
+
+def test_build_pool_names_the_instantiated_map_type():
+    # map_applied_v.eo uses map at {V} [1] [1]; its derivation names that
+    # instance, so the pool holds it without instantiating blindly.
+    prog = load_program(os.path.join(CORPUS, "map_applied_v.eo"))
+    e = econ.econ_expr(prog.main)
+    r = econ.econ_synth(EconCtx(), e)
+    lst = "(rec[V] 'b. (1 +[V] (1 *[V] 'b)))"
+    want = econ.econ_type(parse_type_text(f"(1 -[V]> 1) -[V]> {lst} -[V]> {lst}"))
+    assert _in_pool(want, build_pool(e, [r.ty]))
