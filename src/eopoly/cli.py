@@ -17,7 +17,7 @@ from . import impartial as imp_mod
 from . import source as src_mod
 from . import target as tgt_mod
 from . import verify as verify_mod
-from .elaborate import elaborate, ty_target
+from .elaborate import ElabChecker, elaborate, ty_target
 from .enum_terms import enumerate_welltyped
 from .errors import EopolyError, ParseError
 from .nfree import (
@@ -139,6 +139,8 @@ def cmd_src_run(args) -> int:
                  f"{pretty_expr(result.expr)}")
     payload = {"result": pretty_expr(result.expr), "kind": result.kind,
                "steps": result.steps}
+    if args.trace and result.trace:
+        payload["trace"] = [pretty_expr(x) for x in result.trace]
     _emit(args, result.kind, payload, lines)
     return 0 if result.kind == "value" else 1
 
@@ -193,17 +195,26 @@ def _verify_program(args) -> list[CheckOutcome]:
             verify_mod.run_nfree_econ(ImpCtx(), prog.main, None, SYNTH, pid)
         )
     e, r = _to_econ(prog)
-    outcomes.append(verify_mod.run_elab_soundness(e, None, SYNTH, pid))
+    # One candidate pool and one membership checker serve every check.
+    pool = verify_mod.build_pool(e, [r.ty])
+    tpool = verify_mod.target_pool(pool)
+    checker = ElabChecker(pool)
+    outcomes.append(
+        verify_mod.run_elab_soundness(e, None, SYNTH, pid, checker=checker,
+                                      tpool=tpool)
+    )
     outcomes.append(verify_mod.run_nfree_elab(e, None, SYNTH, pid))
     er = elaborate(r.deriv)
-    pool = verify_mod.target_pool(verify_mod.build_pool(e, [r.ty]))
     outcomes.append(
-        verify_mod.run_type_safety(er.term, ty_target(r.ty), pool, args.fuel, pid)
+        verify_mod.run_type_safety(er.term, ty_target(r.ty), tpool, args.fuel, pid)
     )
     report = verify_mod.run_consistency(e, None, SYNTH, args.fuel,
-                                        args.depth, pid)
+                                        args.depth, pid, checker=checker)
     outcomes.append(report.outcome())
-    outcomes.append(verify_mod.run_cbv_endpoint(e, None, SYNTH, args.fuel, pid))
+    outcomes.append(
+        verify_mod.run_cbv_endpoint(e, None, SYNTH, args.fuel, pid,
+                                    checker=checker)
+    )
     return outcomes
 
 

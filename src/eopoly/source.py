@@ -1,20 +1,25 @@
 """Dual-order small-step semantics for erased source expressions.
 
-One stepping relation, two flavors.  A by-value step reduces a by-value
-redex inside a by-value evaluation context; a by-name step reduces a
-(more permissive) by-name redex inside a by-name context.  By-name
-contexts descend only into the function part of an application, into
-projections and injections, and into case scrutinees: they never evaluate
-an argument before the function, nor inside a pair.
+One stepping relation, two flavors, each an evaluation-context grammar
+declared once as a table of the fields each constructor evaluates, in
+order.  A by-value step reduces a redex whose evaluated fields hold values
+(``VALUES``) in a by-value context (``BYVALUE_CONTEXTS``); a by-name step
+reduces a redex in a by-name context (``BYNAME_CONTEXTS``), whatever its
+subterms are.  By-name contexts descend only into the function part of an
+application, into projections and injections, and into case scrutinees:
+they never evaluate an argument before the function, nor inside a pair.
 
+One contraction, ``_contract``, serves both flavors: at a by-value focus
+every evaluated field already holds a value.  ``cbv_step`` is the
+deterministic by-value step: one walk (``syntax.focus``) finds the redex,
+``_contract`` reduces it and ``syntax.plug`` puts the result back.
 ``enumerate_steps`` lists every step the relation admits, with positions,
-so the simulation harness can search; ``cbv_step`` is the deterministic
-by-value-only fragment.
+so the simulation harness can search: that by-value step, then the by-name
+steps along the chain of by-name contexts.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .syntax import (
@@ -22,14 +27,13 @@ from .syntax import (
     Case,
     Expr,
     Fix,
-    FixVar,
     Inj,
     Lam,
     Pair,
     Proj,
     Unit,
-    Var,
-    alpha_eq,
+    focus,
+    plug,
     subst_expr,
     subst_fix_expr,
 )
@@ -37,16 +41,24 @@ from .syntax import (
 BYVALUE = "byvalue"
 BYNAME = "byname"
 
+BYVALUE_CONTEXTS = {
+    App: ("fn", "arg"),
+    Pair: ("left", "right"),
+    Proj: ("body",),
+    Inj: ("body",),
+    Case: ("scrut",),
+}
+BYNAME_CONTEXTS = {
+    App: ("fn",),
+    Proj: ("body",),
+    Inj: ("body",),
+    Case: ("scrut",),
+}
+VALUES = (Unit, Lam, Pair, Inj)
+
 
 def is_source_value(e: Expr) -> bool:
-    match e:
-        case Unit() | Lam(_, _):
-            return True
-        case Pair(l, r):
-            return is_source_value(l) and is_source_value(r)
-        case Inj(_, body):
-            return is_source_value(body)
-    return False
+    return focus(e, BYVALUE_CONTEXTS, VALUES) is None
 
 
 @dataclass(frozen=True)
@@ -57,20 +69,8 @@ class SourceStep:
     result: Expr
 
 
-def _reduce_byvalue(e: Expr) -> tuple[str, Expr] | None:
-    match e:
-        case App(Lam(x, body), arg) if is_source_value(arg):
-            return "beta", subst_expr(arg, x, body)
-        case Fix(u, body):
-            return "fix", subst_fix_expr(e, u, body)
-        case Proj(k, Pair(l, r)) if is_source_value(l) and is_source_value(r):
-            return "proj", l if k == 1 else r
-        case Case(Inj(k, v), x1, e1, x2, e2) if is_source_value(v):
-            return "case", subst_expr(v, x1, e1) if k == 1 else subst_expr(v, x2, e2)
-    return None
-
-
-def _reduce_byname(e: Expr) -> tuple[str, Expr] | None:
+def _contract(e: Expr) -> tuple[str, Expr] | None:
+    """The rule and result of reducing the redex ``e``; None if stuck."""
     match e:
         case App(Lam(x, body), arg):
             return "beta", subst_expr(arg, x, body)
@@ -83,67 +83,33 @@ def _reduce_byname(e: Expr) -> tuple[str, Expr] | None:
     return None
 
 
-def _byvalue_holes(e: Expr, path: tuple[str, ...]):
-    yield path, e
-    match e:
-        case App(fn, arg):
-            yield from _byvalue_holes(fn, path + ("fn",))
-            if is_source_value(fn):
-                yield from _byvalue_holes(arg, path + ("arg",))
-        case Pair(l, r):
-            yield from _byvalue_holes(l, path + ("left",))
-            if is_source_value(l):
-                yield from _byvalue_holes(r, path + ("right",))
-        case Proj(_, body):
-            yield from _byvalue_holes(body, path + ("body",))
-        case Inj(_, body):
-            yield from _byvalue_holes(body, path + ("body",))
-        case Case(scrut, _, _, _, _):
-            yield from _byvalue_holes(scrut, path + ("scrut",))
-
-
-def _byname_holes(e: Expr, path: tuple[str, ...]):
-    yield path, e
-    match e:
-        case App(fn, _):
-            yield from _byname_holes(fn, path + ("fn",))
-        case Proj(_, body):
-            yield from _byname_holes(body, path + ("body",))
-        case Inj(_, body):
-            yield from _byname_holes(body, path + ("body",))
-        case Case(scrut, _, _, _, _):
-            yield from _byname_holes(scrut, path + ("scrut",))
-
-
-def _plug(e: Expr, path: tuple[str, ...], replacement: Expr) -> Expr:
-    if not path:
-        return replacement
-    field = path[0]
-    child = getattr(e, field)
-    return dataclasses.replace(e, **{field: _plug(child, path[1:], replacement)})
+def _path(frames: list) -> tuple[str, ...]:
+    return tuple(field for _, field in frames)
 
 
 def enumerate_steps(e: Expr) -> list[SourceStep]:
-    """All steps from ``e``: by-value decompositions first, then the
-    by-name steps that are not already by-value steps at the same position
-    with the same result."""
+    """All steps from ``e``: the by-value step first, then the by-name
+    steps at other positions (at the by-value position a by-name step has
+    the same result, and the tag stays byvalue)."""
     steps: list[SourceStep] = []
-    for path, sub in _byvalue_holes(e, ()):
-        red = _reduce_byvalue(sub)
-        if red is not None:
+    found = focus(e, BYVALUE_CONTEXTS, VALUES)
+    red = _contract(found[0]) if found else None
+    if red:
+        rule, out = red
+        steps.append(SourceStep(_path(found[1]), BYVALUE, rule, plug(found[1], out)))
+    byvalue_path = steps[0].path if steps else None
+    frames: list = []
+    node = e
+    while True:
+        red = _contract(node)
+        if red and _path(frames) != byvalue_path:
             rule, out = red
-            steps.append(SourceStep(path, BYVALUE, rule, _plug(e, path, out)))
-    for path, sub in _byname_holes(e, ()):
-        red = _reduce_byname(sub)
-        if red is not None:
-            rule, out = red
-            result = _plug(e, path, out)
-            if any(
-                s.path == path and alpha_eq(s.result, result) for s in steps
-            ):
-                continue  # already admitted by value; tag stays byvalue
-            steps.append(SourceStep(path, BYNAME, rule, result))
-    return steps
+            steps.append(SourceStep(_path(frames), BYNAME, rule, plug(frames, out)))
+        fields = BYNAME_CONTEXTS.get(type(node))
+        if fields is None:
+            return steps
+        frames.append((node, fields[0]))
+        node = getattr(node, fields[0])
 
 
 @dataclass(frozen=True)
@@ -155,52 +121,15 @@ class SourceStepResult:
 
 def cbv_step(e: Expr) -> SourceStepResult:
     """Deterministic leftmost by-value step."""
-    if is_source_value(e):
+    found = focus(e, BYVALUE_CONTEXTS, VALUES)
+    if found is None:
         return SourceStepResult("value")
-    match e:
-        case App(fn, arg):
-            if not is_source_value(fn):
-                return _sub_step(fn, lambda t: App(t, arg))
-            if not is_source_value(arg):
-                return _sub_step(arg, lambda t: App(fn, t))
-            if isinstance(fn, Lam):
-                return SourceStepResult("step", subst_expr(arg, fn.var, fn.body), "beta")
-            return SourceStepResult("stuck")
-        case Fix(u, body):
-            return SourceStepResult("step", subst_fix_expr(e, u, body), "fix")
-        case Pair(l, r):
-            if not is_source_value(l):
-                return _sub_step(l, lambda t: Pair(t, r))
-            return _sub_step(r, lambda t: Pair(l, t))
-        case Proj(k, body):
-            if not is_source_value(body):
-                return _sub_step(body, lambda t: Proj(k, t))
-            if isinstance(body, Pair):
-                return SourceStepResult(
-                    "step", body.left if k == 1 else body.right, "proj"
-                )
-            return SourceStepResult("stuck")
-        case Inj(k, body):
-            return _sub_step(body, lambda t: Inj(k, t))
-        case Case(scrut, x1, e1, x2, e2):
-            if not is_source_value(scrut):
-                return _sub_step(scrut, lambda t: Case(t, x1, e1, x2, e2))
-            if isinstance(scrut, Inj):
-                var, branch = (x1, e1) if scrut.k == 1 else (x2, e2)
-                return SourceStepResult(
-                    "step", subst_expr(scrut.body, var, branch), "case"
-                )
-            return SourceStepResult("stuck")
-        case Var(_) | FixVar(_):
-            return SourceStepResult("stuck")
-    return SourceStepResult("stuck")
-
-
-def _sub_step(e: Expr, wrap) -> SourceStepResult:
-    r = cbv_step(e)
-    if r.kind == "step":
-        return SourceStepResult("step", wrap(r.expr), r.rule)
-    return SourceStepResult("stuck")
+    redex, frames = found
+    red = _contract(redex)
+    if red is None:
+        return SourceStepResult("stuck")
+    rule, out = red
+    return SourceStepResult("step", plug(frames, out), rule)
 
 
 @dataclass

@@ -6,7 +6,9 @@ dataclass; binding structure is declared per class via ``scopes`` and
 ``ref``, and generic functions interpret that declaration: ``free_names``,
 ``subst`` and ``alpha_key``, and on top of them the structural helpers
 every grammar shares (``unfold``, ``match_instantiate``, ``subterms`` and
-the like).  Names live in four namespaces that never mix:
+the like).  ``focus`` and ``plug`` likewise serve every evaluator, each
+driven by that evaluator's table of evaluation contexts.  Names live in
+four namespaces that never mix:
 
     "x"   term variables
     "u"   fixed-point variables
@@ -823,6 +825,49 @@ def match_instantiate(pattern: Node, var: str, goal: Node) -> Node | None | str:
     if not go(pattern, goal, ()):
         return None
     return solution[0] if solution else "any"
+
+
+# ---------------------------------------------------------------------------
+# Evaluation contexts, generic over an evaluator's declaration
+# ---------------------------------------------------------------------------
+#
+# An evaluator declares its evaluation contexts once: ``contexts`` maps each
+# constructor to the fields it evaluates, in order, and ``values`` lists the
+# constructors that make a value once those fields hold values (leaves such
+# as abstractions, which evaluate no field, and data such as pairs).  A
+# frame ``(node, field)`` is ``node`` with a hole at ``field``.
+
+def focus(node: Node, contexts: dict, values: tuple) -> tuple | None:
+    """None when ``node`` is a value; else ``(redex, frames)``.
+
+    The redex is the first subterm, in evaluation order, that is not a
+    value though every field it evaluates holds one; ``frames`` lead from
+    the root down to it.  One walk, without recursion, visits each node
+    at most once.
+    """
+    stack: list[tuple[Node, int]] = []
+    i = 0
+    while True:
+        fields = contexts.get(type(node), ())
+        if i < len(fields):
+            stack.append((node, i))
+            node, i = getattr(node, fields[i]), 0
+        elif isinstance(node, values):
+            if not stack:
+                return None
+            node, i = stack.pop()
+            i += 1
+        else:
+            return node, [(n, contexts[type(n)][j]) for n, j in stack]
+
+
+def plug(frames: list[tuple[Node, str]], node: Node) -> Node:
+    """``node`` in the hole of the context ``frames``."""
+    for parent, field in reversed(frames):
+        cls = type(parent)
+        node = cls(*[node if f == field else getattr(parent, f)
+                     for f in _field_names(cls)])
+    return node
 
 
 # ---------------------------------------------------------------------------

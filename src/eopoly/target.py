@@ -15,10 +15,15 @@ does it try candidates from a caller-supplied pool: the target images of
 the types the source program's own typing derivation names
 (``verify.build_pool``, ``verify.target_pool``).
 
-The stepper is substitution-based and deterministic: a single left-to-
-right descent locates the unique redex position admitted by the
-evaluation-context grammar (thunk bodies, abstraction bodies and case
-branches are frozen).
+The evaluation-context grammar is declared once, in ``CONTEXTS``: the
+fields each constructor evaluates, left to right (thunk bodies,
+abstraction bodies and case branches are frozen).  ``VALUES`` names the
+constructors that form a value once those fields hold values, and
+``VALUABLES`` adds the eliminations a valuable may apply to them.  The
+stepper is substitution-based and deterministic: one walk
+(``syntax.focus``) finds the unique redex and its context, ``_contract``
+reduces it, and ``syntax.plug`` puts the result back; a value is a term
+in which the walk finds no redex.
 """
 
 from __future__ import annotations
@@ -56,9 +61,11 @@ from .syntax import (
     alpha_eq,
     alpha_key,
     dedup,
+    focus,
     fresh_name,
     free_names,
     match_instantiate,
+    plug,
     refold_candidates,
     subst_fix_term,
     subst_term,
@@ -72,27 +79,27 @@ VALUE = "value"
 VALUABLE = "valuable"
 NEITHER = "neither"
 
+CONTEXTS = {
+    MApp: ("fn", "arg"),
+    MPair: ("left", "right"),
+    MCase: ("scrut",),
+    MTyApp: ("body",),
+    MForce: ("body",),
+    MProj: ("body",),
+    MInj: ("body",),
+    MRoll: ("body",),
+    MUnroll: ("body",),
+}
+VALUES = (MUnit, MVar, MLam, MTyLam, MThunk, MPair, MInj, MRoll)
+VALUABLES = VALUES + (MProj, MTyApp, MUnroll)
+
 
 def is_value(m: Term) -> bool:
-    match m:
-        case MUnit() | MVar(_) | MLam(_, _) | MTyLam(_) | MThunk(_):
-            return True
-        case MPair(l, r):
-            return is_value(l) and is_value(r)
-        case MInj(_, body) | MRoll(body):
-            return is_value(body)
-    return False
+    return focus(m, CONTEXTS, VALUES) is None
 
 
 def is_valuable(m: Term) -> bool:
-    if is_value(m):
-        return True
-    match m:
-        case MPair(l, r):
-            return is_valuable(l) and is_valuable(r)
-        case MInj(_, b) | MRoll(b) | MProj(_, b) | MTyApp(b) | MUnroll(b):
-            return is_valuable(b)
-    return False
+    return focus(m, CONTEXTS, VALUABLES) is None
 
 
 def classify(m: Term) -> str:
@@ -332,68 +339,37 @@ class StepResult:
     rule: str = ""
 
 
-def _descend(m: Term, wrap) -> StepResult:
-    r = step(m)
-    if r.kind == "step":
-        return StepResult("step", wrap(r.term), r.rule)
-    return StepResult("stuck", None, "")
+def _contract(m: Term) -> tuple[str, Term] | None:
+    """The rule and result of reducing the redex ``m``; None if stuck."""
+    match m:
+        case MApp(MLam(x, body), arg):
+            return "beta", subst_term(arg, x, body)
+        case MTyApp(MTyLam(body)):
+            return "tyapp", body
+        case MForce(MThunk(body)):
+            return "force", body
+        case MFix(u, body):
+            return "fix", subst_fix_term(m, u, body)
+        case MProj(k, MPair(l, r)):
+            return "proj", l if k == 1 else r
+        case MCase(MInj(k, v), x1, m1, x2, m2):
+            return "case", subst_term(v, x1, m1) if k == 1 else subst_term(v, x2, m2)
+        case MUnroll(MRoll(body)):
+            return "unroll", body
+    return None
 
 
 def step(m: Term) -> StepResult:
     """One deterministic by-value step; values and stuck terms report as such."""
-    if is_value(m):
+    found = focus(m, CONTEXTS, VALUES)
+    if found is None:
         return StepResult("value")
-    match m:
-        case MApp(fn, arg):
-            if not is_value(fn):
-                return _descend(fn, lambda t: MApp(t, arg))
-            if not is_value(arg):
-                return _descend(arg, lambda t: MApp(fn, t))
-            if isinstance(fn, MLam):
-                return StepResult("step", subst_term(arg, fn.var, fn.body), "beta")
-            return StepResult("stuck")
-        case MTyApp(body):
-            if not is_value(body):
-                return _descend(body, MTyApp)
-            if isinstance(body, MTyLam):
-                return StepResult("step", body.body, "tyapp")
-            return StepResult("stuck")
-        case MForce(body):
-            if not is_value(body):
-                return _descend(body, MForce)
-            if isinstance(body, MThunk):
-                return StepResult("step", body.body, "force")
-            return StepResult("stuck")
-        case MFix(u, body):
-            return StepResult("step", subst_fix_term(m, u, body), "fix")
-        case MPair(l, r):
-            if not is_value(l):
-                return _descend(l, lambda t: MPair(t, r))
-            return _descend(r, lambda t: MPair(l, t))
-        case MProj(k, body):
-            if not is_value(body):
-                return _descend(body, lambda t: MProj(k, t))
-            if isinstance(body, MPair):
-                return StepResult("step", body.left if k == 1 else body.right, "proj")
-            return StepResult("stuck")
-        case MInj(k, body):
-            return _descend(body, lambda t: MInj(k, t))
-        case MCase(scrut, x1, m1, x2, m2):
-            if not is_value(scrut):
-                return _descend(scrut, lambda t: MCase(t, x1, m1, x2, m2))
-            if isinstance(scrut, MInj):
-                var, branch = (x1, m1) if scrut.k == 1 else (x2, m2)
-                return StepResult("step", subst_term(scrut.body, var, branch), "case")
-            return StepResult("stuck")
-        case MRoll(body):
-            return _descend(body, MRoll)
-        case MUnroll(body):
-            if not is_value(body):
-                return _descend(body, MUnroll)
-            if isinstance(body, MRoll):
-                return StepResult("step", body.body, "unroll")
-            return StepResult("stuck")
-    return StepResult("stuck")
+    redex, frames = found
+    red = _contract(redex)
+    if red is None:
+        return StepResult("stuck")
+    rule, out = red
+    return StepResult("step", plug(frames, out), rule)
 
 
 @dataclass

@@ -403,7 +403,8 @@ class ConsistencyReport:
 
 def run_consistency(e: Expr, ty: EconType | None, direction: str,
                     fuel: int = 10_000, search_depth: int = 8,
-                    program: str = "?") -> ConsistencyReport:
+                    program: str = "?",
+                    checker: ElabChecker | None = None) -> ConsistencyReport:
     """Simulate a core evaluation by source steps, re-relating at each step.
 
     The search for a matching source term is a breadth-first walk over the
@@ -413,8 +414,8 @@ def run_consistency(e: Expr, ty: EconType | None, direction: str,
     """
     r = _judge(e, ty, direction)
     er = elaborate(r.deriv)
-    pool = build_pool(e, [r.ty])
-    checker = ElabChecker(pool)
+    if checker is None:
+        checker = ElabChecker(build_pool(e, [r.ty]))
     m = er.term
     nfree = n_free_target(m)
     report = ConsistencyReport(program, er.term, nfree)
@@ -537,7 +538,8 @@ def _search_match(e: Expr, ty: EconType, m: Term, checker: ElabChecker,
 
 
 def run_cbv_endpoint(e: Expr, ty: EconType | None, direction: str,
-                     fuel: int = 10_000, program: str = "?") -> CheckOutcome:
+                     fuel: int = 10_000, program: str = "?",
+                     checker: ElabChecker | None = None) -> CheckOutcome:
     """For an N-free program: the by-value-only source evaluation reaches a
     value that elaborates to the core result."""
     name = "cbv-endpoint"
@@ -556,7 +558,8 @@ def run_cbv_endpoint(e: Expr, ty: EconType | None, direction: str,
     if sv.kind != "value":
         return CheckOutcome(name, program, FAIL,
                             {"reason": f"source run did not finish: {sv.kind}"})
-    checker = ElabChecker(build_pool(e, [r.ty]))
+    if checker is None:
+        checker = ElabChecker(build_pool(e, [r.ty]))
     v = checker.check(sv.expr, r.ty, tv.term)
     if v != VAL:
         return CheckOutcome(

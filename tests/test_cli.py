@@ -72,6 +72,17 @@ def test_src_run_divergence(capsys):
     assert "out-of-fuel" in out
 
 
+def test_src_run_json_trace(capsys):
+    """``src-run --trace`` carries its trace in the JSON record, as ``run``
+    does."""
+    for cmd in ("run", "src-run"):
+        code, out, _ = run(capsys, "--json", cmd, path("byname_discard.eo"),
+                           "--fuel", "3", "--trace")
+        payload = json.loads(out)["payload"]
+        assert len(payload["trace"]) == payload["steps"] + 1, cmd
+        assert payload["trace"][-1] == payload["result"], cmd
+
+
 def test_src_run_value(capsys):
     code, out, _ = run(capsys, "src-run", path("nfree_mono.eo"))
     assert code == 0
@@ -98,6 +109,23 @@ def test_verify_program(capsys):
     assert code == 0
     assert "consistency-simulation" in out
     assert "FAIL" not in out
+
+
+def test_verify_builds_one_pool_per_file(capsys, monkeypatch):
+    from eopoly import verify
+
+    calls = []
+    build_pool = verify.build_pool
+
+    def counting(*a):
+        calls.append(a)
+        return build_pool(*a)
+
+    monkeypatch.setattr(verify, "build_pool", counting)
+    for f in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        calls.clear()
+        run(capsys, "verify", f)
+        assert len(calls) == 1, f
 
 
 def test_verify_gap_witness_fails(capsys):

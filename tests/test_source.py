@@ -2,6 +2,7 @@
 
 import itertools
 
+import reference_steppers
 from eopoly import source
 from eopoly.syntax import (
     App,
@@ -54,6 +55,16 @@ def test_byname_contexts_do_not_enter_arguments():
     assert not any(s.flavor == "byname" and s.path == ("arg",) for s in steps)
 
 
+def test_byname_contexts_enter_injections():
+    e = Inj(1, App(Lam("x", Unit()), OMEGA))
+    steps = source.enumerate_steps(e)
+    assert [(s.flavor, s.rule, s.path) for s in steps] == [
+        ("byvalue", "fix", ("body", "arg")),
+        ("byname", "beta", ("body",)),
+    ]
+    assert steps[1].result == Inj(1, Unit())
+
+
 def test_discard_divergent_argument():
     e = App(Lam("x", Unit()), OMEGA)
     steps = source.enumerate_steps(e)
@@ -71,7 +82,9 @@ def test_byvalue_steps_are_preferred_tags():
 
 
 def test_reduction_level_inclusion():
-    """Every by-value redex contraction is also a by-name contraction."""
+    """Every by-value redex contraction is also a by-name contraction: the
+    by-value step at each redex is listed once, tagged by-value, with the
+    rule and result the by-name reduction gives."""
     redexes = [
         REDEX,
         App(ID, Pair(Unit(), Unit())),
@@ -80,12 +93,15 @@ def test_reduction_level_inclusion():
         Case(Inj(2, Unit()), "a", Unit(), "b", Var("b")),
     ]
     for r in redexes:
-        by_v = source._reduce_byvalue(r)
-        if by_v is None:
-            continue
-        by_n = source._reduce_byname(r)
-        assert by_n is not None
-        assert by_v[0] == by_n[0] and alpha_eq(by_v[1], by_n[1])
+        by_v = source.cbv_step(r)
+        assert by_v.kind == "step", r
+        at_root = [s for s in source.enumerate_steps(r) if s.path == ()]
+        assert len(at_root) == 1, r
+        listed = at_root[0]
+        assert listed.flavor == "byvalue" and listed.rule == by_v.rule
+        rule, by_n = reference_steppers._reduce_byname(r)
+        assert listed.rule == rule
+        assert alpha_eq(listed.result, by_n) and alpha_eq(by_v.expr, by_n)
 
 
 def test_cbv_step_examples():
