@@ -271,6 +271,18 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="eopoly",
@@ -293,11 +305,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p = add("run", cmd_run, help="elaborate, then evaluate the core term")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_count, default=10_000)
     p.add_argument("--trace", action="store_true")
     p = add("src-run", cmd_src_run, help="by-value evaluation of the erased source")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_count, default=10_000)
     p.add_argument("--trace", action="store_true")
     p = add("steps", cmd_steps, help="list all source steps of the erased program")
     p.add_argument("file")
@@ -305,10 +317,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p = add("verify", cmd_verify, help="run the metatheory checks")
     p.add_argument("file", nargs="?")
-    p.add_argument("--enumerate", type=int, default=0, metavar="BOUND",
+    p.add_argument("--enumerate", type=_count, default=0, metavar="BOUND",
                    help="run the suites over enumerated terms instead")
-    p.add_argument("--fuel", type=int, default=10_000)
-    p.add_argument("--depth", type=int, default=8,
+    p.add_argument("--fuel", type=_count, default=10_000)
+    p.add_argument("--depth", type=_count, default=8,
                    help="simulation search depth")
     return ap
 

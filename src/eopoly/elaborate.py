@@ -12,16 +12,20 @@ otherwise write by hand.
 
 ``check_elab`` answers membership in the elaboration relation itself:
 does erased source ``e`` elaborate at ``S`` to exactly ``M``?  It is a
-memoized backtracking search keyed by the core term's head and the type's
-head.  Elimination sites whose intermediate type the pair (e, M) does not
-determine draw candidates from the concluding type's subterms, a
-caller-supplied pool, and (for recursive and quantified heads) complete
-local inversions.  The pool is the set of types the program's own
-checking derivation names, closed one step under subterms, order
-instantiation and unrolling (``verify.build_pool``): every intermediate
-type of an elaboration of the program is among them.  The search is
-bounded; a miss means "not found within bounds", never a spurious
-success.
+memoized search driven by the core term's head.  At an elimination site
+the premise's type is synthesized from the pair itself where it can be:
+along a spine of variables and elimination artifacts each rule's
+conclusion is a function of its premise's, so ``ElabChecker._synth``
+answers with a type (the only one tried), a refutation (the pair relates
+at no type: a clean miss), or None (not a determinate spine).  Only on
+None does the site try candidates, drawn from the concluding type's
+subterms, the context, a caller-supplied pool, and (for recursive and
+quantified heads) complete local inversions.  The pool is the set of
+types the program's own checking derivation names, closed one step under
+subterms, order instantiation and unrolling (``verify.build_pool``):
+every intermediate type of an elaboration of the program is among them.
+The search is bounded; a miss means "not found within bounds", never a
+spurious success.
 """
 
 from __future__ import annotations
@@ -86,9 +90,7 @@ from .syntax import (
     VAL,
     Valueness,
     Var,
-    alpha_eq,
     alpha_key,
-    children,
     dedup,
     free_names,
     fresh_name,
@@ -321,37 +323,55 @@ def _nf(ty: EconType) -> EconType:
     return ty
 
 
-# Source constructors and their core images, by counter position.
-_COUNTED = {c: i for i, pair in enumerate([
-    (Lam, MLam), (App, MApp), (Fix, MFix), (Case, MCase), (Pair, MPair),
-    (Inj, MInj), (Unit, MUnit), (Proj, MProj), (Var, MVar), (FixVar, MFixVar),
-]) for c in pair}
+# What each elimination rule concludes from its premise's type, or False
+# when the premise has the wrong shape.
+
+def _unrolled(t: EconType) -> EconType | bool:
+    return _nf(unfold(t)) if isinstance(t, SRec) else False
 
 
-@lru_cache(maxsize=None)
-def _ctor_counts(node: Expr | Term) -> tuple[int, ...]:
-    """Occurrences of each counted constructor in an expression or a core
-    term (annotation types are not entered)."""
-    out = [0] * 10
-    i = _COUNTED.get(type(node))
-    if i is not None:
-        out[i] = 1
-    for _, v in children(node):
-        if isinstance(v, (Expr, Term)):
-            for j, n in enumerate(_ctor_counts(v)):
-                out[j] += n
-    return tuple(out)
+def _forced(t: EconType) -> EconType | bool:
+    return t.body if isinstance(t, SSusp) and t.eo == N else False
+
+
+def _cod(t: EconType) -> EconType | bool:
+    return t.cod if isinstance(t, SArrow) else False
+
+
+def _instance(t: EconType, k: int) -> EconType | bool:
+    return (_nf(subst_eo(V if k == 1 else N, t.var, t.body))
+            if isinstance(t, SAllEo) else False)
+
+
+def _component(t: EconType, k: int) -> EconType | bool:
+    return (t.left if k == 1 else t.right) if isinstance(t, SProd) else False
+
+
+def _carry(t, conclude):
+    """A spine's answer from its premise's: None and False pass through."""
+    return t if t is None or t is False else conclude(t)
+
+
+def _matches(t, goal: EconType) -> bool:
+    return t is not False and alpha_key(t) == alpha_key(goal)
 
 
 class ElabChecker:
     """Reusable membership checker for the elaboration relation.
 
-    One instance owns the candidate pool and a memo table, so a
-    simulation run can re-relate many (source, core) pairs cheaply.
-    Successes are always cached; failures only when computed without
-    hitting the depth bound (so a cached "no" is definitive).  After each
-    :meth:`check`, ``clean`` tells whether the search ran to completion:
-    a miss with ``clean`` False was cut by the bound, not refuted.
+    ``_synth`` decides every elimination joint it can: a pair (e, M) along
+    a spine of variables and elimination artifacts relates at one type at
+    most, so its answer is that type, False (a refutation: the pair
+    relates at no type), or None (not a determinate spine).  A type is the
+    only candidate the joint tries, a refutation is a clean miss, and only
+    None falls back to the candidate types of the goal, the context and
+    the pool, tried in turn by ``_first``.  One instance owns the pool and
+    the memo tables, so a simulation run can re-relate many (source, core)
+    pairs cheaply.  Successes are always cached; failures only when
+    computed without hitting the depth bound (so a cached "no" is
+    definitive).  After each :meth:`check`, ``clean`` tells whether the
+    search ran to completion: a miss with ``clean`` False was cut by the
+    bound, not refuted.
     """
 
     def __init__(self, pool: tuple[EconType, ...] = ()):
@@ -361,8 +381,6 @@ class ElabChecker:
         self.in_progress: set = set()
         self._cand_cache: dict = {}
         self._syn_cache: dict = {}
-        self._pool_foralls = [p for p in self.pool if isinstance(p, SForall)]
-        self._pool_alleos = [p for p in self.pool if isinstance(p, SAllEo)]
         self._pool_subterms = dedup(
             [s for p in self.pool for s in subterms(p)] + [SUnit()]
         )
@@ -386,101 +404,72 @@ class ElabChecker:
             self._cand_cache[key] = hit
         return hit
 
-    def _arrow_cands(self, ty: EconType, ctx: EconCtx) -> list[SArrow]:
-        key = ("arr", alpha_key(ty), ctx.entries)
-        hit = self._cand_cache.get(key)
-        if hit is None:
-            tkey = alpha_key(ty)
-            cands = self._candidates(ty, ctx)
-            arrows = [a for a in cands
-                      if isinstance(a, SArrow) and alpha_key(a.cod) == tkey]
-            arrows += [SArrow(dom, ty) for dom in cands]
-            hit = dedup(arrows)
-            self._cand_cache[key] = hit
-        return hit
+    def _synth(self, ctx: EconCtx, e: Expr,
+               m: Term) -> EconType | bool | None:
+        """The one type at which the elimination spine (e, m) can relate.
 
-    def _prod_cands(self, ty: EconType, k: int, ctx: EconCtx) -> list[SProd]:
-        key = ("prod", k, alpha_key(ty), ctx.entries)
-        hit = self._cand_cache.get(key)
-        if hit is None:
-            tkey = alpha_key(ty)
-            cands = self._candidates(ty, ctx)
-            prods = [p for p in cands
-                     if isinstance(p, SProd)
-                     and alpha_key(p.left if k == 1 else p.right) == tkey]
-            prods += [SProd(ty, other) if k == 1 else SProd(other, ty)
-                      for other in cands]
-            hit = dedup(prods)
-            self._cand_cache[key] = hit
-        return hit
-
-    def _esynth(self, ctx: EconCtx, e: Expr, m: Term) -> EconType | None:
-        """The one type at which an elimination spine can relate.
-
-        Along a spine of variables and elimination artifacts the relating
-        type is unique (each rule's conclusion is a function of its
-        premise's), so a definite answer here both selects the candidate
-        and licenses outright rejection; None means "not a determinate
-        spine", never "does not relate"."""
+        Each rule along the spine concludes a function of its premise's
+        type, so the answer is that type, False when the pair relates at
+        no type, or None when (e, m) is not a determinate spine."""
         key = (ctx.entries, e, m)
-        hit = self._syn_cache.get(key, False)
-        if hit is not False:
-            return hit
-        out: EconType | None = None
+        if key in self._syn_cache:
+            return self._syn_cache[key]
+        out = None
         match m:
-            case MVar(x):
-                if isinstance(e, Var) and e.name == x and ctx.declares("x", x):
-                    out = _nf(ctx.lookup("x", x))
-            case MFixVar(u):
-                if isinstance(e, FixVar) and e.name == u and ctx.declares("u", u):
-                    out = _nf(ctx.lookup("u", u))
+            case MVar(x) | MFixVar(x):
+                kind, var = ("x", Var) if isinstance(m, MVar) else ("u", FixVar)
+                out = (_nf(ctx.lookup(kind, x))
+                       if isinstance(e, var) and e.name == x
+                       and ctx.declares(kind, x) else False)
             case MUnroll(m1):
-                t = self._esynth(ctx, e, m1)
-                if isinstance(t, SRec):
-                    out = _nf(unfold(t))
+                out = _carry(self._synth(ctx, e, m1), _unrolled)
             case MForce(m1):
-                t = self._esynth(ctx, e, m1)
-                if isinstance(t, SSusp) and t.eo == N:
-                    out = t.body
+                out = _carry(self._synth(ctx, e, m1), _forced)
             case MApp(m1, _):
-                if isinstance(e, App):
-                    t = self._esynth(ctx, e.fn, m1)
-                    if isinstance(t, SArrow):
-                        out = t.cod
+                out = (_carry(self._synth(ctx, e.fn, m1), _cod)
+                       if isinstance(e, App) else False)
             case MProj(k, m1):
-                # Two rule families project; only an unambiguous spine
-                # determines the conclusion.
-                a = self._esynth(ctx, e, m1)
-                a = (_nf(subst_eo(V if k == 1 else N, a.var, a.body))
-                     if isinstance(a, SAllEo) else None)
-                b = None
-                if isinstance(e, Proj) and e.k == k:
-                    t = self._esynth(ctx, e.body, m1)
-                    if isinstance(t, SProd):
-                        b = t.left if k == 1 else t.right
-                if a is not None and b is None:
-                    out = a
-                elif b is not None and a is None:
-                    out = b
+                # Two rule families project, from an order pair and from
+                # a product.  A refutation by one leaves the other's
+                # answer; two types stay ambiguous.
+                a = _carry(self._synth(ctx, e, m1), lambda t: _instance(t, k))
+                b = (_carry(self._synth(ctx, e.body, m1),
+                            lambda t: _component(t, k))
+                     if isinstance(e, Proj) and e.k == k else False)
+                out = b if a is False else a if b is False else None
         self._syn_cache[key] = out
         return out
 
-    def _spine(self, ctx: EconCtx, e: Expr, m: Term) -> bool:
-        """True when (e, m) is a determinate elimination spine, i.e.
-        _esynth's answer (or its absence) is authoritative."""
-        match m:
-            case MVar(_) | MFixVar(_):
-                return True
-            case MUnroll(m1) | MForce(m1):
-                return self._spine(ctx, e, m1)
-            case MApp(m1, _):
-                return isinstance(e, App) and self._spine(ctx, e.fn, m1)
-            case MProj(k, m1):
-                d = self._spine(ctx, e, m1)
-                p = (isinstance(e, Proj) and e.k == k
-                     and self._spine(ctx, e.body, m1))
-                return d != p or (d and p and self._esynth(ctx, e, m) is not None)
-        return False
+    def _decided(self, ctx: EconCtx, e: Expr, m: Term, fits) -> list | None:
+        """The premise types a spine leaves for (e, m): its synthesized
+        type if that ``fits``, none if not or if refuted, and None when
+        the spine is not determinate."""
+        t = self._synth(ctx, e, m)
+        if t is None:
+            return None
+        return [t] if t is not False and fits(t) else []
+
+    def _first(self, cands, premises, depth: int) -> tuple[Valueness | None, bool]:
+        """Try each candidate type in turn: the valueness of the last
+        premise at the first candidate where every premise relates, else
+        None with whether every miss was clean."""
+        clean = True
+        for cand in cands:
+            for ctx, e, ty, m in premises(cand):
+                v, c = self._ce(ctx, e, ty, m, depth)
+                if v is None:
+                    clean &= c
+                    break
+            else:
+                return v, True
+        return None, clean
+
+    @staticmethod
+    def _open(ctx: EconCtx, x: str, body: Expr, mx: str, mbody: Term):
+        """Both bodies with their bound variable renamed to one fresh name."""
+        z = fresh_name(x, ctx.names() | free_names(body, "x")
+                       | free_names(mbody, "x"))
+        return z, subst_expr(Var(z), x, body), subst_term(MVar(z), mx, mbody)
 
     @staticmethod
     def _restrict(ctx: EconCtx, e: Expr, m: Term) -> EconCtx:
@@ -505,11 +494,6 @@ class ElabChecker:
             return None, False
         if depth <= 0:
             return None, False
-        if any(a > b for a, b in zip(_ctor_counts(e), _ctor_counts(m))):
-            # Every source constructor reappears in the core term at least
-            # once; a shortfall refutes membership outright.
-            self.memo[key] = None
-            return None, True
         self.in_progress.add(key)
         try:
             result, clean = self._rules(ctx, e, ty, m, depth)
@@ -529,15 +513,9 @@ class ElabChecker:
                depth: int) -> tuple[Valueness | None, bool]:
         d = depth - 1
         match m:
-            case MVar(x):
-                if isinstance(e, Var) and e.name == x and ctx.declares("x", x):
-                    if alpha_key(_nf(ctx.lookup("x", x))) == alpha_key(ty):
-                        return VAL, True
-                return None, True
-            case MFixVar(u):
-                if isinstance(e, FixVar) and e.name == u and ctx.declares("u", u):
-                    if alpha_key(_nf(ctx.lookup("u", u))) == alpha_key(ty):
-                        return TOP, True
+            case MVar(_) | MFixVar(_):
+                if _matches(self._synth(ctx, e, m), ty):
+                    return (VAL if isinstance(m, MVar) else TOP), True
                 return None, True
             case MUnit():
                 if isinstance(e, Unit) and isinstance(ty, SUnit):
@@ -546,10 +524,7 @@ class ElabChecker:
             case MLam(mx, mbody):
                 if not (isinstance(e, Lam) and isinstance(ty, SArrow)):
                     return None, True
-                z = fresh_name(e.var, ctx.names()
-                               | free_names(e.body, "x") | free_names(mbody, "x"))
-                eb = subst_expr(Var(z), e.var, e.body)
-                mb = subst_term(MVar(z), mx, mbody)
+                z, eb, mb = self._open(ctx, e.var, e.body, mx, mbody)
                 inner, c = self._ce(ctx.with_x(z, ty.dom), eb, ty.cod, mb, d)
                 return (VAL if inner is not None else None), c
             case MTyLam(mbody):
@@ -575,12 +550,10 @@ class ElabChecker:
                 return (TOP if inner is not None else None), c
             case MPair(m1, m2):
                 if isinstance(ty, SAllEo):
-                    v1, c1 = self._ce(ctx, e, _nf(subst_eo(V, ty.var, ty.body)),
-                                      m1, d)
+                    v1, c1 = self._ce(ctx, e, _instance(ty, 1), m1, d)
                     if v1 != VAL:
                         return None, c1
-                    v2, c2 = self._ce(ctx, e, _nf(subst_eo(N, ty.var, ty.body)),
-                                      m2, d)
+                    v2, c2 = self._ce(ctx, e, _instance(ty, 2), m2, d)
                     return (VAL if v2 == VAL else None), c2
                 if isinstance(ty, SProd) and isinstance(e, Pair):
                     v1, c1 = self._ce(ctx, e.left, ty.left, m1, d)
@@ -596,130 +569,79 @@ class ElabChecker:
                 return None, True
             case MRoll(mbody):
                 if isinstance(ty, SRec):
-                    return self._ce(ctx, e, _nf(unfold(ty)), mbody, d)
+                    return self._ce(ctx, e, _unrolled(ty), mbody, d)
                 return None, True
-            case MApp(m1, m2):
-                if not isinstance(e, App):
-                    return None, True
-                clean = True
-                guided = self._esynth(ctx, e.fn, m1)
-                if guided is not None and self._spine(ctx, e.fn, m1):
-                    if not (isinstance(guided, SArrow)
-                            and alpha_key(guided.cod) == alpha_key(ty)):
-                        return None, True
-                    arrows = [guided]
-                elif isinstance(guided, SArrow) and alpha_key(guided.cod) == alpha_key(ty):
-                    arrows = [guided] + self._arrow_cands(ty, ctx)
-                else:
-                    arrows = self._arrow_cands(ty, ctx)
-                for arr in arrows:
-                    # The argument side is cheaper and shared across
-                    # arrows with the same domain, so try it first.
-                    a, c2 = self._ce(ctx, e.arg, arr.dom, m2, d)
-                    if a is None:
-                        clean &= c2
-                        continue
-                    f, c1 = self._ce(ctx, e.fn, arr, m1, d)
-                    if f is not None:
-                        return TOP, True
-                    clean &= c1
-                return None, clean
-            case MProj(k, mbody):
-                clean = True
-                for cand in self._alleo_candidates(ty, k):
-                    v, c = self._ce(ctx, e, cand, mbody, d)
-                    if v is not None:
-                        return v, True
-                    clean &= c
-                if isinstance(e, Proj) and e.k == k:
-                    prods = self._prod_cands(ty, k, ctx)
-                    guided = self._esynth(ctx, e.body, mbody)
-                    if (isinstance(guided, SProd)
-                            and alpha_key(guided.left if k == 1 else guided.right)
-                            == alpha_key(ty)):
-                        prods = [guided] + prods
-                    for prod in prods:
-                        v, c = self._ce(ctx, e.body, prod, mbody, d)
-                        if v is not None:
-                            return TOP, True
-                        clean &= c
-                return None, clean
             case MForce(mbody):
                 inner, c = self._ce(ctx, e, SSusp(N, ty), mbody, d)
                 return (TOP if inner is not None else None), c
+            case MApp(m1, m2):
+                if not isinstance(e, App):
+                    return None, True
+                arrows = self._decided(ctx, e.fn, m1,
+                                       lambda t: _matches(_cod(t), ty))
+                if arrows is None:
+                    cands = self._candidates(ty, ctx)
+                    arrows = dedup([a for a in cands if _matches(_cod(a), ty)]
+                                   + [SArrow(dom, ty) for dom in cands])
+                # The argument side is cheaper and shared across arrows
+                # with the same domain, so try it first.
+                v, c = self._first(arrows, lambda a: [
+                    (ctx, e.arg, a.dom, m2), (ctx, e.fn, a, m1)], d)
+                return (TOP if v is not None else None), c
+            case MProj(k, mbody):
+                # The order-pair family first: its valueness is returned.
+                pairs = self._decided(ctx, e, mbody,
+                                      lambda t: _matches(_instance(t, k), ty))
+                if pairs is None:
+                    var = fresh_name("a", free_names(ty, "eo"))
+                    pairs = dedup([SAllEo(var, ty)] + [
+                        c for c in self.pool if _matches(_instance(c, k), ty)])
+                v, clean = self._first(pairs, lambda a: [(ctx, e, a, mbody)], d)
+                if v is not None or not (isinstance(e, Proj) and e.k == k):
+                    return v, clean
+                prods = self._decided(ctx, e.body, mbody,
+                                      lambda t: _matches(_component(t, k), ty))
+                if prods is None:
+                    cands = self._candidates(ty, ctx)
+                    prods = dedup(
+                        [p for p in cands if _matches(_component(p, k), ty)]
+                        + [SProd(ty, o) if k == 1 else SProd(o, ty)
+                           for o in cands])
+                v, c = self._first(prods, lambda p: [(ctx, e.body, p, mbody)], d)
+                return (TOP, True) if v is not None else (None, clean and c)
             case MUnroll(mbody):
-                if self._spine(ctx, e, m):
-                    want = self._esynth(ctx, e, m)
-                    if want is None or alpha_key(want) != alpha_key(ty):
-                        return None, True
-                    g = self._esynth(ctx, e, mbody)
-                    inner, c = self._ce(ctx, e, g, mbody, d)
-                    return (TOP, True) if inner is not None else (None, c)
-                clean = True
-                for cand in refold_candidates(ty, self.pool):
-                    v, c = self._ce(ctx, e, cand, mbody, d)
-                    if v is not None:
-                        return TOP, True
-                    clean &= c
-                return None, clean
+                recs = self._decided(ctx, e, mbody,
+                                     lambda t: _matches(_unrolled(t), ty))
+                if recs is None:
+                    recs = refold_candidates(ty, self.pool)
+                v, c = self._first(recs, lambda r: [(ctx, e, r, mbody)], d)
+                return (TOP if v is not None else None), c
             case MCase(ms, mx1, mb1, mx2, mb2):
                 if not isinstance(e, Case):
                     return None, True
-                clean = True
-                sums = [c for c in self._candidates(ty, ctx)
-                        if isinstance(c, SSum)]
-                guided = self._esynth(ctx, e.scrut, ms)
-                if guided is not None and self._spine(ctx, e.scrut, ms):
-                    sums = [guided] if isinstance(guided, SSum) else []
-                elif isinstance(guided, SSum):
-                    sums = [guided] + sums
-                for cand in sums:
-                    vs, c0 = self._ce(ctx, e.scrut, cand, ms, d)
-                    if vs is None:
-                        clean &= c0
-                        continue
-                    z1 = fresh_name(e.var1, ctx.names()
-                                    | free_names(e.body1, "x")
-                                    | free_names(mb1, "x"))
-                    eb1 = subst_expr(Var(z1), e.var1, e.body1)
-                    mb1r = subst_term(MVar(z1), mx1, mb1)
-                    v1, c1 = self._ce(ctx.with_x(z1, cand.left), eb1, ty, mb1r, d)
-                    if v1 is None:
-                        clean &= c1
-                        continue
-                    z2 = fresh_name(e.var2, ctx.names()
-                                    | free_names(e.body2, "x")
-                                    | free_names(mb2, "x"))
-                    eb2 = subst_expr(Var(z2), e.var2, e.body2)
-                    mb2r = subst_term(MVar(z2), mx2, mb2)
-                    v2, c2 = self._ce(ctx.with_x(z2, cand.right), eb2, ty, mb2r, d)
-                    if v2 is not None:
-                        return TOP, True
-                    clean &= c2
-                return None, clean
+                sums = self._decided(ctx, e.scrut, ms,
+                                     lambda t: isinstance(t, SSum))
+                if sums is None:
+                    sums = [c for c in self._candidates(ty, ctx)
+                            if isinstance(c, SSum)]
+                z1, eb1, mb1 = self._open(ctx, e.var1, e.body1, mx1, mb1)
+                z2, eb2, mb2 = self._open(ctx, e.var2, e.body2, mx2, mb2)
+                v, c = self._first(sums, lambda s: [
+                    (ctx, e.scrut, s, ms),
+                    (ctx.with_x(z1, s.left), eb1, ty, mb1),
+                    (ctx.with_x(z2, s.right), eb2, ty, mb2)], d)
+                return (TOP if v is not None else None), c
             case MTyApp(mbody):
-                unused = fresh_name("b", free_names(ty, "ty"))
-                foralls: list[EconType] = [SForall(unused, ty)]
-                foralls += [cand for cand in self._pool_foralls
-                            if match_instantiate(cand.body, cand.var, ty) is not None]
-                clean = True
-                for f in dedup(foralls):
-                    v, c = self._ce(ctx, e, f, mbody, d)
-                    if v is not None:
-                        return v, True
-                    clean &= c
-                return None, clean
+                def fits(t):
+                    return (isinstance(t, SForall) and
+                            match_instantiate(t.body, t.var, ty) is not None)
+                foralls = self._decided(ctx, e, mbody, fits)
+                if foralls is None:
+                    unused = fresh_name("b", free_names(ty, "ty"))
+                    foralls = dedup([SForall(unused, ty)]
+                                    + [f for f in self.pool if fits(f)])
+                return self._first(foralls, lambda f: [(ctx, e, f, mbody)], d)
         return None, True
-
-    def _alleo_candidates(self, goal: EconType, k: int) -> list[EconType]:
-        var = fresh_name("a", free_names(goal, "eo"))
-        out = [SAllEo(var, goal)]
-        concrete = V if k == 1 else N
-        for cand in self._pool_alleos:
-            inst = _nf(subst_eo(concrete, cand.var, cand.body))
-            if alpha_eq(inst, goal):
-                out.append(cand)
-        return dedup(out)
 
 
 def check_elab(e: Expr, ty: EconType, m: Term,

@@ -291,13 +291,15 @@ def run_type_safety(m: Term, ty, pool, fuel: int = 10_000,
         checker = tgt_mod.TargetChecker(pool)
     steps = 0
     seen = {alpha_key(m)}
-    while steps <= fuel:
+    while True:
         r = tgt_mod.step(m)
         if r.kind == "value":
             return CheckOutcome(name, program, PASS, {"steps": steps})
         if r.kind == "stuck":
             return CheckOutcome(name, program, FAIL,
                                 {"reason": "stuck", "term": m, "steps": steps})
+        if steps == fuel:
+            break
         m = r.term
         steps += 1
         if not checker.check(TgtCtx(), m, ty):

@@ -172,3 +172,21 @@ def test_deep_input_exit_code(tmp_path, capsys):
     assert code == 3
     assert "nests too deeply" in err
     assert "Traceback" not in err
+
+
+def test_negative_counts_are_usage_errors(capsys):
+    f = path("nfree_mono.eo")
+    for argv in (["run", "--fuel", "-1", f], ["src-run", "--fuel", "-1", f],
+                 ["verify", "--fuel", "-1", f], ["verify", "--depth", "-1", f],
+                 ["verify", "--enumerate", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "non-negative integer" in err, argv
+
+
+def test_zero_counts_are_accepted(capsys):
+    code, out, _ = run(capsys, "run", "--fuel", "0", path("nfree_mono.eo"))
+    assert code == 1 and out.startswith("out-of-fuel after 0 step(s)")
+    code, out, _ = run(capsys, "verify", "--enumerate", "0", "--depth", "0",
+                       path("id_poly_v.eo"))
+    assert code == 0

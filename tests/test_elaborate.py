@@ -2,7 +2,7 @@
 
 import pytest
 
-from eopoly import econ, target
+from eopoly import econ, elaborate as elab_mod, target
 from eopoly.elaborate import (
     ElabChecker,
     check_elab,
@@ -34,8 +34,10 @@ from eopoly.syntax import (
     MUnit,
     MVar,
     N,
+    Proj,
     SAllEo,
     SArrow,
+    SProd,
     SSusp,
     SUnit,
     TOP,
@@ -144,3 +146,21 @@ def test_checker_reusable():
     assert ck.check(Unit(), SSusp(N, SU), MThunk(MUnit())) == VAL
     assert ck.check(Unit(), SSusp(N, SU), MThunk(MUnit())) == VAL
 
+
+
+def test_determinate_spine_decides(monkeypatch):
+    # A projection from a variable synthesizes its product type, so no
+    # candidate list is built: a fitting type is the only one tried, and
+    # a variable of the wrong shape refutes outright.  Every fallback list
+    # goes through ``dedup`` or ``refold_candidates``.
+    def no_candidates(*a):
+        raise AssertionError("candidate types built at a determinate spine")
+
+    fits, refuted = ElabChecker(), ElabChecker()
+    monkeypatch.setattr(elab_mod, "dedup", no_candidates)
+    monkeypatch.setattr(elab_mod, "refold_candidates", no_candidates)
+    fst = Lam("p", Proj(1, Var("p")))
+    mfst = MLam("p", MProj(1, MVar("p")))
+    assert fits.check(fst, SArrow(SProd(SU, SU), SU), mfst) == VAL
+    assert refuted.check(fst, SArrow(SU, SU), mfst) is None
+    assert refuted.clean

@@ -3,8 +3,8 @@
 import glob
 import os
 
-from eopoly import econ
-from eopoly.elaborate import ElabChecker
+from eopoly import econ, target
+from eopoly.elaborate import ElabChecker, elaborate, ty_target
 from eopoly.enum_terms import default_menu, enumerate_welltyped
 from eopoly.nfree import (
     n_free_econ_type,
@@ -62,6 +62,7 @@ from eopoly.verify import (
     run_elab_soundness,
     run_nfree_econ,
     run_nfree_elab,
+    run_type_safety,
     target_pool,
 )
 
@@ -401,3 +402,17 @@ def test_build_pool_names_the_instantiated_map_type():
     lst = "(rec[V] 'b. (1 +[V] (1 *[V] 'b)))"
     want = econ.econ_type(parse_type_text(f"(1 -[V]> 1) -[V]> {lst} -[V]> {lst}"))
     assert _in_pool(want, build_pool(e, [r.ty]))
+
+
+def test_type_safety_takes_at_most_fuel_steps():
+    # The core run of nfree_mono.eo reaches a value in two steps.
+    e, _ = econ_main(os.path.join(CORPUS, "nfree_mono.eo"))
+    r = econ.econ_synth(EconCtx(), e)
+    m, ty = elaborate(r.deriv).term, ty_target(r.ty)
+    assert target.evaluate(m, 10).steps == 2
+    for fuel in (0, 1):
+        out = run_type_safety(m, ty, (), fuel)
+        assert out.verdict == PASS
+        assert out.detail == {"steps": fuel,
+                              "note": "fuel exhausted, no violation"}
+    assert run_type_safety(m, ty, (), 2).detail == {"steps": 2}
