@@ -266,7 +266,8 @@ def cmd_verify(args) -> int:
     else:
         for o in outcomes:
             print(o.line())
-        print(f"{len(outcomes)} checks: {len(outcomes) - len(failed)} ok, "
+        ok = len(outcomes) - len(failed) - len(exhausted)
+        print(f"{len(outcomes)} checks: {ok} ok, "
               f"{len(failed)} failed, {len(exhausted)} search-exhausted")
     return 1 if failed else 0
 

@@ -25,20 +25,14 @@ from .syntax import (
     V,
     VAL,
     children,
+    subterms,
 )
 
 
 def _orders_ok(node: Node, forbid_quantifier: type) -> bool:
-    if isinstance(node, forbid_quantifier):
-        return False
-    for _, v in children(node):
-        if isinstance(v, EO):
-            if v != V:
-                return False
-        elif isinstance(v, Node):
-            if not _orders_ok(v, forbid_quantifier):
-                return False
-    return True
+    return not any(isinstance(n, forbid_quantifier)
+                   or any(isinstance(v, EO) and v != V for _, v in children(n))
+                   for n in subterms(node))
 
 
 def n_free_impartial_type(ty: ImpType) -> bool:

@@ -3,12 +3,13 @@
 One binding engine serves all five syntactic categories (three type
 grammars, source expressions, target terms).  Every node is a frozen
 dataclass; binding structure is declared per class via ``scopes`` and
-``ref``, and generic functions interpret that declaration: ``free_names``,
-``subst`` and ``alpha_key``, and on top of them the structural helpers
-every grammar shares (``unfold``, ``match_instantiate``, ``subterms`` and
-the like).  ``focus`` and ``plug`` likewise serve every evaluator, each
-driven by that evaluator's table of evaluation contexts.  Names live in
-four namespaces that never mix:
+``ref``.  Each class's declaration is compiled once into a plan (per
+field, the binders that scope over it), and every generic walk reads the
+plan: ``free_names``, ``subst`` and ``alpha_key``, and on top of them the
+structural helpers every grammar shares (``unfold``, ``match_instantiate``,
+``subterms``, ``node_count`` and the like).  ``focus`` and ``plug``
+likewise serve every evaluator, each driven by that evaluator's table of
+evaluation contexts.  Names live in four namespaces that never mix:
 
     "x"   term variables
     "u"   fixed-point variables
@@ -130,6 +131,20 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 @lru_cache(maxsize=None)
+def _plan(cls: type) -> tuple[tuple[str, tuple[tuple[str, str], ...] | None], ...]:
+    """``cls``'s binding declaration, compiled once for the generic walks.
+
+    One entry per field, in field order: the field's name and the
+    ``(binder_field, namespace)`` pairs whose binder scopes over it, or
+    None for a field that holds a binder.
+    """
+    binders = {bf for bf, _, _ in cls.scopes}
+    return tuple((f, None if f in binders else
+                  tuple((bf, ns) for bf, ns, scoped in cls.scopes if f in scoped))
+                 for f in _field_names(cls))
+
+
+@lru_cache(maxsize=None)
 def free_names(node: object, ns: str) -> frozenset[str]:
     """Free names of ``node`` in namespace ``ns``."""
     if isinstance(node, EO):
@@ -137,23 +152,14 @@ def free_names(node: object, ns: str) -> frozenset[str]:
     if not isinstance(node, Node):
         return frozenset()
     cls = type(node)
-    if cls.ref is not None and cls.ref[0] == ns:
-        return frozenset([getattr(node, cls.ref[1])])
-    bound_in: dict[str, frozenset[str]] = {}
-    for binder_field, bns, scoped in cls.scopes:
-        if bns == ns:
-            for f in scoped:
-                bound_in[f] = bound_in.get(f, frozenset()) | {getattr(node, binder_field)}
+    if cls.ref is not None:
+        return frozenset([getattr(node, cls.ref[1])]) if cls.ref[0] == ns else frozenset()
     out: frozenset[str] = frozenset()
-    for fname, value in children(node):
-        out |= free_names(value, ns) - bound_in.get(fname, frozenset())
-    return out
-
-
-def _replacement_frees(sub: dict[tuple[str, str], object], ns: str) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for repl in sub.values():
-        out |= free_names(repl, ns)
+    for f, scope in _plan(cls):
+        v = getattr(node, f)
+        if isinstance(v, (Node, EO)):
+            out |= free_names(v, ns).difference(
+                getattr(node, bf) for bf, bns in scope if bns == ns)
     return out
 
 
@@ -196,20 +202,15 @@ def _scoped_key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
             if ens == ns and x == name:
                 return (cls.__name__, i)
         return (cls.__name__, name)
-    scope_of: dict[str, tuple[tuple[str, str], ...]] = {}
-    binder_fields = set()
-    for binder_field, bns, scoped in cls.scopes:
-        binder_fields.add(binder_field)
-        for f in scoped:
-            scope_of[f] = scope_of.get(f, ()) + ((bns, getattr(node, binder_field)),)
     parts: list[object] = [cls.__name__]
-    for fname, value in children(node):
-        if fname in binder_fields:
+    for f, scope in _plan(cls):
+        if scope is None:
             continue
-        if isinstance(value, (Node, EO)):
-            parts.append(alpha_key(value, _env + scope_of.get(fname, ())))
-        else:
-            parts.append(value)
+        v = getattr(node, f)
+        if isinstance(v, (Node, EO)):
+            v = alpha_key(v, _env + tuple((bns, getattr(node, bf)) for bf, bns in scope)
+                          if scope else _env)
+        parts.append(v)
     return tuple(parts)
 
 
@@ -660,41 +661,41 @@ def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
         return node
     cls = type(node)
     if cls.ref is not None:
-        key = (cls.ref[0], getattr(node, cls.ref[1]))
-        if key in sub:
-            return sub[key]
-        return node
+        return sub.get((cls.ref[0], getattr(node, cls.ref[1])), node)
+    under = _under_binders(node, sub) if cls.scopes else None
+    values = []
+    changed = False
+    for f, scope in _plan(cls):
+        v = getattr(node, f)
+        if scope is None:
+            new = under[f][1]
+        elif isinstance(v, (Node, EO)):
+            new = subst(v, under[scope[-1][0]][0] if scope else sub)
+        else:
+            new = v
+        changed = changed or new is not v
+        values.append(new)
+    return cls(*values) if changed else node
 
-    field_sub: dict[str, dict[tuple[str, str], object]] = {
-        fname: sub for fname, _ in children(node)
-    }
-    new_binders: dict[str, str] = {}
-    for binder_field, bns, scoped in cls.scopes:
+
+def _under_binders(node: Node, sub: dict) -> dict[str, tuple[dict, str]]:
+    """Per binder field of ``node``: the substitution to apply in its scope
+    and the binder's name there, renamed when a replacement would
+    otherwise be captured."""
+    out = {}
+    for binder_field, bns, scoped in type(node).scopes:
         bname = getattr(node, binder_field)
-        inner = {k: v for k, v in sub.items() if k != (bns, bname)}
-        capture = bname in _replacement_frees(inner, bns)
-        if capture:
-            avoid = set(_replacement_frees(inner, bns))
+        key = (bns, bname)
+        inner = {k: v for k, v in sub.items() if k != key} if key in sub else sub
+        frees = frozenset().union(*[free_names(r, bns) for r in inner.values()])
+        if bname in frees:
+            avoid = set(frees)
             for f in scoped:
                 avoid |= free_names(getattr(node, f), bns)
-            fresh = fresh_name(bname, avoid)
-            new_binders[binder_field] = fresh
-            sample = getattr(node, scoped[0])
-            inner = dict(inner)
-            inner[(bns, bname)] = _make_ref(bns, fresh, sample)
-        for f in scoped:
-            field_sub[f] = inner
-    updates: dict[str, object] = {}
-    for fname, value in children(node):
-        if fname in new_binders:
-            updates[fname] = new_binders[fname]
-        elif isinstance(value, (Node, EO)):
-            new_value = subst(value, field_sub[fname])
-            if new_value is not value:
-                updates[fname] = new_value
-    if not updates:
-        return node
-    return dataclasses.replace(node, **updates)
+            bname = fresh_name(bname, avoid)
+            inner = {**inner, key: _make_ref(bns, bname, getattr(node, scoped[0]))}
+        out[binder_field] = (inner, bname)
+    return out
 
 
 def subst_ty_in_ty(replacement: Node, var: str, ty: Node) -> Node:
@@ -729,8 +730,11 @@ def subst_fix_term(replacement: Term, var: str, m: Term) -> Term:
 @lru_cache(maxsize=None)
 def node_count(node: object) -> int:
     """Number of nodes in ``node``; types and orders count as nodes."""
+    if isinstance(node, EO):
+        return 1
     n = 1
-    for _, v in children(node):
+    for f, _ in _plan(type(node)):
+        v = getattr(node, f)
         if isinstance(v, (Node, EO)):
             n += node_count(v)
     return n
@@ -738,10 +742,13 @@ def node_count(node: object) -> int:
 
 def subterms(node: Node) -> list[Node]:
     """``node`` and every node below it, in pre-order."""
-    out = [node]
-    for _, v in children(node):
-        if isinstance(v, Node):
-            out.extend(subterms(v))
+    out = []
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        kids = [getattr(n, f) for f, _ in _plan(type(n))]
+        todo.extend(v for v in reversed(kids) if isinstance(v, Node))
     return out
 
 
@@ -814,13 +821,9 @@ def match_instantiate(pattern: Node, var: str, goal: Node) -> Node | None | str:
         if cls.ref is not None:
             ns, f = cls.ref
             return _same_ref(ns, getattr(p, f), getattr(g, f), env)
-        inner: dict[str, tuple] = {}
-        for bf, ns, scoped in cls.scopes:
-            for f in scoped:
-                inner[f] = inner.get(f, env) + ((ns, getattr(p, bf), getattr(g, bf)),)
-        binders = {bf for bf, _, _ in cls.scopes}
-        return all(go(v, getattr(g, f), inner.get(f, env))
-                   for f, v in children(p) if f not in binders)
+        return all(go(getattr(p, f), getattr(g, f),
+                      env + tuple((ns, getattr(p, bf), getattr(g, bf)) for bf, ns in scope))
+                   for f, scope in _plan(cls) if scope is not None)
 
     if not go(pattern, goal, ()):
         return None

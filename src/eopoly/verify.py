@@ -801,20 +801,8 @@ def replay_econ(d: Derivation) -> None:
 
 def concrete_orders(node: Node) -> frozenset[str]:
     """Concrete orders mentioned anywhere in a type or expression."""
-    out: set[str] = set()
-
-    def walk(n):
-        if isinstance(n, EO):
-            if not n.is_var():
-                out.add(n.tag)
-            return
-        if not isinstance(n, Node):
-            return
-        for _, v in children(n):
-            walk(v)
-
-    walk(node)
-    return frozenset(out)
+    return frozenset(v.tag for n in subterms(node) for _, v in children(n)
+                     if isinstance(v, EO) and not v.is_var())
 
 
 def derivation_orders(d: Derivation) -> frozenset[str]:

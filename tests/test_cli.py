@@ -3,10 +3,13 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 from eopoly.cli import main
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def path(name):
@@ -140,6 +143,20 @@ def test_verify_json_records(capsys):
     records = json.loads(out)
     assert all({"check", "program", "verdict", "witness"} <= set(r) for r in records)
     assert all(r["verdict"] in ("pass", "vacuous") for r in records)
+
+
+def test_verify_summary_counts_exhausted_apart(capsys):
+    code, out, _ = run(capsys, "verify", "--depth", "0", path("map_applied_v.eo"))
+    assert code == 0
+    assert out.splitlines()[-1] == "7 checks: 6 ok, 0 failed, 1 search-exhausted"
+
+
+def test_python_m_eopoly():
+    r = subprocess.run([sys.executable, "-m", "eopoly", "check", path("id_poly_v.eo")],
+                       env=dict(os.environ, PYTHONPATH=SRC),
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert "type:" in r.stdout
 
 
 def test_verify_enumerate(capsys):
