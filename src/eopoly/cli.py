@@ -17,7 +17,7 @@ from . import impartial as imp_mod
 from . import source as src_mod
 from . import target as tgt_mod
 from . import verify as verify_mod
-from .elaborate import ElabChecker, elaborate, ty_target
+from .elaborate import ty_target
 from .enum_terms import enumerate_welltyped
 from .errors import EopolyError, ParseError
 from .nfree import (
@@ -28,7 +28,7 @@ from .nfree import (
 from .pretty import pretty_expr, pretty_term, pretty_ty
 from .program import load_program
 from .syntax import SYNTH, EconCtx, ImpCtx, erase
-from .verify import CheckOutcome
+from .verify import CheckOutcome, Judgment
 
 
 def _emit(args, verdict: str, payload: dict, text_lines: list[str]) -> None:
@@ -49,17 +49,13 @@ def _typecheck(prog):
     """Synthesize the main expression in its file's own system."""
     if prog.lang == "impartial":
         return imp_mod.synth(ImpCtx(), prog.main)
-    return econ_mod.econ_synth(EconCtx(), prog.main)
+    return _to_econ(prog).typing
 
 
-def _to_econ(prog):
-    """The main expression and its synthesis, in the suspension-point system."""
-    if prog.lang == "impartial":
-        e = econ_mod.econ_expr(prog.main)
-    else:
-        e = prog.main
-    r = econ_mod.econ_synth(EconCtx(), e)
-    return e, r
+def _to_econ(prog) -> Judgment:
+    """The main expression's judgment in the suspension-point system."""
+    e = econ_mod.econ_expr(prog.main) if prog.lang == "impartial" else prog.main
+    return Judgment(e, None, SYNTH)
 
 
 def cmd_check(args) -> int:
@@ -76,17 +72,18 @@ def cmd_econ(args) -> int:
     if prog.lang != "impartial":
         raise EopolyError("the file is already in the suspension-point language")
     before = imp_mod.synth(ImpCtx(), prog.main)
-    e, r = _to_econ(prog)
+    j = _to_econ(prog)
+    r = j.typing
     _emit(
         args, "ok",
         {
-            "expr": pretty_expr(e),
+            "expr": pretty_expr(j.expr),
             "type": pretty_ty(r.ty),
             "valueness": r.valueness.value,
             "source_valueness": before.valueness.value,
         },
         [
-            f"translated: {pretty_expr(e)}",
+            f"translated: {pretty_expr(j.expr)}",
             f"type: {pretty_ty(r.ty)}",
             f"valueness: {r.valueness.value} (before: {before.valueness.value})",
         ],
@@ -96,9 +93,9 @@ def cmd_econ(args) -> int:
 
 def cmd_elaborate(args) -> int:
     prog = load_program(args.file)
-    _, r = _to_econ(prog)
-    er = elaborate(r.deriv)
-    ty = ty_target(r.ty)
+    j = _to_econ(prog)
+    er = j.elab
+    ty = ty_target(j.typing.ty)
     _emit(
         args, "ok",
         {"term": pretty_term(er.term), "type": pretty_ty(ty),
@@ -109,40 +106,31 @@ def cmd_elaborate(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    prog = load_program(args.file)
-    _, r = _to_econ(prog)
-    er = elaborate(r.deriv)
-    result = tgt_mod.evaluate(er.term, args.fuel, want_trace=args.trace)
-    lines = []
-    if args.trace and result.trace:
-        lines += [f"  [{i}] {pretty_term(m)}" for i, m in enumerate(result.trace)]
-    lines.append(f"{result.kind} after {result.steps} step(s): "
-                 f"{pretty_term(result.term)}")
-    payload = {"result": pretty_term(result.term), "kind": result.kind,
-               "steps": result.steps}
-    if args.trace and result.trace:
-        payload["trace"] = [pretty_term(m) for m in result.trace]
+def _report_run(args, result, final, show) -> int:
+    """Emit an evaluation's outcome, printing each state with ``show``."""
+    trace = [show(x) for x in result.trace] if args.trace and result.trace else []
+    lines = [f"  [{i}] {x}" for i, x in enumerate(trace)]
+    lines.append(f"{result.kind} after {result.steps} step(s): {show(final)}")
+    payload = {"result": show(final), "kind": result.kind, "steps": result.steps}
+    if trace:
+        payload["trace"] = trace
     _emit(args, result.kind, payload, lines)
     return 0 if result.kind == "value" else 1
+
+
+def cmd_run(args) -> int:
+    prog = load_program(args.file)
+    result = tgt_mod.evaluate(_to_econ(prog).elab.term, args.fuel,
+                              want_trace=args.trace)
+    return _report_run(args, result, result.term, pretty_term)
 
 
 def cmd_src_run(args) -> int:
     prog = load_program(args.file)
     _typecheck(prog)
-    e = erase(prog.main)
-    result = src_mod.cbv_evaluate(e, args.fuel, want_trace=args.trace)
-    lines = []
-    if args.trace and result.trace:
-        lines += [f"  [{i}] {pretty_expr(x)}" for i, x in enumerate(result.trace)]
-    lines.append(f"{result.kind} after {result.steps} step(s): "
-                 f"{pretty_expr(result.expr)}")
-    payload = {"result": pretty_expr(result.expr), "kind": result.kind,
-               "steps": result.steps}
-    if args.trace and result.trace:
-        payload["trace"] = [pretty_expr(x) for x in result.trace]
-    _emit(args, result.kind, payload, lines)
-    return 0 if result.kind == "value" else 1
+    result = src_mod.cbv_evaluate(erase(prog.main), args.fuel,
+                                  want_trace=args.trace)
+    return _report_run(args, result, result.expr, pretty_expr)
 
 
 def cmd_steps(args) -> int:
@@ -164,91 +152,48 @@ def cmd_steps(args) -> int:
 
 def cmd_freeness(args) -> int:
     prog = load_program(args.file)
-    payload: dict = {}
-    lines: list[str] = []
+    j = _to_econ(prog)
+    levels = []  # (payload key, text label, N-free?)
     if prog.lang == "impartial":
-        r = imp_mod.synth(ImpCtx(), prog.main)
-        imp = n_free_impartial_judgment(ImpCtx(), prog.main, r.ty)
-        payload["impartial"] = imp
-        lines.append(f"impartial judgment N-free: {imp}")
-    e, r2 = _to_econ(prog)
-    ec = n_free_econ_judgment(EconCtx(), e, r2.ty)
-    payload["econ"] = ec
-    lines.append(f"suspension-point judgment N-free: {ec}")
-    er = elaborate(r2.deriv)
-    tg = n_free_target(er.term)
-    payload["target"] = tg
-    lines.append(f"core term N-free: {tg}")
-    _emit(args, "ok", payload, lines)
+        imp = n_free_impartial_judgment(ImpCtx(), prog.main, _typecheck(prog).ty)
+        levels.append(("impartial", "impartial judgment", imp))
+    levels += [("econ", "suspension-point judgment",
+                n_free_econ_judgment(EconCtx(), j.expr, j.typing.ty)),
+               ("target", "core term", n_free_target(j.elab.term))]
+    _emit(args, "ok", {key: free for key, _, free in levels},
+          [f"{label} N-free: {free}" for _, label, free in levels])
     return 0
+
+
+def _judgment_checks(source, j: Judgment, pid: str) -> list[CheckOutcome]:
+    """The checks every judgment gets: the translation checks on its
+    impartial ``source`` (expression and type), when it has one, and the
+    elaboration checks on its suspension-point judgment ``j``."""
+    out = []
+    if source is not None:
+        out = [verify_mod.run_econ_preservation(ImpCtx(), *source, j.direction, pid),
+               verify_mod.run_nfree_econ(ImpCtx(), *source, j.direction, pid)]
+    return out + [verify_mod.elab_soundness(j, pid), verify_mod.nfree_elab(j, pid)]
 
 
 def _verify_program(args) -> list[CheckOutcome]:
     prog = load_program(args.file)
-    outcomes: list[CheckOutcome] = []
-    pid = args.file
-    if prog.lang == "impartial":
-        outcomes.append(
-            verify_mod.run_econ_preservation(ImpCtx(), prog.main, None, SYNTH, pid)
-        )
-        outcomes.append(
-            verify_mod.run_nfree_econ(ImpCtx(), prog.main, None, SYNTH, pid)
-        )
-    e, r = _to_econ(prog)
-    # One candidate pool and one membership checker serve every check.
-    pool = verify_mod.build_pool(e, [r.ty])
-    tpool = verify_mod.target_pool(pool)
-    checker = ElabChecker(pool)
-    outcomes.append(
-        verify_mod.run_elab_soundness(e, None, SYNTH, pid, checker=checker,
-                                      tpool=tpool)
-    )
-    outcomes.append(verify_mod.run_nfree_elab(e, None, SYNTH, pid))
-    er = elaborate(r.deriv)
-    outcomes.append(
-        verify_mod.run_type_safety(er.term, ty_target(r.ty), tpool, args.fuel, pid)
-    )
-    report = verify_mod.run_consistency(e, None, SYNTH, args.fuel,
-                                        args.depth, pid, checker=checker)
-    outcomes.append(report.outcome())
-    outcomes.append(
-        verify_mod.run_cbv_endpoint(e, None, SYNTH, args.fuel, pid,
-                                    checker=checker)
-    )
-    return outcomes
+    j = _to_econ(prog)
+    source = (prog.main, None) if prog.lang == "impartial" else None
+    return _judgment_checks(source, j, args.file) + [
+        verify_mod.run_type_safety(j.elab.term, ty_target(j.typing.ty), j.tpool,
+                                   args.fuel, args.file),
+        verify_mod.consistency(j, args.fuel, args.depth, args.file).outcome(),
+        verify_mod.cbv_endpoint(j, args.fuel, args.file),
+    ]
 
 
 def _verify_enumerated(args) -> list[CheckOutcome]:
-    from .econ import econ_expr, econ_type
-
     outcomes: list[CheckOutcome] = []
-    judgments = enumerate_welltyped(args.enumerate)
-    for i, j in enumerate(judgments):
-        pid = f"enum-{i}"
-        outcomes.append(
-            verify_mod.run_econ_preservation(
-                ImpCtx(), j.expr, j.ty if j.direction == "check" else None,
-                j.direction, pid,
-            )
-        )
-        outcomes.append(
-            verify_mod.run_nfree_econ(
-                ImpCtx(), j.expr, j.ty if j.direction == "check" else None,
-                j.direction, pid,
-            )
-        )
-        ee = econ_expr(j.expr)
-        ety = econ_type(j.ty)
-        outcomes.append(
-            verify_mod.run_elab_soundness(
-                ee, ety if j.direction == "check" else None, j.direction, pid
-            )
-        )
-        outcomes.append(
-            verify_mod.run_nfree_elab(
-                ee, ety if j.direction == "check" else None, j.direction, pid
-            )
-        )
+    for i, imp in enumerate(enumerate_welltyped(args.enumerate)):
+        j = Judgment(econ_mod.econ_expr(imp.expr), econ_mod.econ_type(imp.ty),
+                     imp.direction)
+        outcomes += _judgment_checks((imp.expr, imp.ty), j, f"enum-{i}")
     return outcomes
 
 

@@ -693,7 +693,8 @@ def _under_binders(node: Node, sub: dict) -> dict[str, tuple[dict, str]]:
             for f in scoped:
                 avoid |= free_names(getattr(node, f), bns)
             bname = fresh_name(bname, avoid)
-            inner = {**inner, key: _make_ref(bns, bname, getattr(node, scoped[0]))}
+            sample = next((r for (k, _), r in inner.items() if k == bns), getattr(node, scoped[0]))
+            inner = {**inner, key: _make_ref(bns, bname, sample)}
         out[binder_field] = (inner, bname)
     return out
 

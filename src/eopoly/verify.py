@@ -8,13 +8,18 @@ Each runner executes both sides of one implication and compares:
   yields a core term that typechecks at the translated type, with a
   valueness no higher than the source's; core values come only from val
   judgments, and val judgments elaborate to valuables.
+* ``run_nfree_econ``, ``run_nfree_elab`` -- N-free judgments stay N-free
+  across the translation, and their elaborations contain no thunks or forces.
 * ``run_type_safety``         -- an elaborated term never gets stuck and
   keeps its type at every step.
-* ``run_nfree_preservation``  -- N-free judgments stay N-free across the
-  translation, and their elaborations contain no thunks or forces.
 * ``run_consistency``         -- every core step is matched by a bounded
   search over source steps whose result still elaborates to the new core
   term (by-value steps only, when the core term is N-free).
+* ``run_cbv_endpoint``        -- an N-free program's by-value source run
+  ends in a value that elaborates to the core run's value.
+
+The suspension-point checks on one judgment share one :class:`Judgment`,
+which derives it once and builds its elaboration and pools on first use.
 
 A replay validator independently re-derives every node of a reified
 derivation against the declarative rules, so the algorithmic checkers are
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import econ as econ_mod
 from . import impartial as imp_mod
@@ -194,16 +200,22 @@ def build_pool(e: Expr, tys: list[EconType]) -> tuple[EconType, ...]:
     recording a derivation, and the unfolding of a recursive type, which
     a bare type list (a menu, with no program to derive) needs.
     """
-    found = list(tys)
+    derivs = []
     for t in tys:
         try:
-            todo = [econ_mod.econ_check(EconCtx(), e, t).deriv]
+            derivs.append(econ_mod.econ_check(EconCtx(), e, t).deriv)
         except TypecheckError:
             continue
-        while todo:
-            d = todo.pop()
-            found.append(d.ty)
-            todo.extend(reversed(d.children))
+    return _pool(tys, derivs)
+
+
+def _pool(tys: list[EconType], derivs: list[Derivation]) -> tuple[EconType, ...]:
+    found = list(tys)
+    todo = derivs[::-1]
+    while todo:
+        d = todo.pop()
+        found.append(d.ty)
+        todo.extend(reversed(d.children))
     closed = []
     for t in found:
         closed.append(t)
@@ -218,26 +230,63 @@ def target_pool(pool: tuple[EconType, ...]) -> tuple:
     return tuple(ty_target(t) for t in pool if not free_names(t, "eo"))
 
 
-def _judge(e: Expr, ty: EconType | None, direction: str):
-    """The closed suspension-point judgment of ``e``, checked against
-    ``ty`` or synthesized, by ``direction``."""
-    if direction == CHECK:
-        return econ_mod.econ_check(EconCtx(), e, ty)
-    return econ_mod.econ_synth(EconCtx(), e)
+@dataclass
+class Judgment:
+    """The closed suspension-point judgment of ``expr``, checked against
+    ``ty`` or synthesized, by ``direction``.  Its typing, elaboration, pool
+    and checkers are built on first use; a caller sharing one pool across
+    judgments assigns ``checker`` and ``tpool``."""
+
+    expr: Expr
+    ty: EconType | None
+    direction: str
+
+    @cached_property
+    def typing(self):
+        if self.direction == CHECK:
+            return econ_mod.econ_check(EconCtx(), self.expr, self.ty)
+        return econ_mod.econ_synth(EconCtx(), self.expr)
+
+    @cached_property
+    def elab(self):
+        return elaborate(self.typing.deriv)
+
+    @cached_property
+    def pool(self) -> tuple[EconType, ...]:
+        # A synthesis derivation is no checking derivation: derive one.
+        r = self.typing
+        if self.direction == CHECK:
+            return _pool([r.ty], [r.deriv])
+        return build_pool(self.expr, [r.ty])
+
+    @cached_property
+    def checker(self) -> ElabChecker:
+        return ElabChecker(self.pool)
+
+    @cached_property
+    def tpool(self) -> tuple:
+        return target_pool(self.pool)
 
 
 def run_elab_soundness(
     e: Expr, ty: EconType | None, direction: str, program: str = "?",
     checker: ElabChecker | None = None, tpool: tuple | None = None,
 ) -> CheckOutcome:
+    j = Judgment(e, ty, direction)
+    if checker is not None:
+        j.checker, j.tpool = checker, tpool
+    return elab_soundness(j, program)
+
+
+def elab_soundness(j: Judgment, program: str = "?") -> CheckOutcome:
     name = "elab-type-soundness"
     try:
-        r = _judge(e, ty, direction)
+        r = j.typing
     except TypecheckError as ex:
         return CheckOutcome(name, program, FAIL,
                             {"reason": f"judgment failed: {ex}"})
     try:
-        er = elaborate(r.deriv)
+        er = j.elab
     except EopolyError as ex:
         return CheckOutcome(name, program, FAIL,
                             {"reason": f"elaboration failed: {ex}"})
@@ -253,19 +302,15 @@ def run_elab_soundness(
     if er.valueness == VAL and not tgt_mod.is_valuable(er.term):
         return CheckOutcome(name, program, FAIL,
                             {"reason": "a val judgment elaborated to a non-valuable"})
-    if checker is None:
-        pool = build_pool(e, [r.ty])
-        checker = ElabChecker(pool)
-        tpool = target_pool(pool)
-    if not tgt_mod.target_check(TgtCtx(), er.term, ty_target(r.ty), tpool):
+    if not tgt_mod.target_check(TgtCtx(), er.term, ty_target(r.ty), j.tpool):
         return CheckOutcome(
             name, program, FAIL,
             {"reason": "core term does not check at the translated type",
              "term": er.term},
         )
-    if checker.check(erase(e), r.ty, er.term) is None:
+    if j.checker.check(erase(j.expr), r.ty, er.term) is None:
         return CheckOutcome(
-            name, program, FAIL if checker.clean else SEARCH_EXHAUSTED,
+            name, program, FAIL if j.checker.clean else SEARCH_EXHAUSTED,
             {"reason": "elaboration relation does not relate the output",
              "term": er.term},
         )
@@ -344,15 +389,19 @@ def run_nfree_econ(ctx: ImpCtx, e: Expr, ty: ImpType | None, direction: str,
 
 def run_nfree_elab(e: Expr, ty: EconType | None, direction: str,
                    program: str = "?") -> CheckOutcome:
+    return nfree_elab(Judgment(e, ty, direction), program)
+
+
+def nfree_elab(j: Judgment, program: str = "?") -> CheckOutcome:
     name = "elab-preserves-nfree"
     try:
-        r = _judge(e, ty, direction)
+        r = j.typing
     except TypecheckError as ex:
         return CheckOutcome(name, program, FAIL,
                             {"reason": f"judgment failed: {ex}"})
-    if not n_free_econ_judgment(EconCtx(), e, r.ty):
+    if not n_free_econ_judgment(EconCtx(), j.expr, r.ty):
         return CheckOutcome(name, program, VACUOUS)
-    er = elaborate(r.deriv)
+    er = j.elab
     if not n_free_target(er.term):
         return CheckOutcome(name, program, FAIL,
                             {"reason": "elaboration contains a thunk or force",
@@ -379,7 +428,6 @@ class SimStep:
 @dataclass
 class ConsistencyReport:
     program: str
-    elaborated: Term
     target_n_free: bool
     steps: list[SimStep] = field(default_factory=list)
     verdict: str = PASS
@@ -405,8 +453,12 @@ class ConsistencyReport:
 
 def run_consistency(e: Expr, ty: EconType | None, direction: str,
                     fuel: int = 10_000, search_depth: int = 8,
-                    program: str = "?",
-                    checker: ElabChecker | None = None) -> ConsistencyReport:
+                    program: str = "?") -> ConsistencyReport:
+    return consistency(Judgment(e, ty, direction), fuel, search_depth, program)
+
+
+def consistency(j: Judgment, fuel: int = 10_000, search_depth: int = 8,
+                program: str = "?") -> ConsistencyReport:
     """Simulate a core evaluation by source steps, re-relating at each step.
 
     The search for a matching source term is a breadth-first walk over the
@@ -414,14 +466,12 @@ def run_consistency(e: Expr, ty: EconType | None, direction: str,
     search exhaustion, distinct from refutation, because the matched
     source run may be longer than any fixed bound.
     """
-    r = _judge(e, ty, direction)
-    er = elaborate(r.deriv)
-    if checker is None:
-        checker = ElabChecker(build_pool(e, [r.ty]))
-    m = er.term
+    r = j.typing
+    m = j.elab.term
+    checker = j.checker
     nfree = n_free_target(m)
-    report = ConsistencyReport(program, er.term, nfree)
-    e_cur = erase(e)
+    report = ConsistencyReport(program, nfree)
+    e_cur = erase(j.expr)
     phi = checker.check(e_cur, r.ty, m)
     if phi is None:
         report.verdict = FAIL if checker.clean else SEARCH_EXHAUSTED
@@ -540,33 +590,35 @@ def _search_match(e: Expr, ty: EconType, m: Term, checker: ElabChecker,
 
 
 def run_cbv_endpoint(e: Expr, ty: EconType | None, direction: str,
-                     fuel: int = 10_000, program: str = "?",
-                     checker: ElabChecker | None = None) -> CheckOutcome:
+                     fuel: int = 10_000, program: str = "?") -> CheckOutcome:
+    return cbv_endpoint(Judgment(e, ty, direction), fuel, program)
+
+
+def cbv_endpoint(j: Judgment, fuel: int = 10_000,
+                 program: str = "?") -> CheckOutcome:
     """For an N-free program: the by-value-only source evaluation reaches a
     value that elaborates to the core result."""
     name = "cbv-endpoint"
-    r = _judge(e, ty, direction)
-    if not n_free_econ_judgment(EconCtx(), e, r.ty):
+    r = j.typing
+    if not n_free_econ_judgment(EconCtx(), j.expr, r.ty):
         return CheckOutcome(name, program, VACUOUS)
-    er = elaborate(r.deriv)
-    if not n_free_target(er.term):
+    m = j.elab.term
+    if not n_free_target(m):
         return CheckOutcome(name, program, FAIL,
                             {"reason": "elaboration is not N-free"})
-    tv = tgt_mod.evaluate(er.term, fuel)
+    tv = tgt_mod.evaluate(m, fuel)
     if tv.kind != "value":
         return CheckOutcome(name, program, VACUOUS,
                             {"reason": f"core run did not finish: {tv.kind}"})
-    sv = src_mod.cbv_evaluate(erase(e), fuel)
+    sv = src_mod.cbv_evaluate(erase(j.expr), fuel)
     if sv.kind != "value":
         return CheckOutcome(name, program, FAIL,
                             {"reason": f"source run did not finish: {sv.kind}"})
-    if checker is None:
-        checker = ElabChecker(build_pool(e, [r.ty]))
-    v = checker.check(sv.expr, r.ty, tv.term)
+    v = j.checker.check(sv.expr, r.ty, tv.term)
     if v != VAL:
         return CheckOutcome(
             name, program,
-            SEARCH_EXHAUSTED if v is None and not checker.clean else FAIL,
+            SEARCH_EXHAUSTED if v is None and not j.checker.clean else FAIL,
             {"reason": "final source value does not elaborate to the core value",
              "source": sv.expr, "target": tv.term},
         )

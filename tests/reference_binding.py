@@ -125,7 +125,7 @@ def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
                 avoid |= free_names(getattr(node, f), bns)
             fresh = fresh_name(bname, avoid)
             new_binders[binder_field] = fresh
-            sample = getattr(node, scoped[0])
+            sample = next((v for (k, _), v in inner.items() if k == bns), getattr(node, scoped[0]))
             inner = dict(inner)
             inner[(bns, bname)] = _make_ref(bns, fresh, sample)
         for f in scoped:

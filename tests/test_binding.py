@@ -92,7 +92,7 @@ def outcome(fn, *args):
     """``repr`` of ``fn(*args)``, or the exception it raised."""
     try:
         return "ok", repr(fn(*args))
-    except Exception as ex:  # both engines raise renaming a type binder in an expression
+    except Exception as ex:
         return "raised", type(ex).__name__, str(ex)
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior on the corpus."""
 
 import glob
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from eopoly.cli import main
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def path(name):
@@ -36,6 +38,19 @@ def test_check_json(capsys):
     assert record["command"] == "check"
     assert record["verdict"] == "ok"
     assert record["payload"]["valueness"] in ("val", "top")
+
+
+def test_check_renames_type_binder_in_expression(tmp_path, capsys):
+    """Checking the outer type abstraction substitutes 'a for 'b under the
+    inner binder 'a, which must be renamed: the substituted reference is an
+    impartial type variable, not an expression."""
+    f = tmp_path / "tylam.eo"
+    f.write_text("#lang impartial\n"
+                 "((/\\'b. /\\'a. \\x. (x : 'b)) : forall 'a. forall 'c. 'a -[V]> 'a)\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 0, err
+    assert out.splitlines() == ["type: forall 'a. forall 'c. 'a -[V]> 'a",
+                                "valueness: val"]
 
 
 def test_econ_command(capsys):
@@ -131,6 +146,57 @@ def test_verify_builds_one_pool_per_file(capsys, monkeypatch):
         assert len(calls) == 1, f
 
 
+def test_verify_derives_each_judgment_once(capsys, monkeypatch):
+    """``verify FILE`` synthesizes and elaborates the program once and builds
+    one pool; the only checking derivations are the pool's and, on an
+    impartial file, the translation check's.  Calls made inside another
+    counted call are not counted."""
+    from eopoly import econ, verify
+
+    counts = {}
+    depth = [0]
+
+    def outermost(name, fn):
+        def wrapper(*a, **k):
+            if depth[0] == 0:
+                counts[name] = counts.get(name, 0) + 1
+            depth[0] += 1
+            try:
+                return fn(*a, **k)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(econ, "econ_synth", outermost("econ_synth", econ.econ_synth))
+    monkeypatch.setattr(econ, "econ_check", outermost("econ_check", econ.econ_check))
+    monkeypatch.setattr(verify, "elaborate", outermost("elaborate", verify.elaborate))
+    build_pool = verify.build_pool
+
+    def counting_pool(*a):
+        counts["build_pool"] = counts.get("build_pool", 0) + 1
+        return build_pool(*a)
+
+    monkeypatch.setattr(verify, "build_pool", counting_pool)
+    for f in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        counts.clear()
+        run(capsys, "verify", f)
+        assert counts.get("econ_synth") == 1, (f, counts)
+        assert counts.get("elaborate") == 1, (f, counts)
+        assert counts.get("build_pool") == 1, (f, counts)
+        assert 1 <= counts.get("econ_check", 0) <= 2, (f, counts)
+
+
+def test_verify_verdicts_match_answers(capsys, monkeypatch):
+    """Every corpus file's verdicts, in order, are the benchmark's
+    hand-written known answers."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    answers = importlib.import_module("answers")
+    for f in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        _, out, _ = run(capsys, "--json", "verify", f)
+        got = [(r["check"], r["verdict"]) for r in json.loads(out)]
+        assert got == answers.expected_checks(os.path.basename(f)), f
+
+
 def test_verify_gap_witness_fails(capsys):
     code, out, _ = run(capsys, "verify", path("gap_argument_position.eo"))
     assert code == 1
@@ -160,8 +226,9 @@ def test_python_m_eopoly():
 
 
 def test_verify_enumerate(capsys):
-    code, out, _ = run(capsys, "verify", "--enumerate", "3")
+    code, out, _ = run(capsys, "verify", "--enumerate", "4")
     assert code == 0
+    assert out.splitlines()[-1] == "2540 checks: 2540 ok, 0 failed, 0 search-exhausted"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -52,6 +52,7 @@ from eopoly.syntax import (
 from eopoly.verify import (
     FAIL,
     PASS,
+    Judgment,
     SEARCH_EXHAUSTED,
     VACUOUS,
     _search_match,
@@ -402,6 +403,21 @@ def test_build_pool_names_the_instantiated_map_type():
     lst = "(rec[V] 'b. (1 +[V] (1 *[V] 'b)))"
     want = econ.econ_type(parse_type_text(f"(1 -[V]> 1) -[V]> {lst} -[V]> {lst}"))
     assert _in_pool(want, build_pool(e, [r.ty]))
+
+
+def test_checking_judgment_pool_reads_its_own_derivation(monkeypatch):
+    # A checking judgment's derivation is the one build_pool would derive,
+    # so its pool is build_pool's, made without checking again.
+    for path in corpus_files(exclude_gaps=False):
+        e, _ = econ_main(path)
+        ty = econ.econ_synth(EconCtx(), e).ty
+        want = build_pool(e, [ty])
+        j = Judgment(e, ty, CHECK)
+        j.typing
+        calls = []
+        monkeypatch.setattr(econ, "econ_check", lambda *a: calls.append(a))
+        assert j.pool == want and not calls, path
+        monkeypatch.undo()
 
 
 def test_type_safety_takes_at_most_fuel_steps():
