@@ -13,9 +13,11 @@ One contraction, ``_contract``, serves both flavors: at a by-value focus
 every evaluated field already holds a value.  ``cbv_step`` is the
 deterministic by-value step: one walk (``syntax.focus``) finds the redex,
 ``_contract`` reduces it and ``syntax.plug`` puts the result back.
-``enumerate_steps`` lists every step the relation admits, with positions,
-so the simulation harness can search: that by-value step, then the by-name
-steps along the chain of by-name contexts.
+``cbv_evaluate`` does not step from the root each time: ``syntax.run``
+resumes the same walk at each contractum.  ``enumerate_steps`` lists every
+step the relation admits, with positions, so the simulation harness can
+search: that by-value step, then the by-name steps along the chain of
+by-name contexts.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .syntax import (
     Unit,
     focus,
     plug,
+    run,
     subst_expr,
     subst_fix_expr,
 )
@@ -141,16 +144,5 @@ class SourceEvalResult:
 
 
 def cbv_evaluate(e: Expr, fuel: int, want_trace: bool = False) -> SourceEvalResult:
-    trace = [e] if want_trace else None
-    for n in range(fuel + 1):
-        r = cbv_step(e)
-        if r.kind == "value":
-            return SourceEvalResult("value", e, n, trace)
-        if r.kind == "stuck":
-            return SourceEvalResult("stuck", e, n, trace)
-        if n == fuel:
-            break
-        e = r.expr
-        if want_trace:
-            trace.append(e)
-    return SourceEvalResult("out-of-fuel", e, fuel, trace)
+    return SourceEvalResult(*run(e, BYVALUE_CONTEXTS, VALUES, _contract, fuel,
+                                 want_trace))

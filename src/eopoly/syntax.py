@@ -7,9 +7,11 @@ dataclass; binding structure is declared per class via ``scopes`` and
 field, the binders that scope over it), and every generic walk reads the
 plan: ``free_names``, ``subst`` and ``alpha_key``, and on top of them the
 structural helpers every grammar shares (``unfold``, ``match_instantiate``,
-``subterms``, ``node_count`` and the like).  ``focus`` and ``plug``
-likewise serve every evaluator, each driven by that evaluator's table of
-evaluation contexts.  Names live in four namespaces that never mix:
+``subterms``, ``node_count`` and the like).  ``focus``, ``plug`` and the
+run loop ``run`` likewise serve every evaluator, each driven by that
+evaluator's table of evaluation contexts; a run resumes each search for
+the next redex at the contractum instead of at the root.  Names live in
+four namespaces that never mix:
 
     "x"   term variables
     "u"   fixed-point variables
@@ -613,33 +615,34 @@ class MUnroll(Term):
     body: Term
 
 
-# Per type grammar: its type-variable constructor and its recursive-type
-# constructor.  An impartial recursive type carries an order; the only one
-# built here binds an unused variable, where the order makes no difference.
-_TYPE_GRAMMARS = (
-    (ImpType, ITyVar, lambda var, body: IRec(var, body, V)),
-    (EconType, STyVar, SRec),
-    (TgtType, ATyVar, ARec),
+# Per type grammar, its recursive-type constructor.  An impartial recursive
+# type carries an order; the only one built here binds an unused variable,
+# where the order makes no difference.
+_REC_WRAPS = (
+    (ImpType, lambda var, body: IRec(var, body, V)),
+    (EconType, SRec),
+    (TgtType, ARec),
 )
 REC_TYPES = (IRec, SRec, ARec)
 
 
-def _grammar(ty: Node) -> tuple:
-    for g in _TYPE_GRAMMARS:
-        if isinstance(ty, g[0]):
-            return g
+def _rec_wrap(ty: Node):
+    for grammar, wrap in _REC_WRAPS:
+        if isinstance(ty, grammar):
+            return wrap
     raise TypeError(f"not a type: {ty!r}")
 
 
-def _make_ref(ns: str, name: str, sample: Node):
-    # Binder renaming needs a reference node of the right family.
+def _ref_like(sub: dict, ns: str, name: str, new: str) -> object:
+    """A reference to ``new`` of the class of the reference to ``name`` in
+    ``sub``'s replacements: a binder renamed so as not to capture that
+    name refers to itself in the captured variable's own grammar."""
     if ns == "eo":
-        return eo_var(name)
-    if isinstance(sample, Term):
-        return {"x": MVar, "u": MFixVar}[ns](name)
-    if isinstance(sample, Expr):
-        return {"x": Var, "u": FixVar}[ns](name)
-    return _grammar(sample)[1](name)
+        return eo_var(new)
+    return next(type(n)(new) for r in sub.values() if isinstance(r, Node)
+                for n in subterms(r)
+                if type(n).ref is not None and type(n).ref[0] == ns
+                and getattr(n, type(n).ref[1]) == name)
 
 
 def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
@@ -692,9 +695,9 @@ def _under_binders(node: Node, sub: dict) -> dict[str, tuple[dict, str]]:
             avoid = set(frees)
             for f in scoped:
                 avoid |= free_names(getattr(node, f), bns)
-            bname = fresh_name(bname, avoid)
-            sample = next((r for (k, _), r in inner.items() if k == bns), getattr(node, scoped[0]))
-            inner = {**inner, key: _make_ref(bns, bname, sample)}
+            fresh = fresh_name(bname, avoid)
+            inner = {**inner, key: _ref_like(inner, bns, bname, fresh)}
+            bname = fresh
         out[binder_field] = (inner, bname)
     return out
 
@@ -772,7 +775,7 @@ def refold_candidates(ty: Node, pool: tuple[Node, ...] = ()) -> list[Node]:
     Any such type occurs in ``ty`` itself (when its variable occurs), or
     wraps ``ty`` with an unused binder; the pool adds externally known ones.
     """
-    wrap = _grammar(ty)[2]
+    wrap = _rec_wrap(ty)
     cands = [t for t in subterms(ty) + list(pool)
              if isinstance(t, REC_TYPES) and alpha_eq(unfold(t), ty)]
     cands.append(wrap(fresh_name("rec", free_names(ty, "ty")), ty))
@@ -841,37 +844,102 @@ def match_instantiate(pattern: Node, var: str, goal: Node) -> Node | None | str:
 # as abstractions, which evaluate no field, and data such as pairs).  A
 # frame ``(node, field)`` is ``node`` with a hole at ``field``.
 
-def focus(node: Node, contexts: dict, values: tuple) -> tuple | None:
-    """None when ``node`` is a value; else ``(redex, frames)``.
+def _resume(node: Node, stack: list, contexts: dict, values: tuple,
+            known: dict) -> tuple[Node, bool]:
+    """The context walk, from ``node`` in the hole of ``stack`` to a redex.
 
-    The redex is the first subterm, in evaluation order, that is not a
-    value though every field it evaluates holds one; ``frames`` lead from
-    the root down to it.  One walk, without recursion, visits each node
-    at most once.
+    ``stack`` holds ``(parent, fields, i)`` frames: ``parent`` with a hole
+    at the ``i``-th of the ``fields`` it evaluates.  The walk pushes and
+    pops them in place, without recursion.  Returns ``(redex, True)``,
+    ``stack`` leading to the redex: the first subterm, in evaluation order,
+    that is not a value though every field it evaluates holds one.  Returns
+    ``(term, False)``, ``stack`` empty, once the whole term is a value.
+    Climbing out of a field rebuilds the parent only when the child in it
+    changed.  ``known`` maps the identity of each value found so far to the
+    value, so a value met again (an argument substituted into an evaluated
+    position, say) is not walked again.
     """
-    stack: list[tuple[Node, int]] = []
-    i = 0
+    fields, i = contexts.get(type(node), ()), 0
     while True:
-        fields = contexts.get(type(node), ())
         if i < len(fields):
-            stack.append((node, i))
-            node, i = getattr(node, fields[i]), 0
+            child = getattr(node, fields[i])
+            if id(child) in known:
+                i += 1
+            else:
+                stack.append((node, fields, i))
+                node, fields, i = child, contexts.get(type(child), ()), 0
         elif isinstance(node, values):
+            if fields:
+                known[id(node)] = node
             if not stack:
-                return None
-            node, i = stack.pop()
+                return node, False
+            child = node
+            node, fields, i = stack.pop()
+            if getattr(node, fields[i]) is not child:
+                node = _fill(node, fields[i], child)
             i += 1
         else:
-            return node, [(n, contexts[type(n)][j]) for n, j in stack]
+            return node, True
+
+
+def focus(node: Node, contexts: dict, values: tuple) -> tuple | None:
+    """None when ``node`` is a value; else ``(redex, frames)``, the frames
+    leading from the root down to the redex."""
+    stack: list = []
+    redex, found = _resume(node, stack, contexts, values, {})
+    if not found:
+        return None
+    return redex, [(n, fields[i]) for n, fields, i in stack]
+
+
+def _fill(parent: Node, field: str, child: Node) -> Node:
+    cls = type(parent)
+    return cls(*[child if f == field else getattr(parent, f)
+                 for f in _field_names(cls)])
 
 
 def plug(frames: list[tuple[Node, str]], node: Node) -> Node:
     """``node`` in the hole of the context ``frames``."""
     for parent, field in reversed(frames):
-        cls = type(parent)
-        node = cls(*[node if f == field else getattr(parent, f)
-                     for f in _field_names(cls)])
+        node = _fill(parent, field, node)
     return node
+
+
+def run(node: Node, contexts: dict, values: tuple, contract, fuel: int,
+        want_trace: bool = False) -> tuple:
+    """Evaluate ``node`` by at most ``fuel`` contractions.
+
+    ``contract`` maps a redex to ``(rule, contractum)``, or to None when it
+    is stuck.  Returns ``(kind, term, steps, trace)``: kind is "value",
+    "stuck" or "out-of-fuel" (a term still able to step after ``fuel``
+    steps), and ``trace``, with ``want_trace``, lists every term from
+    ``node`` on.  The run is refocused: after a contraction the walk
+    resumes at the contractum, inside the frames it already holds, and
+    shares one ``known`` table of values for the whole run; the frames are
+    plugged only to return the final term and, with ``want_trace``, after
+    each contraction.
+    """
+    stack: list = []
+    known: dict[int, Node] = {}
+    trace = [node] if want_trace else None
+    steps = 0
+
+    def whole(hole: Node) -> Node:
+        return plug([(n, fields[i]) for n, fields, i in stack], hole)
+
+    while True:
+        node, found = _resume(node, stack, contexts, values, known)
+        if not found:
+            return "value", node, steps, trace
+        red = contract(node)
+        if red is None:
+            return "stuck", whole(node), steps, trace
+        if steps == fuel:
+            return "out-of-fuel", whole(node), steps, trace
+        node = red[1]
+        steps += 1
+        if want_trace:
+            trace.append(whole(node))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ constructors that form a value once those fields hold values, and
 stepper is substitution-based and deterministic: one walk
 (``syntax.focus``) finds the unique redex and its context, ``_contract``
 reduces it, and ``syntax.plug`` puts the result back; a value is a term
-in which the walk finds no redex.
+in which the walk finds no redex.  ``evaluate`` does not step from the
+root each time: ``syntax.run`` resumes the walk at each contractum, in
+the context it already holds, and skips the values it has already found.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .syntax import (
     match_instantiate,
     plug,
     refold_candidates,
+    run,
     subst_fix_term,
     subst_term,
     subst_ty_in_ty,
@@ -381,16 +384,4 @@ class EvalResult:
 
 
 def evaluate(m: Term, fuel: int, want_trace: bool = False) -> EvalResult:
-    trace = [m] if want_trace else None
-    for n in range(fuel + 1):
-        r = step(m)
-        if r.kind == "value":
-            return EvalResult("value", m, n, trace)
-        if r.kind == "stuck":
-            return EvalResult("stuck", m, n, trace)
-        if n == fuel:
-            break
-        m = r.term
-        if want_trace:
-            trace.append(m)
-    return EvalResult("out-of-fuel", m, fuel, trace)
+    return EvalResult(*run(m, CONTEXTS, VALUES, _contract, fuel, want_trace))

@@ -6,9 +6,12 @@ the declaration on every visit and rebuilt changed nodes with
 ``dataclasses.replace``.  They are slow but follow the declaration
 plainly, so ``tests/test_binding.py`` runs them as the oracle for
 ``free_names``, ``subst``, ``alpha_key``, ``subterms`` and ``node_count``.
-Kept as they were, with one exception: the per-node memo of ``alpha_key``
-is stored under its own attribute, so the two engines never read each
-other's keys.  Do not tidy them.
+Kept as they were, with two exceptions: the per-node memo of
+``alpha_key`` is stored under its own attribute, so the two engines never
+read each other's keys; and a binder renamed to avoid capture refers to
+itself with the class of the reference it would have captured, so a type
+binder inside an expression is renamed in the captured variable's type
+grammar.  Do not tidy them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 
-from eopoly.syntax import EO, Node, _make_ref, children, fresh_name
+from eopoly.syntax import EO, Node, children, fresh_name
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +96,20 @@ def _scoped_key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
     return tuple(parts)
 
 
+def _captured_ref(sub: dict[tuple[str, str], object], ns: str, name: str,
+                  fresh: str) -> object:
+    """A reference to ``fresh`` built like the reference to ``name`` that
+    a replacement in ``sub`` would have had captured."""
+    if ns == "eo":
+        return EO("var", fresh)
+    for repl in sub.values():
+        if isinstance(repl, Node):
+            for n in subterms(repl):
+                if n.ref is not None and n.ref[0] == ns and getattr(n, n.ref[1]) == name:
+                    return type(n)(fresh)
+    raise AssertionError(f"{name!r} is not free in any replacement")
+
+
 def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
     if not sub:
         return node
@@ -125,9 +142,8 @@ def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
                 avoid |= free_names(getattr(node, f), bns)
             fresh = fresh_name(bname, avoid)
             new_binders[binder_field] = fresh
-            sample = next((v for (k, _), v in inner.items() if k == bns), getattr(node, scoped[0]))
             inner = dict(inner)
-            inner[(bns, bname)] = _make_ref(bns, fresh, sample)
+            inner[(bns, bname)] = _captured_ref(inner, bns, bname, fresh)
         for f in scoped:
             field_sub[f] = inner
     updates: dict[str, object] = {}

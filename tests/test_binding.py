@@ -315,3 +315,20 @@ def test_forced_capture_agrees(grammar, ns, binder, make_ref, data):
         result = syntax.subst(node, sub)
         assert "a" in syntax.free_names(result, ns)
         same_walks(result)
+
+
+@pytest.mark.parametrize("tyvar", [ITyVar, STyVar], ids=lambda c: c.__name__)
+def test_expression_replacement_renames_type_binder(tyvar):
+    """Only an expression replacement mentions the type variable that a
+    type binder inside an expression would capture: the binder is renamed
+    in that variable's grammar, and the variable stays free."""
+    node = TyLam("a", Anno(Var("y"), tyvar("a")))
+    sub = {("x", "y"): Anno(Unit(), tyvar("a"))}
+    assert same_subst(node, sub)[0] == "ok"
+    got = syntax.subst(node, sub)
+    assert got.var != "a"
+    assert got == TyLam(got.var, Anno(Anno(Unit(), tyvar("a")), tyvar(got.var)))
+    assert syntax.free_names(got, "ty") == {"a"}
+    bare = syntax.subst(TyLam("a", Var("y")), sub)
+    assert bare.var != "a" and syntax.free_names(bare, "ty") == {"a"}
+    same_walks(got)

@@ -101,6 +101,15 @@ def test_src_run_json_trace(capsys):
         assert payload["trace"][-1] == payload["result"], cmd
 
 
+def test_src_run_reaches_default_fuel(capsys):
+    """The by-value run of the lazy stream's head diverges; at the default
+    fuel it still ends, because a run resumes each search at the
+    contractum instead of re-walking the whole term."""
+    code, out, _ = run(capsys, "src-run", path("stream_head.eo"))
+    assert code == 1
+    assert out.splitlines()[-1].startswith("out-of-fuel after 10000 step(s): ")
+
+
 def test_src_run_value(capsys):
     code, out, _ = run(capsys, "src-run", path("nfree_mono.eo"))
     assert code == 0

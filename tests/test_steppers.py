@@ -2,11 +2,16 @@
 
 ``reference_steppers`` keeps the steppers that spelled out each evaluation
 context as a match; every test here steps a term both ways, up to a fuel
-cap, and demands the same kind, rule, path and term at every step.
+cap, and demands the same kind, rule, path and term at every step.  Whole
+runs (``target.evaluate``, ``source.cbv_evaluate``), which resume each
+search at the contractum instead of stepping from the root, are held to a
+plain fuel loop over the reference steppers.
 """
 
+import functools
 import glob
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +20,7 @@ import reference_steppers as ref
 from eopoly import econ, source, target
 from eopoly.elaborate import elaborate
 from eopoly.enum_terms import enumerate_welltyped
-from eopoly.program import load_program
+from eopoly.program import load_program, parse_program
 from eopoly.syntax import (
     App,
     Case,
@@ -79,28 +84,140 @@ def same_source_run(e, fuel):
         e = got.expr
 
 
-@pytest.mark.parametrize(
-    "path", sorted(glob.glob(os.path.join(CORPUS, "*.eo"))), ids=os.path.basename
-)
-def test_corpus_runs_agree(path):
-    prog = load_program(path)
+def reference_run(x, fuel, ref_step):
+    """``(kind, term, steps, trace)``: ``x`` stepped from the root by
+    ``ref_step`` until a value, a stuck term, or ``fuel`` steps."""
+    trace = [x]
+    for n in range(fuel + 1):
+        r = ref_step(x)
+        if r.kind != "step":
+            return r.kind, x, n, trace
+        if n == fuel:
+            return "out-of-fuel", x, n, trace
+        x = r.term if isinstance(r, target.StepResult) else r.expr
+        trace.append(x)
+
+
+def same_whole_runs(x, cap, evaluate, ref_step):
+    """``evaluate`` against the reference loop, at fuels 0, 1, the
+    reference run's step count within ``cap`` and one less, with and
+    without a trace: same kind, final term, steps and trace."""
+    ref_step = functools.lru_cache(maxsize=None)(ref_step)
+    n = reference_run(x, cap, ref_step)[2]
+    for fuel in sorted({0, 1, max(n - 1, 0), n}):
+        kind, term, steps, trace = reference_run(x, fuel, ref_step)
+        for want_trace in (False, True):
+            got = evaluate(x, fuel, want_trace)
+            final = got.term if isinstance(got, target.EvalResult) else got.expr
+            assert (got.kind, repr(final), got.steps) == (kind, repr(term), steps), (x, fuel)
+            if want_trace:
+                assert [repr(t) for t in got.trace] == [repr(t) for t in trace], (x, fuel)
+            else:
+                assert got.trace is None
+
+
+CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS, "*.eo")))
+
+
+def program_run(prog):
+    """The elaborated core term and the erased source of a program."""
     e = econ.econ_expr(prog.main) if prog.lang == "impartial" else prog.main
-    er = elaborate(econ.econ_synth(EconCtx(), e).deriv)
-    same_core_run(er.term, CORE_FUEL)
-    same_source_run(erase(prog.main), SOURCE_FUEL)
+    return elaborate(econ.econ_synth(EconCtx(), e).deriv).term, erase(prog.main)
 
 
-def test_enumerated_runs_agree():
+def corpus_run(path):
+    return program_run(load_program(path))
+
+
+@pytest.fixture(scope="module")
+def enumerated_runs():
+    """The elaborated core term and the erased source of every bound-5
+    judgment."""
     judgments = enumerate_welltyped(ENUM_BOUND)
     assert len(judgments) == 2339
+    out = []
     for j in judgments:
         ee = econ.econ_expr(j.expr)
         if j.direction == "check":
             r = econ.econ_check(EconCtx(), ee, econ.econ_type(j.ty))
         else:
             r = econ.econ_synth(EconCtx(), ee)
-        same_core_run(elaborate(r.deriv).term, ENUM_FUEL)
-        same_source_run(erase(j.expr), ENUM_FUEL)
+        out.append((elaborate(r.deriv).term, erase(j.expr)))
+    return out
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=os.path.basename)
+def test_corpus_runs_agree(path):
+    m, e = corpus_run(path)
+    same_core_run(m, CORE_FUEL)
+    same_source_run(e, SOURCE_FUEL)
+
+
+def test_enumerated_runs_agree(enumerated_runs):
+    for m, e in enumerated_runs:
+        same_core_run(m, ENUM_FUEL)
+        same_source_run(e, ENUM_FUEL)
+
+
+def test_evaluate_matches_reference_loop(enumerated_runs):
+    """Whole runs of every corpus file and every bound-5 judgment, core
+    and source, against the reference loop."""
+    runs = [corpus_run(path) + (CORE_FUEL, SOURCE_FUEL) for path in CORPUS_FILES]
+    runs += [(m, e, ENUM_FUEL, ENUM_FUEL) for m, e in enumerated_runs]
+    for m, e, core_fuel, source_fuel in runs:
+        same_whole_runs(m, core_fuel, target.evaluate, ref.step)
+        same_whole_runs(e, source_fuel, source.cbv_evaluate, ref.cbv_step)
+
+
+class CountingContexts(dict):
+    """An evaluation-context table that counts the walk's lookups: one per
+    visit of a node."""
+
+    visits = 0
+
+    def get(self, key, default=None):
+        self.visits += 1
+        return super().get(key, default)
+
+
+def _map_v(n):
+    """``corpus/map_applied_v.eo`` applied to an ``n``-element list."""
+    with open(os.path.join(CORPUS, "map_applied_v.eo")) as fh:
+        text = fh.read()
+    xs = "inj1 ()"
+    for _ in range(n):
+        xs = f"inj2 ((), {xs})"
+    return parse_program(text.replace("(inj2 ((), inj1 ()))", f"({xs})"))
+
+
+def _visits_per_contraction(monkeypatch, module, table, evaluate, x):
+    counting = CountingContexts(getattr(module, table))
+    monkeypatch.setattr(module, table, counting)
+    r = evaluate(x, 100_000)
+    monkeypatch.undo()
+    assert r.kind == "value"
+    return counting.visits / r.steps
+
+
+def test_run_visits_per_contraction_do_not_grow(monkeypatch):
+    """A run resumes each search at the contractum, so the nodes its walk
+    visits per contraction do not grow with the input: map at V over 128
+    elements against 16 (stepping from the root, they grow about 7-fold)."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)  # hashing the 128-element list recurses
+    try:
+        per = {}
+        for n in (16, 128):
+            m, e = program_run(_map_v(n))
+            per[n] = (
+                _visits_per_contraction(monkeypatch, target, "CONTEXTS", target.evaluate, m),
+                _visits_per_contraction(monkeypatch, source, "BYVALUE_CONTEXTS",
+                                        source.cbv_evaluate, e),
+            )
+    finally:
+        sys.setrecursionlimit(limit)
+    for small, large in zip(per[16], per[128]):
+        assert large < 1.25 * small, per
 
 
 # -- random untyped, open and stuck terms ---------------------------------------
@@ -165,11 +282,13 @@ def _source_exprs():
 @given(_core_terms())
 def test_random_core_terms_agree(m):
     same_core_run(m, 20)
+    same_whole_runs(m, 20, target.evaluate, ref.step)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_source_exprs())
 def test_random_source_exprs_agree(e):
     same_source_run(e, 20)
+    same_whole_runs(e, 20, source.cbv_evaluate, ref.cbv_step)
     for s in source.enumerate_steps(e):
         same_source_run(s.result, 5)
