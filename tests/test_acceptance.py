@@ -77,6 +77,10 @@ def enum7():
     return enumerate_welltyped(ENUM_BOUND)
 
 
+def test_bound_seven_enumeration_size(enum7):
+    assert len(enum7) == 33971
+
+
 @pytest.fixture(scope="module")
 def shared_checker():
     pool = build_pool(Unit(), [econ.econ_type(t) for t in default_menu()])
