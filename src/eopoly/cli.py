@@ -167,19 +167,24 @@ def cmd_freeness(args) -> int:
 
 def _judgment_checks(source, j: Judgment, pid: str) -> list[CheckOutcome]:
     """The checks every judgment gets: the translation checks on its
-    impartial ``source`` (expression and type), when it has one, and the
-    elaboration checks on its suspension-point judgment ``j``."""
+    impartial ``source`` typing (expression, type and valueness), when it
+    has one, and the elaboration checks on its suspension-point judgment
+    ``j``."""
     out = []
     if source is not None:
-        out = [verify_mod.run_econ_preservation(ImpCtx(), *source, j.direction, pid),
-               verify_mod.run_nfree_econ(ImpCtx(), *source, j.direction, pid)]
+        e, ty, valueness = source
+        out = [verify_mod.econ_preservation(ImpCtx(), e, ty, valueness, pid),
+               verify_mod.nfree_econ(ImpCtx(), e, ty, pid)]
     return out + [verify_mod.elab_soundness(j, pid), verify_mod.nfree_elab(j, pid)]
 
 
 def _verify_program(args) -> list[CheckOutcome]:
     prog = load_program(args.file)
     j = _to_econ(prog)
-    source = (prog.main, None) if prog.lang == "impartial" else None
+    source = None
+    if prog.lang == "impartial":
+        r = imp_mod.synth(ImpCtx(), prog.main)
+        source = (prog.main, r.ty, r.valueness)
     return _judgment_checks(source, j, args.file) + [
         verify_mod.run_type_safety(j.elab.term, ty_target(j.typing.ty), j.tpool,
                                    args.fuel, args.file),
@@ -193,7 +198,8 @@ def _verify_enumerated(args) -> list[CheckOutcome]:
     for i, imp in enumerate(enumerate_welltyped(args.enumerate)):
         j = Judgment(econ_mod.econ_expr(imp.expr), econ_mod.econ_type(imp.ty),
                      imp.direction)
-        outcomes += _judgment_checks((imp.expr, imp.ty), j, f"enum-{i}")
+        outcomes += _judgment_checks((imp.expr, imp.ty, imp.valueness), j,
+                                     f"enum-{i}")
     return outcomes
 
 

@@ -1046,6 +1046,19 @@ class ImpCtx(Ctx):
     def with_u(self, name: str, ty: ImpType) -> "ImpCtx":
         return self._extend("u", name, (TOP, ty))
 
+    # The three places where the checker (``bidir``) treats the systems
+    # apart: a function's binder is a value only by value, a case binder
+    # always is, and a variable synthesizes the valueness it was bound at.
+
+    def with_arg(self, name: str, arrow: IArrow) -> "ImpCtx":
+        return self.with_x(name, valof(arrow.eo), arrow.dom)
+
+    def with_case(self, name: str, ty: ImpType) -> "ImpCtx":
+        return self.with_x(name, VAL, ty)
+
+    def assumption(self, kind: str, name: str) -> tuple[Valueness, ImpType]:
+        return self.lookup(kind, name)
+
 
 class EconCtx(Ctx):
     def with_x(self, name: str, ty: EconType) -> "EconCtx":
@@ -1053,6 +1066,18 @@ class EconCtx(Ctx):
 
     def with_u(self, name: str, ty: EconType) -> "EconCtx":
         return self._extend("u", name, ty)
+
+    # A binder's order is in its type (a suspension), so every binder is
+    # declared at its type and every term variable synthesizes val.
+
+    def with_arg(self, name: str, arrow: SArrow) -> "EconCtx":
+        return self.with_x(name, arrow.dom)
+
+    def with_case(self, name: str, ty: EconType) -> "EconCtx":
+        return self.with_x(name, ty)
+
+    def assumption(self, kind: str, name: str) -> tuple[Valueness, EconType]:
+        return (VAL if kind == "x" else TOP), self.lookup(kind, name)
 
     def subst_eo(self, eo: EO, var: str) -> "EconCtx":
         out = []

@@ -20,6 +20,9 @@ Each runner executes both sides of one implication and compares:
 
 The suspension-point checks on one judgment share one :class:`Judgment`,
 which derives it once and builds its elaboration and pools on first use.
+The translation checks have bodies (``econ_preservation``,
+``nfree_econ``) that read an impartial typing already derived; each
+``run_*`` entry derives the typing, then runs its body.
 
 A replay validator independently re-derives every node of a reified
 derivation against the declarative rules, so the algorithmic checkers are
@@ -75,6 +78,7 @@ from .syntax import (
     TOP,
     V,
     VAL,
+    Valueness,
     Var,
     alpha_eq,
     alpha_key,
@@ -142,46 +146,46 @@ def _jsonable(value):
 def run_econ_preservation(
     ctx: ImpCtx, e: Expr, ty: ImpType | None, direction: str, program: str = "?"
 ) -> CheckOutcome:
-    """Translating a well-typed judgment preserves typability.
+    """Derive the impartial judgment, then run ``econ_preservation``."""
+    try:
+        before = imp_mod.check(ctx, e, ty) if direction == CHECK else imp_mod.synth(ctx, e)
+    except TypecheckError as ex:
+        return CheckOutcome("econ-preserves-typing", program, FAIL,
+                            {"reason": f"source judgment failed: {ex}"})
+    return econ_preservation(ctx, e, before.ty, before.valueness, program)
+
+
+def econ_preservation(ctx: ImpCtx, e: Expr, ty: ImpType, valueness: Valueness,
+                      program: str = "?") -> CheckOutcome:
+    """Translating the impartial judgment that ``e`` has type ``ty`` at
+    ``valueness`` preserves typability.
 
     The checker reports the least derivable valueness, and checking
     against a by-name suspension refines it to val (the subject becomes a
     thunk), so the translated valueness may sharpen; it must never
     coarsen, and on N-free judgments (no suspensions to hide behind) it
-    must agree exactly.  Synthesis judgments are compared in checking mode
-    against the translated type, which absorbs the suspension-stripping
-    chain the declarative synthesis would end with.
+    must agree exactly.  A synthesized judgment is compared in checking
+    mode against the translated type, which absorbs the
+    suspension-stripping chain the declarative synthesis would end with.
     """
     name = "econ-preserves-typing"
     try:
-        if direction == CHECK:
-            before = imp_mod.check(ctx, e, ty)
-            want = econ_mod.econ_type(ty)
-        else:
-            before = imp_mod.synth(ctx, e)
-            want = econ_mod.econ_type(before.ty)
-    except TypecheckError as ex:
-        return CheckOutcome(name, program, FAIL,
-                            {"reason": f"source judgment failed: {ex}"})
-    ectx = econ_mod.econ_ctx(ctx)
-    ee = econ_mod.econ_expr(e)
-    try:
-        after = econ_mod.econ_check(ectx, ee, want)
+        after = econ_mod.econ_check(econ_mod.econ_ctx(ctx), econ_mod.econ_expr(e),
+                                    econ_mod.econ_type(ty))
     except TypecheckError as ex:
         return CheckOutcome(name, program, FAIL,
                             {"reason": f"translated judgment failed: {ex}"})
-    if not vleq(after.valueness, before.valueness):
+    if not vleq(after.valueness, valueness):
         return CheckOutcome(
             name, program, FAIL,
             {"reason": "translated valueness coarsened",
-             "before": before.valueness.value, "after": after.valueness.value},
+             "before": valueness.value, "after": after.valueness.value},
         )
-    if (after.valueness != before.valueness
-            and n_free_impartial_judgment(ctx, e, ty if direction == CHECK else before.ty)):
+    if after.valueness != valueness and n_free_impartial_judgment(ctx, e, ty):
         return CheckOutcome(
             name, program, FAIL,
             {"reason": "valueness changed on an N-free judgment",
-             "before": before.valueness.value, "after": after.valueness.value},
+             "before": valueness.value, "after": after.valueness.value},
         )
     return CheckOutcome(name, program, PASS)
 
@@ -374,9 +378,15 @@ def run_type_safety(m: Term, ty, pool, fuel: int = 10_000,
 
 def run_nfree_econ(ctx: ImpCtx, e: Expr, ty: ImpType | None, direction: str,
                    program: str = "?") -> CheckOutcome:
-    name = "econ-preserves-nfree"
     if direction == SYNTH:
         ty = imp_mod.synth(ctx, e).ty
+    return nfree_econ(ctx, e, ty, program)
+
+
+def nfree_econ(ctx: ImpCtx, e: Expr, ty: ImpType, program: str = "?") -> CheckOutcome:
+    """An N-free impartial judgment that ``e`` has type ``ty`` stays N-free
+    across the translation."""
+    name = "econ-preserves-nfree"
     if not n_free_impartial_judgment(ctx, e, ty):
         return CheckOutcome(name, program, VACUOUS)
     ectx = econ_mod.econ_ctx(ctx)

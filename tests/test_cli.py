@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 from eopoly.cli import main
+from eopoly.enum_terms import enumerate_welltyped
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -155,14 +156,9 @@ def test_verify_builds_one_pool_per_file(capsys, monkeypatch):
         assert len(calls) == 1, f
 
 
-def test_verify_derives_each_judgment_once(capsys, monkeypatch):
-    """``verify FILE`` synthesizes and elaborates the program once and builds
-    one pool; the only checking derivations are the pool's and, on an
-    impartial file, the translation check's.  Calls made inside another
-    counted call are not counted."""
-    from eopoly import econ, verify
-
-    counts = {}
+def outermost_counter(counts):
+    """A wrapper maker: ``outermost(name, fn)`` counts into ``counts[name]``
+    each call of ``fn`` not made inside another counted call."""
     depth = [0]
 
     def outermost(name, fn):
@@ -175,7 +171,18 @@ def test_verify_derives_each_judgment_once(capsys, monkeypatch):
             finally:
                 depth[0] -= 1
         return wrapper
+    return outermost
 
+
+def test_verify_derives_each_judgment_once(capsys, monkeypatch):
+    """``verify FILE`` synthesizes and elaborates the program once and builds
+    one pool; the only checking derivations are the pool's and, on an
+    impartial file, the translation check's.  Calls made inside another
+    counted call are not counted."""
+    from eopoly import econ, verify
+
+    counts = {}
+    outermost = outermost_counter(counts)
     monkeypatch.setattr(econ, "econ_synth", outermost("econ_synth", econ.econ_synth))
     monkeypatch.setattr(econ, "econ_check", outermost("econ_check", econ.econ_check))
     monkeypatch.setattr(verify, "elaborate", outermost("elaborate", verify.elaborate))
@@ -193,6 +200,39 @@ def test_verify_derives_each_judgment_once(capsys, monkeypatch):
         assert counts.get("elaborate") == 1, (f, counts)
         assert counts.get("build_pool") == 1, (f, counts)
         assert 1 <= counts.get("econ_check", 0) <= 2, (f, counts)
+
+
+def test_verify_derives_the_impartial_side_once(capsys, monkeypatch):
+    """``verify FILE`` synthesizes an impartial program once and an econ
+    program never; ``verify --enumerate`` makes no impartial derivation
+    beyond the enumerator's own: the translation checks read the typing
+    they are given."""
+    from eopoly import impartial
+
+    counts = {}
+    outermost = outermost_counter(counts)
+    monkeypatch.setattr(impartial, "check", outermost("check", impartial.check))
+    monkeypatch.setattr(impartial, "synth", outermost("synth", impartial.synth))
+    for f in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        counts.clear()
+        run(capsys, "verify", f)
+        impartial_file = open(f).readline().strip() == "#lang impartial"
+        assert counts == ({"synth": 1} if impartial_file else {}), (f, counts)
+    counts.clear()
+    enumerate_welltyped(3)
+    enumerator_only = dict(counts)
+    counts.clear()
+    run(capsys, "verify", "--enumerate", "3")
+    assert counts == enumerator_only
+
+
+def test_verify_ill_typed_impartial_file(tmp_path, capsys):
+    bad = tmp_path / "bad.eo"
+    bad.write_text("#lang impartial\n((\\x. x) : 1 -[V]> 1 +[N] 1)\n")
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, out) == (1, "")
+    assert err == ("error: TypeMismatch: synthesized IUnit() but expected "
+                   "ISum(left=IUnit(), right=IUnit(), eo=N)\n")
 
 
 def test_verify_verdicts_match_answers(capsys, monkeypatch):

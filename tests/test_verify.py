@@ -318,10 +318,16 @@ def test_inversion_spot_checks():
 
 def test_replay_all_enumerated_derivations():
     """Every derivation the checkers produce re-validates node-by-node
-    against the declarative rules, on both sides of the translation."""
+    against the declarative rules, on both sides of the translation: the
+    bound-4 enumeration's and every corpus file's."""
     from eopoly import impartial
     from eopoly.verify import replay_econ, replay_impartial
 
+    for f in corpus_files(exclude_gaps=False):
+        e, prog = econ_main(f)
+        if prog.lang == "impartial":
+            replay_impartial(impartial.synth(ImpCtx(), prog.main).deriv)
+        replay_econ(econ.econ_synth(EconCtx(), e).deriv)
     for j in enumerate_welltyped(4):
         if j.direction == "check":
             r = impartial.check(ImpCtx(), j.expr, j.ty)
