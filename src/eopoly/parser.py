@@ -17,11 +17,18 @@ Application binds left; projection, type application, and order
 instantiation are postfix on atoms; the prefix keywords (inj1, thunk,
 force, ...) take one prefix-or-atom argument.  Abbreviations are expanded
 at parse time.
+
+Expressions and core terms share one set of parsing methods, which build
+each shared form with the constructors of the grammar being parsed (a
+:class:`_Grammar`); only the forms one grammar lacks are separate clauses.
+A name refers to its innermost binder: a fixed-point variable when that
+binder is a ``fix``, a term variable otherwise or when nothing binds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParseError
 from .syntax import (
@@ -159,6 +166,34 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
+@dataclass(frozen=True)
+class _Grammar:
+    """The constructors a term grammar builds its shared forms with."""
+
+    what: str
+    unit: Callable
+    var: Callable
+    fixvar: Callable
+    lam: Callable
+    fix: Callable
+    app: Callable
+    pair: Callable
+    proj: Callable
+    case: Callable
+    prefix: dict  # keyword -> constructor of its one argument
+
+
+_SOURCE = _Grammar(
+    "an expression", Unit, Var, FixVar, Lam, Fix, App, Pair, Proj, Case,
+    {"inj1": lambda b: Inj(1, b), "inj2": lambda b: Inj(2, b)},
+)
+_CORE = _Grammar(
+    "a core term", MUnit, MVar, MFixVar, MLam, MFix, MApp, MPair, MProj, MCase,
+    {"inj1": lambda b: MInj(1, b), "inj2": lambda b: MInj(2, b),
+     "thunk": MThunk, "force": MForce, "roll": MRoll, "unroll": MUnroll},
+)
+
+
 @dataclass
 class Abbrev:
     name: str
@@ -173,7 +208,10 @@ class Parser:
         self.pos = 0
         self.lang = lang
         self.abbrevs: dict[str, Abbrev] = abbrevs if abbrevs is not None else {}
-        self.fix_scope: list[str] = []
+        self.grammar = _SOURCE
+        # The term names in scope, innermost last, each marked whether a
+        # fixed point binds it.
+        self.scope: list[tuple[str, bool]] = []
 
     # -- token plumbing ----------------------------------------------------
 
@@ -355,82 +393,77 @@ class Parser:
     # -- terms ---------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        t = self.peek()
+        self.grammar = _SOURCE
+        return self._term()
+
+    def parse_term(self) -> Term:
+        self.grammar = _CORE
+        return self._term()
+
+    def _term(self):
+        g = self.grammar
         if self.at_sym("\\"):
             self.next()
             x = self.eat_ident()
             self.eat_sym(".")
-            return Lam(x, self.parse_expr())
+            return g.lam(x, self._scoped(x, False, self._term))
         if self.at_ident("fix"):
             self.next()
             u = self.eat_ident()
             self.eat_sym(".")
-            self.fix_scope.append(u)
-            body = self.parse_expr()
-            self.fix_scope.pop()
-            return Fix(u, body)
+            return g.fix(u, self._scoped(u, True, self._term))
         if self.at_sym("/\\"):
             self.next()
+            if g is _CORE:
+                self.eat_sym(".")
+                return MTyLam(self._term())
             v = self._tvar()
             self.eat_sym(".")
-            return TyLam(v, self.parse_expr())
+            return TyLam(v, self._term())
         if self.at_ident("case"):
-            return self._case_expr()
-        return self.parse_expr_app()
+            return self._case()
+        return self._app()
 
-    def _case_header(self, parse_scrut):
+    def _scoped(self, name: str, is_fix: bool, parse):
+        """``parse()`` with ``name`` bound, as a fixed point or not."""
+        self.scope.append((name, is_fix))
+        body = parse()
+        self.scope.pop()
+        return body
+
+    def _case(self):
         self.next()  # 'case'
-        scrut = parse_scrut()
+        scrut = self._app()
         self.eat_sym("{")
-        if not self.at_ident("inj1"):
-            self.fail("expected 'inj1'")
-        self.next()
-        x1 = self.eat_ident()
-        self.eat_sym("->")
-        return scrut, x1
-
-    def _case_expr(self) -> Expr:
-        scrut, x1 = self._case_header(self.parse_expr_app)
-        b1 = self.parse_expr()
+        x1, b1 = self._branch("inj1")
         self.eat_sym("|")
-        if not self.at_ident("inj2"):
-            self.fail("expected 'inj2'")
-        self.next()
-        x2 = self.eat_ident()
-        self.eat_sym("->")
-        b2 = self.parse_expr()
+        x2, b2 = self._branch("inj2")
         self.eat_sym("}")
-        return Case(scrut, x1, b1, x2, b2)
+        return self.grammar.case(scrut, x1, b1, x2, b2)
 
-    def _case_term(self) -> Term:
-        scrut, x1 = self._case_header(self.parse_term_app)
-        b1 = self.parse_term()
-        self.eat_sym("|")
-        if not self.at_ident("inj2"):
-            self.fail("expected 'inj2'")
+    def _branch(self, keyword: str):
+        if not self.at_ident(keyword):
+            self.fail(f"expected {keyword!r}")
         self.next()
-        x2 = self.eat_ident()
+        x = self.eat_ident()
         self.eat_sym("->")
-        b2 = self.parse_term()
-        self.eat_sym("}")
-        return MCase(scrut, x1, b1, x2, b2)
+        return x, self._scoped(x, False, self._term)
 
-    def _expr_prefix(self) -> Expr | None:
+    def _prefix(self):
         t = self.peek()
-        if t.kind == "ident" and t.text in ("inj1", "inj2"):
-            self.next()
-            arg = self._expr_prefix()
-            if arg is None:
-                arg = self._expr_postfix()
-            return Inj(1 if t.text == "inj1" else 2, arg)
-        return None
+        make = self.grammar.prefix.get(t.text) if t.kind == "ident" else None
+        if make is None:
+            return None
+        self.next()
+        arg = self._prefix()
+        return make(self._postfix() if arg is None else arg)
 
-    def parse_expr_app(self) -> Expr:
-        head = self._expr_prefix()
+    def _app(self):
+        head = self._prefix()
         if head is None:
-            head = self._expr_postfix()
+            head = self._postfix()
         while self._starts_atom():
-            head = App(head, self._expr_postfix())
+            head = self.grammar.app(head, self._postfix())
         return head
 
     def _starts_atom(self) -> bool:
@@ -450,8 +483,9 @@ class Parser:
         order = t1.kind == "eovar" or (t1.kind == "ident" and t1.text in ("V", "N"))
         return order and t2.kind == "sym" and t2.text == "}"
 
-    def _expr_postfix(self) -> Expr:
-        e = self._expr_atom()
+    def _postfix(self):
+        g = self.grammar
+        e = self._atom()
         while True:
             if self.at_sym("."):
                 self.next()
@@ -459,13 +493,15 @@ class Parser:
                 if t.kind != "num" or t.text not in ("1", "2"):
                     raise ParseError("projection index must be 1 or 2",
                                      t.line, t.col)
-                e = Proj(int(t.text), e)
+                e = g.proj(int(t.text), e)
             elif self.at_sym("["):
                 self.next()
-                ty = self.parse_type()
+                if g is _CORE:
+                    e = MTyApp(e)
+                else:
+                    e = TyApp(e, self.parse_type())
                 self.eat_sym("]")
-                e = TyApp(e, ty)
-            elif self._at_order_brace():
+            elif g is _SOURCE and self._at_order_brace():
                 self.next()
                 eo = self.parse_eo()
                 self.eat_sym("}")
@@ -473,20 +509,21 @@ class Parser:
             else:
                 return e
 
-    def _expr_atom(self) -> Expr:
+    def _atom(self):
+        g = self.grammar
         t = self.peek()
         if self.at_sym("("):
             self.next()
             if self.at_sym(")"):
                 self.next()
-                return Unit()
-            e = self.parse_expr()
+                return g.unit()
+            e = self._term()
             if self.at_sym(","):
                 self.next()
-                right = self.parse_expr()
+                right = self._term()
                 self.eat_sym(")")
-                return Pair(e, right)
-            if self.at_sym(":"):
+                return g.pair(e, right)
+            if g is _SOURCE and self.at_sym(":"):
                 self.next()
                 ty = self.parse_type()
                 self.eat_sym(")")
@@ -495,105 +532,12 @@ class Parser:
             return e
         if t.kind == "ident" and t.text not in _KEYWORDS:
             self.next()
-            if t.text in self.fix_scope:
-                return FixVar(t.text)
-            return Var(t.text)
-        self.fail("expected an expression")
-
-    # -- core terms ------------------------------------------------------------
-
-    def parse_term(self) -> Term:
-        if self.at_sym("\\"):
-            self.next()
-            x = self.eat_ident()
-            self.eat_sym(".")
-            return MLam(x, self.parse_term())
-        if self.at_ident("fix"):
-            self.next()
-            u = self.eat_ident()
-            self.eat_sym(".")
-            self.fix_scope.append(u)
-            body = self.parse_term()
-            self.fix_scope.pop()
-            return MFix(u, body)
-        if self.at_sym("/\\"):
-            self.next()
-            self.eat_sym(".")
-            return MTyLam(self.parse_term())
-        if self.at_ident("case"):
-            return self._case_term()
-        return self.parse_term_app()
-
-    _TERM_PREFIX = {
-        "inj1": lambda b: MInj(1, b),
-        "inj2": lambda b: MInj(2, b),
-        "thunk": MThunk,
-        "force": MForce,
-        "roll": MRoll,
-        "unroll": MUnroll,
-    }
-
-    def _term_prefix(self) -> Term | None:
-        t = self.peek()
-        if t.kind == "ident" and t.text in self._TERM_PREFIX:
-            self.next()
-            arg = self._term_prefix()
-            if arg is None:
-                arg = self._term_postfix()
-            return self._TERM_PREFIX[t.text](arg)
-        return None
-
-    def parse_term_app(self) -> Term:
-        head = self._term_prefix()
-        if head is None:
-            head = self._term_postfix()
-        while self._starts_atom() or self.at_sym("["):
-            if self.at_sym("["):
-                self.eat_sym("[")
-                self.eat_sym("]")
-                head = MTyApp(head)
-            else:
-                head = MApp(head, self._term_postfix())
-        return head
-
-    def _term_postfix(self) -> Term:
-        m = self._term_atom()
-        while True:
-            if self.at_sym("."):
-                self.next()
-                t = self.next()
-                if t.kind != "num" or t.text not in ("1", "2"):
-                    raise ParseError("projection index must be 1 or 2",
-                                     t.line, t.col)
-                m = MProj(int(t.text), m)
-            elif self.at_sym("["):
-                self.next()
-                self.eat_sym("]")
-                m = MTyApp(m)
-            else:
-                return m
-
-    def _term_atom(self) -> Term:
-        t = self.peek()
-        if self.at_sym("("):
-            self.next()
-            if self.at_sym(")"):
-                self.next()
-                return MUnit()
-            m = self.parse_term()
-            if self.at_sym(","):
-                self.next()
-                right = self.parse_term()
-                self.eat_sym(")")
-                return MPair(m, right)
-            self.eat_sym(")")
-            return m
-        if t.kind == "ident" and t.text not in _KEYWORDS:
-            self.next()
-            if t.text in self.fix_scope:
-                return MFixVar(t.text)
-            return MVar(t.text)
-        self.fail("expected a core term")
+            # The innermost binder of the name decides what it refers to.
+            for name, is_fix in reversed(self.scope):
+                if name == t.text:
+                    return (g.fixvar if is_fix else g.var)(t.text)
+            return g.var(t.text)
+        self.fail(f"expected {g.what}")
 
     # -- declarations and files --------------------------------------------
 

@@ -24,9 +24,12 @@ The translation checks have bodies (``econ_preservation``,
 ``nfree_econ``) that read an impartial typing already derived; each
 ``run_*`` entry derives the typing, then runs its body.
 
-A replay validator independently re-derives every node of a reified
-derivation against the declarative rules, so the algorithmic checkers are
-themselves checked.
+``replay`` validates a reified derivation of either source system node by
+node against the declarative rules, so the algorithmic checker is itself
+checked.  Every rule checks every premise: its subject, direction, type,
+valueness and context.  It states each system's binder declarations
+itself and reads only the connective classes from :mod:`eopoly.bidir`'s
+system records, so it shares no rule code with the checker.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from . import econ as econ_mod
 from . import impartial as imp_mod
 from . import source as src_mod
 from . import target as tgt_mod
+from .bidir import System
 from .elaborate import ElabChecker, elaborate, ty_target
 from .errors import EopolyError, TypecheckError
 from .nfree import (
@@ -48,34 +53,35 @@ from .nfree import (
 )
 from .syntax import (
     CHECK,
+    Anno,
+    App,
+    Case,
     Derivation,
     EconCtx,
     EconType,
     EO,
+    EoApp,
     Expr,
-    IAllEo,
-    IArrow,
-    IForall,
+    Fix,
+    FixVar,
     ImpCtx,
     ImpType,
-    IProd,
-    IRec,
-    ISum,
-    IUnit,
+    Inj,
+    Lam,
     N,
     Node,
+    Pair,
+    Proj,
     SAllEo,
-    SArrow,
-    SForall,
-    SProd,
     SRec,
-    SSum,
     SSusp,
-    SUnit,
     SYNTH,
     Term,
     TgtCtx,
     TOP,
+    TyApp,
+    TyLam,
+    Unit,
     V,
     VAL,
     Valueness,
@@ -84,6 +90,7 @@ from .syntax import (
     alpha_key,
     children,
     dedup,
+    eo_var,
     erase,
     free_names,
     join,
@@ -96,6 +103,7 @@ from .syntax import (
     valof,
     vleq,
 )
+from .wf import eo_wf, rec_guarded, ty_wf
 
 PASS = "pass"
 FAIL = "fail"
@@ -114,8 +122,8 @@ class CheckOutcome:
     def line(self) -> str:
         extra = ""
         if self.detail:
-            keys = ("reason", "steps", "exhausted")
-            shown = {k: self.detail[k] for k in keys if k in self.detail}
+            shown = {k: self.detail[k] for k in ("reason", "steps")
+                     if k in self.detail}
             if shown:
                 extra = "  " + " ".join(f"{k}={v}" for k, v in shown.items())
         return f"{self.verdict.upper():16s} {self.check:28s} {self.program}{extra}"
@@ -257,11 +265,8 @@ class Judgment:
 
     @cached_property
     def pool(self) -> tuple[EconType, ...]:
-        # A synthesis derivation is no checking derivation: derive one.
         r = self.typing
-        if self.direction == CHECK:
-            return _pool([r.ty], [r.deriv])
-        return build_pool(self.expr, [r.ty])
+        return _pool([r.ty], [r.deriv])
 
     @cached_property
     def checker(self) -> ElabChecker:
@@ -644,221 +649,270 @@ class ReplayError(EopolyError):
     pass
 
 
+class _Decls(NamedTuple):
+    """A source system's connectives and how it declares term variables,
+    stated here apart from the context classes the checker reads."""
+
+    system: System
+    ctx: type
+    arg: Callable      # a function's binder, from the function's arrow
+    case: Callable     # a case binder, from the scrutinee's component type
+    fix: Callable      # a fixed point's binder, from the fixed point's type
+    assumed: Callable  # a term variable's (valueness, type), from its entry
+
+
+_SYSTEMS = {
+    "i-": _Decls(imp_mod.IMPARTIAL, ImpCtx, lambda a: (valof(a.eo), a.dom),
+                 lambda t: (VAL, t), lambda t: (TOP, t), lambda entry: entry),
+    "r-": _Decls(econ_mod.ECON, EconCtx, lambda a: a.dom,
+                 lambda t: t, lambda t: t, lambda entry: (VAL, entry)),
+}
+
+
+def replay(d: Derivation) -> None:
+    """Re-validate a derivation of either source system node by node
+    against the declarative rules; raise :class:`ReplayError` at the first
+    node that breaks its rule.
+
+    Each node is checked against its own premises: their number, system,
+    subject (the matching part of the node's expression, with the binder
+    renamed as the node records), direction, type, valueness and context;
+    and the annotations and instantiations it reads must be well-formed.
+    """
+    todo = [d]
+    while todo:
+        node = todo.pop()
+        _replay_node(node)
+        todo.extend(node.children)
+
+
 def _expect(cond: bool, d: Derivation, why: str):
     if not cond:
         raise ReplayError(f"rule {d.rule}: {why}")
 
 
-def _ctx_extends(child, parent, entry) -> bool:
-    if len(child.entries) != len(parent.entries) + 1:
-        return False
-    if child.entries[:-1] != parent.entries:
-        return False
-    k, n, payload = child.entries[-1]
-    ek, en, ep = entry
-    if (k, n) != (ek, en):
-        return False
-    if payload is None and ep is None:
-        return True
-    if isinstance(payload, tuple):
-        return payload[0] == ep[0] and alpha_eq(payload[1], ep[1])
-    return alpha_eq(payload, ep)
+def _info(d: Derivation, key: str):
+    if key not in (d.info or {}):
+        raise ReplayError(f"rule {d.rule}: no {key!r} recorded")
+    return d.info[key]
 
 
-def replay_impartial(d: Derivation) -> None:
-    """Re-validate an impartial derivation node-by-node; raises on mismatch."""
-    for c in d.children:
-        replay_impartial(c)
-    r = d.rule
-    ch = d.children
-    if r == "i-var":
-        v, ty = d.ctx.lookup("x", d.expr.name)
-        _expect(d.direction == SYNTH and v == d.valueness and alpha_eq(ty, d.ty),
-                d, "variable lookup mismatch")
-    elif r == "i-fixvar":
-        _, ty = d.ctx.lookup("u", d.expr.name)
-        _expect(d.direction == SYNTH and d.valueness == TOP and alpha_eq(ty, d.ty),
-                d, "fixed-point variable lookup mismatch")
-    elif r == "i-anno":
-        _expect(d.direction == SYNTH and len(ch) == 1, d, "shape")
-        _expect(alpha_eq(ch[0].ty, d.ty) and alpha_eq(d.expr.ty, d.ty), d,
-                "annotation type mismatch")
-        _expect(ch[0].valueness == d.valueness, d, "valueness mismatch")
-    elif r == "i-sub":
-        _expect(d.direction == CHECK and ch[0].direction == SYNTH, d, "shape")
-        _expect(alpha_eq(ch[0].ty, d.ty), d, "types must agree")
-        _expect(ch[0].valueness == d.valueness, d, "valueness mismatch")
-    elif r == "i-unit-intro":
-        _expect(isinstance(d.ty, IUnit) and d.valueness == VAL, d, "unit shape")
-    elif r == "i-arrow-intro":
-        _expect(isinstance(d.ty, IArrow) and d.valueness == VAL, d, "shape")
-        x = d.get("var")
-        _expect(_ctx_extends(ch[0].ctx, d.ctx, ("x", x, (valof(d.ty.eo), d.ty.dom))),
-                d, "binder must carry the order's valueness")
-        _expect(alpha_eq(ch[0].ty, d.ty.cod), d, "body type mismatch")
-        _expect(alpha_eq(ch[0].expr, subst1(d.expr.body, "x", d.expr.var, Var(x))),
-                d, "body mismatch")
-    elif r == "i-arrow-elim":
-        _expect(d.direction == SYNTH and d.valueness == TOP, d, "shape")
-        _expect(isinstance(ch[0].ty, IArrow), d, "head must synthesize an arrow")
-        _expect(alpha_eq(ch[1].ty, ch[0].ty.dom), d, "argument type mismatch")
-        _expect(alpha_eq(d.ty, ch[0].ty.cod), d, "result type mismatch")
-    elif r == "i-prod-intro":
-        _expect(isinstance(d.ty, IProd), d, "shape")
-        _expect(d.valueness == join(ch[0].valueness, ch[1].valueness), d,
-                "valueness must be the join of the components")
-        _expect(alpha_eq(ch[0].ty, d.ty.left) and alpha_eq(ch[1].ty, d.ty.right),
-                d, "component types")
-    elif r == "i-prod-elim":
-        _expect(d.valueness == TOP and isinstance(ch[0].ty, IProd), d, "shape")
-        comp = ch[0].ty.left if d.get("k") == 1 else ch[0].ty.right
-        _expect(alpha_eq(d.ty, comp), d, "component type")
-    elif r == "i-sum-intro":
-        _expect(isinstance(d.ty, ISum), d, "shape")
-        comp = d.ty.left if d.get("k") == 1 else d.ty.right
-        _expect(alpha_eq(ch[0].ty, comp), d, "component type")
-        _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
-    elif r == "i-sum-elim":
-        _expect(d.direction == CHECK and d.valueness == TOP, d, "shape")
-        _expect(isinstance(ch[0].ty, ISum), d, "scrutinee must synthesize a sum")
-        _expect(_ctx_extends(ch[1].ctx, d.ctx, ("x", d.get("var1"), (VAL, ch[0].ty.left))),
-                d, "left branch binds val")
-        _expect(_ctx_extends(ch[2].ctx, d.ctx, ("x", d.get("var2"), (VAL, ch[0].ty.right))),
-                d, "right branch binds val")
-        _expect(alpha_eq(ch[1].ty, d.ty) and alpha_eq(ch[2].ty, d.ty), d,
-                "branch types")
-    elif r == "i-fix":
-        _expect(d.valueness == TOP, d, "fixed points are not values")
-        _expect(_ctx_extends(ch[0].ctx, d.ctx, ("u", d.get("var"), (TOP, d.ty))),
-                d, "binder at top")
-        _expect(alpha_eq(ch[0].ty, d.ty), d, "body type")
-    elif r == "i-all-intro":
-        _expect(isinstance(d.ty, IForall) and d.valueness == VAL, d, "shape")
-        _expect(ch[0].valueness == VAL, d, "subject must be a value")
-        _expect(_ctx_extends(ch[0].ctx, d.ctx, ("ty", d.get("var"), None)), d,
-                "type binder")
-    elif r == "i-all-elim":
-        _expect(isinstance(ch[0].ty, IForall), d, "head must be universal")
-        want = subst_ty_in_ty(d.get("ty_arg"), ch[0].ty.var, ch[0].ty.body)
-        _expect(alpha_eq(d.ty, want), d, "instantiation")
-        _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
-    elif r == "i-alleo-intro":
-        _expect(isinstance(d.ty, IAllEo) and d.valueness == VAL, d, "shape")
-        _expect(ch[0].valueness == VAL, d, "subject must be a value")
-        _expect(_ctx_extends(ch[0].ctx, d.ctx, ("eo", d.get("var"), None)), d,
-                "order binder")
-        want = subst_eo(EO("var", d.get("var")), d.ty.var, d.ty.body)
-        _expect(alpha_eq(ch[0].ty, want), d, "body type")
-    elif r == "i-alleo-elim":
-        _expect(isinstance(ch[0].ty, IAllEo), d, "head must be order-quantified")
-        want = subst_eo(d.get("eo"), ch[0].ty.var, ch[0].ty.body)
-        _expect(alpha_eq(d.ty, want), d, "instantiation")
-        _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
-    elif r == "i-rec-intro":
-        _expect(d.direction == CHECK and isinstance(d.ty, IRec), d, "shape")
-        _expect(alpha_eq(ch[0].ty, unfold(d.ty)), d, "unfolding")
-        _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
-    elif r == "i-rec-elim":
-        _expect(d.direction == SYNTH and d.valueness == TOP, d, "shape")
-        _expect(isinstance(ch[0].ty, IRec), d, "premise must be recursive")
-        _expect(alpha_eq(d.ty, unfold(ch[0].ty)), d, "unfolding")
+def _shape(d: Derivation, form: type, direction: str, arity: int) -> None:
+    if not isinstance(d.expr, form):
+        problem = f"the subject must be a {form.__name__}"
+    elif d.direction != direction:
+        problem = f"the conclusion must {direction}"
+    elif len(d.children) != arity:
+        problem = f"expected {arity} premise(s), found {len(d.children)}"
     else:
-        raise ReplayError(f"unknown impartial rule {r}")
+        return
+    raise ReplayError(f"rule {d.rule}: {problem}")
 
 
-def replay_econ(d: Derivation) -> None:
-    """Re-validate a suspension-point derivation node-by-node."""
-    for c in d.children:
-        replay_econ(c)
-    r = d.rule
-    ch = d.children
-    if r == "r-var":
-        ty = d.ctx.lookup("x", d.expr.name)
-        _expect(d.direction == SYNTH and d.valueness == VAL and alpha_eq(ty, d.ty),
-                d, "variables synthesize val")
-    elif r == "r-fixvar":
-        ty = d.ctx.lookup("u", d.expr.name)
-        _expect(d.valueness == TOP and alpha_eq(ty, d.ty), d, "lookup")
-    elif r == "r-anno":
-        _expect(alpha_eq(ch[0].ty, d.ty) and alpha_eq(d.expr.ty, d.ty), d,
-                "annotation type")
-        _expect(ch[0].valueness == d.valueness, d, "valueness")
-    elif r == "r-sub":
-        _expect(alpha_eq(ch[0].ty, d.ty) and ch[0].valueness == d.valueness, d,
-                "subsumption")
-    elif r == "r-unit-intro":
-        _expect(isinstance(d.ty, SUnit) and d.valueness == VAL, d, "unit")
-    elif r == "r-susp-intro":
-        _expect(isinstance(d.ty, SSusp) and d.get("eo") == d.ty.eo, d, "shape")
-        _expect(alpha_eq(ch[0].ty, d.ty.body), d, "body type")
-        want = VAL if d.ty.eo == N else ch[0].valueness
-        _expect(d.valueness == want, d, "suspension valueness")
-    elif r == "r-susp-elim-v":
-        _expect(isinstance(ch[0].ty, SSusp) and ch[0].ty.eo == V, d, "shape")
-        _expect(alpha_eq(d.ty, ch[0].ty.body), d, "body type")
-        _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
-    elif r == "r-susp-elim-eo":
-        _expect(isinstance(ch[0].ty, SSusp), d, "shape")
-        _expect(alpha_eq(d.ty, ch[0].ty.body), d, "body type")
-        _expect(d.valueness == TOP, d, "stripping costs the valueness")
-    elif r == "r-arrow-intro":
-        _expect(isinstance(d.ty, SArrow) and d.valueness == VAL, d, "shape")
-        x = d.get("var")
-        _expect(_ctx_extends(ch[0].ctx, d.ctx, ("x", x, d.ty.dom)), d, "binder")
-        _expect(alpha_eq(ch[0].ty, d.ty.cod), d, "body type")
-    elif r == "r-arrow-elim":
-        _expect(d.valueness == TOP and isinstance(ch[0].ty, SArrow), d, "shape")
-        _expect(alpha_eq(ch[1].ty, ch[0].ty.dom), d, "argument type")
-        _expect(alpha_eq(d.ty, ch[0].ty.cod), d, "result type")
-    elif r == "r-prod-intro":
-        _expect(isinstance(d.ty, SProd), d, "shape")
-        _expect(d.valueness == join(ch[0].valueness, ch[1].valueness), d, "join")
-    elif r == "r-prod-elim":
-        _expect(d.valueness == TOP and isinstance(ch[0].ty, SProd), d, "shape")
-        comp = ch[0].ty.left if d.get("k") == 1 else ch[0].ty.right
-        _expect(alpha_eq(d.ty, comp), d, "component")
-    elif r == "r-sum-intro":
-        _expect(isinstance(d.ty, SSum) and d.valueness == ch[0].valueness, d,
-                "shape")
-    elif r == "r-sum-elim":
-        _expect(d.valueness == TOP and isinstance(ch[0].ty, SSum), d, "shape")
-        _expect(_ctx_extends(ch[1].ctx, d.ctx, ("x", d.get("var1"), ch[0].ty.left)),
-                d, "left binder")
-        _expect(_ctx_extends(ch[2].ctx, d.ctx, ("x", d.get("var2"), ch[0].ty.right)),
-                d, "right binder")
-        _expect(alpha_eq(ch[1].ty, d.ty) and alpha_eq(ch[2].ty, d.ty), d,
-                "branch types")
-    elif r == "r-fix":
-        _expect(d.valueness == TOP, d, "fixed points are not values")
-        _expect(_ctx_extends(ch[0].ctx, d.ctx, ("u", d.get("var"), d.ty)), d,
-                "binder")
-    elif r == "r-all-intro":
-        _expect(isinstance(d.ty, SForall) and d.valueness == VAL, d, "shape")
-        _expect(ch[0].valueness == VAL, d, "subject must be a value")
-    elif r == "r-all-elim":
-        _expect(isinstance(ch[0].ty, SForall), d, "head")
-        want = subst_ty_in_ty(d.get("ty_arg"), ch[0].ty.var, ch[0].ty.body)
-        _expect(alpha_eq(d.ty, want), d, "instantiation")
-        _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
-    elif r == "r-alleo-intro":
-        _expect(isinstance(d.ty, SAllEo) and d.valueness == VAL, d, "shape")
-        _expect(ch[0].valueness == VAL, d, "subject must be a value")
-        _expect(_ctx_extends(ch[0].ctx, d.ctx, ("eo", d.get("var"), None)), d,
-                "order binder")
-    elif r == "r-alleo-elim":
-        _expect(isinstance(ch[0].ty, SAllEo), d, "head")
-        want = subst_eo(d.get("eo"), ch[0].ty.var, ch[0].ty.body)
-        _expect(alpha_eq(d.ty, want), d, "instantiation")
-        _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
-    elif r == "r-rec-intro":
-        _expect(isinstance(d.ty, SRec), d, "shape")
-        _expect(alpha_eq(ch[0].ty, unfold(d.ty)), d, "unfolding")
-        _expect(d.valueness == ch[0].valueness, d, "valueness preserved")
-    elif r == "r-rec-elim":
-        _expect(d.valueness == TOP and isinstance(ch[0].ty, SRec), d, "shape")
-        _expect(alpha_eq(d.ty, unfold(ch[0].ty)), d, "unfolding")
+def _conclude(d: Derivation, valueness: Valueness, ty: Node | None = None):
+    _expect(ty is None or _same(d.ty, ty), d, "wrong conclusion type")
+    _expect(d.valueness == valueness, d, "wrong conclusion valueness")
+
+
+def _is(d: Derivation, ty: object, cls: type) -> None:
+    if not isinstance(ty, cls):
+        raise ReplayError(f"rule {d.rule}: {ty!r} is not a {cls.__name__}")
+
+
+def _lookup(d: Derivation, kind: str, name: str) -> object:
+    try:
+        return d.ctx.lookup(kind, name)
+    except KeyError:
+        raise ReplayError(f"rule {d.rule}: {name} is not declared") from None
+
+
+def _premise(d: Derivation, i: int, expr: Expr, direction: str,
+             ty: Node | None = None, valueness: Valueness | None = None,
+             decl: tuple | None = None) -> Derivation:
+    """The ``i``-th premise of ``d``, checked to conclude about ``expr`` in
+    ``direction`` (at ``ty`` and ``valueness`` when given), in ``d``'s
+    context extended by ``decl`` when given."""
+    p = d.children[i]
+    if not isinstance(p, Derivation) or p.rule[:2] != d.rule[:2]:
+        problem = "is not a derivation of this system"
+    elif not _same(p.expr, expr):
+        problem = "has the wrong subject"
+    elif p.direction != direction:
+        problem = f"must {direction}"
+    elif ty is not None and not _same(p.ty, ty):
+        problem = "has the wrong type"
+    elif valueness is not None and p.valueness != valueness:
+        problem = "has the wrong valueness"
+    elif decl is None and p.ctx != d.ctx:
+        problem = "changes the context"
+    elif decl is not None and not _declares(p.ctx, d.ctx, decl):
+        problem = f"must declare {decl[1]} as {decl[2]!r}"
     else:
-        raise ReplayError(f"unknown rule {r}")
+        return p
+    raise ReplayError(f"rule {d.rule}: premise {i + 1} {problem}")
+
+
+def _same(a: object, b: object) -> bool:
+    return a is b or alpha_eq(a, b)
+
+
+def _wf(ctx, ty: Node) -> bool:
+    return ty_wf(ctx, ty) and rec_guarded(ty)
+
+
+def _renamed(node: object, ns: str, old: str, new: Node) -> object:
+    """``node`` with the free name ``old`` of namespace ``ns`` renamed to
+    the variable ``new``."""
+    return node if new.name == old else subst1(node, ns, old, new)
+
+
+def _declares(child, parent, decl: tuple) -> bool:
+    """``child`` is ``parent`` with the fresh declaration ``decl`` added."""
+    kind, name, payload = decl
+    if (type(child) is not type(parent)
+            or len(child.entries) != len(parent.entries) + 1
+            or child.entries[:-1] != parent.entries
+            or parent.declares(kind, name)):
+        return False
+    k, n, got = child.entries[-1]
+    if (k, n) != (kind, name):
+        return False
+    if isinstance(payload, tuple):  # an impartial (valueness, type)
+        return (isinstance(got, tuple) and got[0] == payload[0]
+                and _same(got[1], payload[1]))
+    return _same(got, payload)
+
+
+def _replay_node(d: Derivation) -> None:
+    decls = _SYSTEMS.get(d.rule[:2])
+    if decls is None:
+        raise ReplayError(f"unknown rule {d.rule}")
+    _expect(isinstance(d.ctx, decls.ctx), d, "context of the other system")
+    s, rule, e, ty = decls.system, d.rule[2:], d.expr, d.ty
+    if rule == "var":
+        _shape(d, Var, SYNTH, 0)
+        v, t = decls.assumed(_lookup(d, "x", e.name))
+        _conclude(d, v, t)
+    elif rule == "fixvar":
+        _shape(d, FixVar, SYNTH, 0)
+        _, t = decls.assumed(_lookup(d, "u", e.name))
+        _conclude(d, TOP, t)
+    elif rule == "anno":
+        _shape(d, Anno, SYNTH, 1)
+        _expect(_wf(d.ctx, e.ty), d, "ill-formed annotation")
+        p = _premise(d, 0, e.body, CHECK, e.ty)
+        _conclude(d, p.valueness, e.ty)
+    elif rule == "sub":
+        _shape(d, Expr, CHECK, 1)
+        p = _premise(d, 0, e, SYNTH, ty)
+        _conclude(d, p.valueness)
+    elif rule == "unit-intro":
+        _shape(d, Unit, CHECK, 0)
+        _is(d, ty, s.unit)
+        _conclude(d, VAL)
+    elif rule == "susp-intro":
+        _shape(d, Expr, CHECK, 1)
+        _is(d, ty, SSusp)
+        _expect(_info(d, "eo") == ty.eo, d, "recorded order")
+        p = _premise(d, 0, e, CHECK, ty.body)
+        _conclude(d, VAL if ty.eo == N else p.valueness)
+    elif rule in ("susp-elim-v", "susp-elim-eo"):
+        _shape(d, Expr, SYNTH, 1)
+        p = _premise(d, 0, e, SYNTH)
+        _is(d, p.ty, SSusp)
+        _expect(_info(d, "eo") == p.ty.eo, d, "recorded order")
+        by_value = rule == "susp-elim-v"
+        _expect(p.ty.eo == V or not by_value, d, "the suspension is by name")
+        _conclude(d, p.valueness if by_value else TOP, p.ty.body)
+    elif rule == "arrow-intro":
+        _shape(d, Lam, CHECK, 1)
+        _is(d, ty, s.arrow)
+        x = _info(d, "var")
+        _premise(d, 0, _renamed(e.body, "x", e.var, Var(x)), CHECK, ty.cod,
+                 decl=("x", x, decls.arg(ty)))
+        _conclude(d, VAL)
+    elif rule == "arrow-elim":
+        _shape(d, App, SYNTH, 2)
+        f = _premise(d, 0, e.fn, SYNTH)
+        _is(d, f.ty, s.arrow)
+        _premise(d, 1, e.arg, CHECK, f.ty.dom)
+        _conclude(d, TOP, f.ty.cod)
+    elif rule == "prod-intro":
+        _shape(d, Pair, CHECK, 2)
+        _is(d, ty, s.prod)
+        left = _premise(d, 0, e.left, CHECK, ty.left)
+        right = _premise(d, 1, e.right, CHECK, ty.right)
+        _conclude(d, join(left.valueness, right.valueness))
+    elif rule == "prod-elim":
+        _shape(d, Proj, SYNTH, 1)
+        p = _premise(d, 0, e.body, SYNTH)
+        _is(d, p.ty, s.prod)
+        _expect(_info(d, "k") == e.k, d, "recorded index")
+        _conclude(d, TOP, p.ty.left if e.k == 1 else p.ty.right)
+    elif rule == "sum-intro":
+        _shape(d, Inj, CHECK, 1)
+        _is(d, ty, s.sum)
+        _expect(_info(d, "k") == e.k, d, "recorded index")
+        p = _premise(d, 0, e.body, CHECK, ty.left if e.k == 1 else ty.right)
+        _conclude(d, p.valueness)
+    elif rule == "sum-elim":
+        _shape(d, Case, CHECK, 3)
+        p = _premise(d, 0, e.scrut, SYNTH)
+        _is(d, p.ty, s.sum)
+        branches = ((e.var1, e.body1, p.ty.left), (e.var2, e.body2, p.ty.right))
+        for i, (var, body, comp) in enumerate(branches, 1):
+            x = _info(d, f"var{i}")
+            _premise(d, i, _renamed(body, "x", var, Var(x)), CHECK, ty,
+                     decl=("x", x, decls.case(comp)))
+        _conclude(d, TOP)
+    elif rule == "fix":
+        _shape(d, Fix, CHECK, 1)
+        u = _info(d, "var")
+        _premise(d, 0, _renamed(e.body, "u", e.var, FixVar(u)), CHECK, ty,
+                 decl=("u", u, decls.fix(ty)))
+        _conclude(d, TOP)
+    elif rule == "all-intro":
+        _shape(d, TyLam, CHECK, 1)
+        _is(d, ty, s.forall)
+        a = s.tyvar(_info(d, "var"))
+        _premise(d, 0, _renamed(e.body, "ty", e.var, a), CHECK,
+                 _renamed(ty.body, "ty", ty.var, a), VAL,
+                 decl=("ty", a.name, None))
+        _conclude(d, VAL)
+    elif rule == "all-elim":
+        _shape(d, TyApp, SYNTH, 1)
+        _expect(_wf(d.ctx, e.ty), d, "ill-formed type argument")
+        p = _premise(d, 0, e.body, SYNTH)
+        _is(d, p.ty, s.forall)
+        _expect(alpha_eq(_info(d, "ty_arg"), e.ty), d, "recorded type argument")
+        _conclude(d, p.valueness, subst_ty_in_ty(e.ty, p.ty.var, p.ty.body))
+    elif rule == "alleo-intro":
+        _shape(d, Expr, CHECK, 1)
+        _is(d, ty, s.alleo)
+        a = eo_var(_info(d, "var"))
+        _premise(d, 0, _renamed(e, "eo", ty.var, a), CHECK,
+                 _renamed(ty.body, "eo", ty.var, a), VAL,
+                 decl=("eo", a.name, None))
+        _conclude(d, VAL)
+    elif rule == "alleo-elim":
+        _shape(d, EoApp, SYNTH, 1)
+        _expect(eo_wf(d.ctx, e.eo), d, "order not in scope")
+        p = _premise(d, 0, e.body, SYNTH)
+        _is(d, p.ty, s.alleo)
+        _expect(_info(d, "eo") == e.eo, d, "recorded order")
+        _conclude(d, p.valueness, subst_eo(e.eo, p.ty.var, p.ty.body))
+    elif rule == "rec-intro":
+        _shape(d, Expr, CHECK, 1)
+        _is(d, ty, s.rec)
+        p = _premise(d, 0, e, CHECK, unfold(ty))
+        _conclude(d, p.valueness)
+    elif rule == "rec-elim":
+        _shape(d, Expr, SYNTH, 1)
+        p = _premise(d, 0, e, SYNTH)
+        _is(d, p.ty, s.rec)
+        _conclude(d, TOP, unfold(p.ty))
+    else:
+        raise ReplayError(f"unknown rule {d.rule}")
 
 
 def concrete_orders(node: Node) -> frozenset[str]:

@@ -39,7 +39,7 @@ from eopoly.syntax import (
     alpha_eq,
     eo_var,
 )
-from eopoly.verify import replay_econ
+from eopoly.verify import replay
 
 U = IUnit()
 SU = SUnit()
@@ -158,7 +158,7 @@ def test_derivations_replay():
                         SProd(SSusp(N, SU), SSusp(N, SU))),
     ]
     for r in cases:
-        replay_econ(r.deriv)
+        replay(r.deriv)
 
 
 def test_context_order_substitution():

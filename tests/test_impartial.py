@@ -41,7 +41,7 @@ from eopoly.syntax import (
     alpha_eq,
     eo_var,
 )
-from eopoly.verify import derivation_orders, replay_impartial
+from eopoly.verify import derivation_orders, replay
 
 U = IUnit()
 EMPTY = ImpCtx()
@@ -201,7 +201,7 @@ def test_derivations_replay():
                         IRec("b", ISum(U, IProd(U, ITyVar("b"), V), V), N)),
     ]
     for r in cases:
-        replay_impartial(r.deriv)
+        replay(r.deriv)
 
 
 def test_annotation_subformula_discipline():

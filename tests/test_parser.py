@@ -5,6 +5,9 @@ import os
 
 import pytest
 
+from eopoly import cli
+from eopoly.econ import econ_expr, econ_synth
+from eopoly.elaborate import elaborate
 from eopoly.errors import ParseError
 from eopoly.parser import (
     parse_expr_text,
@@ -17,6 +20,7 @@ from eopoly.syntax import (
     Anno,
     App,
     Case,
+    EconCtx,
     EoApp,
     Fix,
     FixVar,
@@ -29,16 +33,25 @@ from eopoly.syntax import (
     IUnit,
     Inj,
     Lam,
+    MApp,
+    MCase,
+    MFix,
+    MFixVar,
     MForce,
+    MInj,
     MLam,
+    MPair,
+    MProj,
     MRoll,
     MThunk,
     MTyApp,
     MTyLam,
     MUnit,
+    MUnroll,
     MVar,
     N,
     Pair,
+    Proj,
     SArrow,
     SSusp,
     SUnit,
@@ -104,6 +117,27 @@ def test_terms():
 def test_fix_scope_separates_namespaces():
     got = parse_expr_text("fix u. \\x. u x")
     assert got == Fix("u", Lam("x", App(FixVar("u"), Var("x"))))
+
+
+def test_inner_binder_shadows_a_fixed_point_name():
+    assert parse_expr_text("fix f. \\f. f") == Fix("f", Lam("f", Var("f")))
+    got = parse_expr_text("fix f. case f { inj1 f -> f | inj2 g -> f }")
+    assert got == Fix("f", Case(FixVar("f"), "f", Var("f"), "g", FixVar("f")))
+    assert parse_term_text("fix f. \\f. f") == MFix("f", MLam("f", MVar("f")))
+    assert parse_term_text("\\f. fix f. f") == MLam("f", MFix("f", MFixVar("f")))
+
+
+@pytest.mark.parametrize("lang,arrow", [("impartial", "1 -[V]> 1"),
+                                        ("econ", "susp[V] 1 -> 1")])
+def test_shadowing_and_its_alpha_variant_get_one_verdict(tmp_path, capsys,
+                                                         lang, arrow):
+    verdicts = []
+    for body in ("\\f. f", "\\g. g"):
+        path = tmp_path / "p.eo"
+        path.write_text(f"#lang {lang}\n((((fix f. {body}) : {arrow}) ()) : 1)\n")
+        verdicts.append((cli.main(["check", str(path)]), capsys.readouterr()))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == 0
 
 
 def test_core_terms():
@@ -187,7 +221,7 @@ def test_expr_round_trips():
 
 # -- hypothesis: printing then parsing is the identity on random types --------
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eopoly.syntax import IForall, eo_var as _eo_var
 
@@ -213,3 +247,118 @@ def _imp_types():
 @given(_imp_types())
 def test_type_print_parse_identity(ty):
     assert parse_type_text(pretty_ty(ty)) == ty
+
+
+# -- hypothesis: printing then parsing is the identity on well-scoped random
+# expressions and core terms.  Binder names come from one two-name pool
+# shared by lambda, case and fix, so binders of either kind shadow each
+# other; a name refers to its innermost binder, or is a free term variable.
+
+_names = st.sampled_from(["f", "g"])
+_small_types = st.sampled_from([U, ITyVar("a"), IArrow(U, U, N)])
+# Binder forms are drawn three times as often as the others, so that
+# nested binders of one name are common.
+_BINDER_FORMS = ("lam", "fix", "case") * 3
+
+
+def _ref(scope, name, var, fixvar):
+    for bound, is_fix in reversed(scope):
+        if bound == name:
+            return fixvar(name) if is_fix else var(name)
+    return var(name)
+
+
+@st.composite
+def _source_exprs(draw, scope=(), depth=5):
+    name = draw(_names)
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 3)) == 0:
+            return Unit()
+        return _ref(scope, name, Var, FixVar)
+
+    def sub(inner=scope):
+        return _source_exprs(inner, depth - 1)
+
+    form = draw(st.sampled_from(
+        [*_BINDER_FORMS, "tylam", "app", "pair", "proj", "inj", "tyapp",
+         "eoapp", "anno"]))
+    if form == "lam":
+        return Lam(name, draw(sub(scope + ((name, False),))))
+    if form == "fix":
+        return Fix(name, draw(sub(scope + ((name, True),))))
+    if form == "tylam":
+        return TyLam(draw(_tnames), draw(sub()))
+    if form == "app":
+        return App(draw(sub()), draw(sub()))
+    if form == "pair":
+        return Pair(draw(sub()), draw(sub()))
+    if form in ("proj", "inj"):
+        return (Proj if form == "proj" else Inj)(draw(st.sampled_from([1, 2])),
+                                                  draw(sub()))
+    if form == "case":
+        x2 = draw(_names)
+        return Case(draw(sub()), name, draw(sub(scope + ((name, False),))),
+                    x2, draw(sub(scope + ((x2, False),))))
+    if form == "tyapp":
+        return TyApp(draw(sub()), draw(_small_types))
+    if form == "eoapp":
+        return EoApp(draw(sub()), draw(_orders))
+    return Anno(draw(sub()), draw(_small_types))
+
+
+_CORE_PREFIX = {"thunk": MThunk, "force": MForce, "roll": MRoll,
+                "unroll": MUnroll}
+
+
+@st.composite
+def _core_terms(draw, scope=(), depth=5):
+    name = draw(_names)
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 3)) == 0:
+            return MUnit()
+        return _ref(scope, name, MVar, MFixVar)
+
+    def sub(inner=scope):
+        return _core_terms(inner, depth - 1)
+
+    form = draw(st.sampled_from(
+        [*_BINDER_FORMS, "tylam", "tyapp", "app", "pair", "proj", "inj",
+         *_CORE_PREFIX]))
+    if form == "lam":
+        return MLam(name, draw(sub(scope + ((name, False),))))
+    if form == "fix":
+        return MFix(name, draw(sub(scope + ((name, True),))))
+    if form in ("tylam", "tyapp"):
+        return (MTyLam if form == "tylam" else MTyApp)(draw(sub()))
+    if form == "app":
+        return MApp(draw(sub()), draw(sub()))
+    if form == "pair":
+        return MPair(draw(sub()), draw(sub()))
+    if form in ("proj", "inj"):
+        return (MProj if form == "proj" else MInj)(draw(st.sampled_from([1, 2])),
+                                                    draw(sub()))
+    if form == "case":
+        x2 = draw(_names)
+        return MCase(draw(sub()), name, draw(sub(scope + ((name, False),))),
+                     x2, draw(sub(scope + ((x2, False),))))
+    return _CORE_PREFIX[form](draw(sub()))
+
+
+@settings(max_examples=300)
+@given(_source_exprs())
+def test_expr_print_parse_identity(e):
+    assert parse_expr_text(pretty_expr(e)) == e
+
+
+@settings(max_examples=300)
+@given(_core_terms())
+def test_term_print_parse_identity(m):
+    assert parse_term_text(pretty_term(m)) == m
+
+
+def test_elaborated_corpus_terms_round_trip():
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        prog = load_program(path)
+        e = econ_expr(prog.main) if prog.lang == "impartial" else prog.main
+        m = elaborate(econ_synth(EconCtx(), e).deriv).term
+        assert parse_term_text(pretty_term(m)) == m, path

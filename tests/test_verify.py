@@ -3,7 +3,9 @@
 import glob
 import os
 
-from eopoly import econ, target
+import pytest
+
+from eopoly import econ, impartial, target
 from eopoly.elaborate import ElabChecker, elaborate, ty_target
 from eopoly.enum_terms import default_menu, enumerate_welltyped
 from eopoly.nfree import (
@@ -17,12 +19,15 @@ from eopoly.program import load_program
 from eopoly.syntax import (
     Anno,
     App,
+    Derivation,
     EconCtx,
     Fix,
     FixVar,
     IArrow,
     IAllEo,
+    IForall,
     ImpCtx,
+    ITyVar,
     IUnit,
     Lam,
     MForce,
@@ -40,6 +45,8 @@ from eopoly.syntax import (
     SYNTH,
     CHECK,
     TOP,
+    TyApp,
+    TyLam,
     Unit,
     V,
     VAL,
@@ -53,10 +60,12 @@ from eopoly.verify import (
     FAIL,
     PASS,
     Judgment,
+    ReplayError,
     SEARCH_EXHAUSTED,
     VACUOUS,
     _search_match,
     build_pool,
+    replay,
     run_cbv_endpoint,
     run_consistency,
     run_econ_preservation,
@@ -316,30 +325,93 @@ def test_inversion_spot_checks():
     assert checked > 20
 
 
+def _all_derivations(bound):
+    """The derivations of every corpus file and of the ``bound``
+    enumeration, on both sides of the translation."""
+    for f in corpus_files(exclude_gaps=False):
+        e, prog = econ_main(f)
+        if prog.lang == "impartial":
+            yield impartial.synth(ImpCtx(), prog.main).deriv
+        yield econ.econ_synth(EconCtx(), e).deriv
+    for j in enumerate_welltyped(bound):
+        ee = econ.econ_expr(j.expr)
+        if j.direction == "check":
+            yield impartial.check(ImpCtx(), j.expr, j.ty).deriv
+            yield econ.econ_check(EconCtx(), ee, econ.econ_type(j.ty)).deriv
+        else:
+            yield impartial.synth(ImpCtx(), j.expr).deriv
+            yield econ.econ_synth(EconCtx(), ee).deriv
+
+
 def test_replay_all_enumerated_derivations():
     """Every derivation the checkers produce re-validates node-by-node
     against the declarative rules, on both sides of the translation: the
     bound-4 enumeration's and every corpus file's."""
-    from eopoly import impartial
-    from eopoly.verify import replay_econ, replay_impartial
+    for d in _all_derivations(4):
+        replay(d)
 
-    for f in corpus_files(exclude_gaps=False):
-        e, prog = econ_main(f)
-        if prog.lang == "impartial":
-            replay_impartial(impartial.synth(ImpCtx(), prog.main).deriv)
-        replay_econ(econ.econ_synth(EconCtx(), e).deriv)
-    for j in enumerate_welltyped(4):
-        if j.direction == "check":
-            r = impartial.check(ImpCtx(), j.expr, j.ty)
-        else:
-            r = impartial.synth(ImpCtx(), j.expr)
-        replay_impartial(r.deriv)
-        ee = econ.econ_expr(j.expr)
-        if j.direction == "check":
-            r2 = econ.econ_check(EconCtx(), ee, econ.econ_type(j.ty))
-        else:
-            r2 = econ.econ_synth(EconCtx(), ee)
-        replay_econ(r2.deriv)
+
+def _unit_leaf(p):
+    """A unit introduction in ``p``'s system and context: a derivation that
+    replays on its own."""
+    unit = (econ.ECON if p.rule.startswith("r-") else impartial.IMPARTIAL).unit
+    return Derivation(p.rule[:2] + "unit-intro", p.ctx, Unit(), CHECK, unit(), VAL)
+
+
+def _with_child(d, i, child):
+    kids = d.children[:i] + (child,) + d.children[i + 1:]
+    return Derivation(d.rule, d.ctx, d.expr, d.direction, d.ty, d.valueness,
+                      kids, d.info)
+
+
+def _premise_replaced(d):
+    """``d`` once for each premise that is not a unit introduction, with
+    that premise replaced by a unit introduction."""
+    for i, c in enumerate(d.children):
+        if not c.rule.endswith("unit-intro"):
+            yield _with_child(d, i, _unit_leaf(c))
+        for m in _premise_replaced(c):
+            yield _with_child(d, i, m)
+
+
+def test_replay_detects_every_replaced_premise():
+    # Replacing any premise by a derivation that is valid on its own must
+    # break the rule above it; a replay that skips some premise's subject,
+    # type or context (a fixed point's body, say) lets such mutants through.
+    mutants = undetected = 0
+    for d in _all_derivations(5):
+        for m in _premise_replaced(d):
+            mutants += 1
+            try:
+                replay(m)
+                undetected += 1
+            except ReplayError:
+                pass
+    assert mutants > 30_000
+    assert undetected == 0
+
+
+def test_replay_rejects_malformed_nodes():
+    lam = Anno(Lam("x", Var("x")), IArrow(U, U, V))
+    d = impartial.synth(ImpCtx(), App(lam, Unit())).deriv
+    replay(d)
+    # A dropped premise.
+    dropped = Derivation(d.rule, d.ctx, d.expr, d.direction, d.ty, d.valueness,
+                         d.children[:1], d.info)
+    # A variable its context does not declare.
+    unbound = Derivation("i-var", ImpCtx(), Var("y"), SYNTH, U, VAL)
+    # The argument's premise from the suspension-point system.
+    arg = d.children[1]
+    other = econ.econ_check(EconCtx(), Unit(), econ.econ_type(arg.ty)).deriv
+    mixed = _with_child(d, 1, other)
+    # A type argument not in scope.
+    poly = Anno(TyLam("a", Unit()), IForall("a", U))
+    inst = impartial.synth(ImpCtx(), TyApp(poly, U)).deriv
+    ill_formed = Derivation(inst.rule, inst.ctx, TyApp(poly, ITyVar("zz")),
+                            SYNTH, U, VAL, inst.children, {"ty_arg": ITyVar("zz")})
+    for bad in (dropped, unbound, mixed, ill_formed):
+        with pytest.raises(ReplayError):
+            replay(bad)
 
 
 # -- a search cut by its bound is not a refutation -----------------------------
@@ -420,6 +492,19 @@ def test_checking_judgment_pool_reads_its_own_derivation(monkeypatch):
         want = build_pool(e, [ty])
         j = Judgment(e, ty, CHECK)
         j.typing
+        calls = []
+        monkeypatch.setattr(econ, "econ_check", lambda *a: calls.append(a))
+        assert j.pool == want and not calls, path
+        monkeypatch.undo()
+
+
+def test_synthesized_judgment_pool_reads_its_own_derivation(monkeypatch):
+    # A synthesis derivation names the types build_pool's checking
+    # derivation names, in the same order, so it needs no second typing.
+    for path in corpus_files(exclude_gaps=False):
+        e, _ = econ_main(path)
+        j = Judgment(e, None, SYNTH)
+        want = build_pool(e, [j.typing.ty])
         calls = []
         monkeypatch.setattr(econ, "econ_check", lambda *a: calls.append(a))
         assert j.pool == want and not calls, path
