@@ -19,34 +19,25 @@ its result starts with.
 from __future__ import annotations
 
 from . import bidir
-from .bidir import UNROLL_LIMIT, TypingResult
+from .bidir import TypingResult
 from .syntax import (
     N,
     V,
     VAL,
-    Anno,
-    App,
-    Case,
     EconCtx,
     EconType,
-    EoApp,
     Expr,
-    Fix,
-    FixVar,
     IAllEo,
     IArrow,
     IForall,
     ImpCtx,
     ImpType,
-    Inj,
     IProd,
     IRec,
     ISum,
     ITyVar,
     IUnit,
-    Lam,
-    Pair,
-    Proj,
+    Node,
     SAllEo,
     SArrow,
     SForall,
@@ -56,10 +47,7 @@ from .syntax import (
     SSusp,
     STyVar,
     SUnit,
-    TyApp,
-    TyLam,
-    Unit,
-    Var,
+    rebuild,
 )
 
 
@@ -107,32 +95,13 @@ def econ_ctx(ctx: ImpCtx) -> EconCtx:
 
 def econ_expr(e: Expr) -> Expr:
     """Rewrite every annotation through the type translation."""
-    match e:
-        case Unit() | Var(_) | FixVar(_):
-            return e
-        case Anno(body, ty):
-            return Anno(econ_expr(body), econ_type(ty))
-        case TyApp(body, ty):
-            return TyApp(econ_expr(body), econ_type(ty))
-        case EoApp(body, eo):
-            return EoApp(econ_expr(body), eo)
-        case Lam(x, body):
-            return Lam(x, econ_expr(body))
-        case App(fn, arg):
-            return App(econ_expr(fn), econ_expr(arg))
-        case Fix(u, body):
-            return Fix(u, econ_expr(body))
-        case TyLam(a, body):
-            return TyLam(a, econ_expr(body))
-        case Pair(l, r):
-            return Pair(econ_expr(l), econ_expr(r))
-        case Proj(k, body):
-            return Proj(k, econ_expr(body))
-        case Inj(k, body):
-            return Inj(k, econ_expr(body))
-        case Case(s, x1, e1, x2, e2):
-            return Case(econ_expr(s), x1, econ_expr(e1), x2, econ_expr(e2))
-    raise TypeError(f"not a source expression: {e!r}")
+    if not isinstance(e, Expr):
+        raise TypeError(f"not a source expression: {e!r}")
+    return rebuild(e, _econ_child)
+
+
+def _econ_child(n: Node) -> Node:
+    return econ_expr(n) if isinstance(n, Expr) else econ_type(n)
 
 
 # ---------------------------------------------------------------------------

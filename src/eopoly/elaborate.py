@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .econ import EconCtx, _check as _econ_check_internal, UNROLL_LIMIT
+from .bidir import UNROLL_LIMIT
+from .econ import _check as _econ_check_internal
 from .errors import ElaborationError, EvalOrderVarInContext, InstantiationNotClosed
 from .syntax import (
     AArrow,
@@ -47,6 +48,7 @@ from .syntax import (
     AUnit,
     Case,
     Derivation,
+    EconCtx,
     EconType,
     Expr,
     Fix,
@@ -82,7 +84,6 @@ from .syntax import (
     STyVar,
     SUnit,
     Term,
-    TgtCtx,
     TgtType,
     TOP,
     Unit,
@@ -97,6 +98,7 @@ from .syntax import (
     join,
     match_instantiate,
     node_count,
+    rebuild,
     refold_candidates,
     subst_eo,
     subst_expr,
@@ -113,7 +115,6 @@ __all__ = [
     "ElabChecker",
     "ElabResult",
     "ty_target",
-    "ctx_target",
     "elaborate",
     "check_elab",
 ]
@@ -153,22 +154,6 @@ def ty_target(ty: EconType) -> TgtType:
         case SRec(var, body):
             return ARec(var, ty_target(body))
     raise TypeError(f"not an economical type: {ty!r}")
-
-
-def ctx_target(ctx: EconCtx) -> TgtCtx:
-    out = TgtCtx()
-    for kind, name, payload in ctx.entries:
-        if kind == "eo":
-            raise EvalOrderVarInContext(
-                "the context declares an evaluation-order variable"
-            )
-        if kind == "ty":
-            out = out.with_ty(name)
-        elif kind == "x":
-            out = out.with_x(name, ty_target(payload))
-        else:
-            out = out.with_u(name, ty_target(payload))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +290,9 @@ def _nf(ty: EconType) -> EconType:
     """Erase every by-value suspension: they elaborate to nothing and
     preserve valueness, so membership in the elaboration relation is
     invariant under them at any depth."""
-    match ty:
-        case SSusp(eo, body):
-            return _nf(body) if eo == V else SSusp(eo, _nf(body))
-        case SArrow(dom, cod):
-            return SArrow(_nf(dom), _nf(cod))
-        case SProd(l, r):
-            return SProd(_nf(l), _nf(r))
-        case SSum(l, r):
-            return SSum(_nf(l), _nf(r))
-        case SForall(v, b):
-            return SForall(v, _nf(b))
-        case SAllEo(v, b):
-            return SAllEo(v, _nf(b))
-        case SRec(v, b):
-            return SRec(v, _nf(b))
-    return ty
+    if isinstance(ty, SSusp) and ty.eo == V:
+        return _nf(ty.body)
+    return rebuild(ty, _nf)
 
 
 # What each elimination rule concludes from its premise's type, or False

@@ -2,8 +2,10 @@
 
 A type is N-free when every order it carries is by-value and it has no
 order quantifier; a judgment additionally needs an N-free context (term
-variables declared val) and N-free annotations; a core term is N-free
-when it contains no thunk or force.
+variables declared val) and an N-free expression: one walk over the
+expression and the types inside it finds every order an instantiation
+marker or an annotation carries.  A core term is N-free when it contains
+no thunk or force.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from .syntax import (
     EO,
     EconCtx,
     EconType,
-    EoApp,
     Expr,
     IAllEo,
     ImpCtx,
@@ -30,9 +31,13 @@ from .syntax import (
 
 
 def _orders_ok(node: Node, forbid_quantifier: type) -> bool:
-    return not any(isinstance(n, forbid_quantifier)
-                   or any(isinstance(v, EO) and v != V for _, v in children(n))
-                   for n in subterms(node))
+    for n in subterms(node):
+        if isinstance(n, forbid_quantifier):
+            return False
+        for _, v in children(n):
+            if isinstance(v, EO) and v != V:
+                return False
+    return True
 
 
 def n_free_impartial_type(ty: ImpType) -> bool:
@@ -41,19 +46,6 @@ def n_free_impartial_type(ty: ImpType) -> bool:
 
 def n_free_econ_type(ty: EconType) -> bool:
     return _orders_ok(ty, SAllEo)
-
-
-def _expr_types_n_free(e: Expr, type_pred) -> bool:
-    if isinstance(e, EoApp) and e.eo != V:
-        return False
-    for _, v in children(e):
-        if isinstance(v, (ImpType, EconType)):
-            if not type_pred(v):
-                return False
-        elif isinstance(v, Expr):
-            if not _expr_types_n_free(v, type_pred):
-                return False
-    return True
 
 
 def n_free_impartial_judgment(ctx: ImpCtx, e: Expr, ty: ImpType) -> bool:
@@ -74,9 +66,7 @@ def n_free_impartial_judgment(ctx: ImpCtx, e: Expr, ty: ImpType) -> bool:
             _, t = payload
             if not n_free_impartial_type(t):
                 return False
-    if not _expr_types_n_free(e, n_free_impartial_type):
-        return False
-    return n_free_impartial_type(ty)
+    return _orders_ok(e, IAllEo) and n_free_impartial_type(ty)
 
 
 def n_free_econ_judgment(ctx: EconCtx, e: Expr, ty: EconType) -> bool:
@@ -85,15 +75,8 @@ def n_free_econ_judgment(ctx: EconCtx, e: Expr, ty: EconType) -> bool:
             return False
         if kind in ("x", "u") and not n_free_econ_type(payload):
             return False
-    if not _expr_types_n_free(e, n_free_econ_type):
-        return False
-    return n_free_econ_type(ty)
+    return _orders_ok(e, SAllEo) and n_free_econ_type(ty)
 
 
 def n_free_target(m: Term) -> bool:
-    if isinstance(m, (MThunk, MForce)):
-        return False
-    for _, v in children(m):
-        if isinstance(v, Term) and not n_free_target(v):
-            return False
-    return True
+    return not any(isinstance(n, (MThunk, MForce)) for n in subterms(m))

@@ -2,7 +2,10 @@
 
 Parenthesization is minimal: each node prints at its natural precedence
 and gets wrapped only when the position demands something tighter.
-Printing then parsing is the identity on ASTs.
+Printing then parsing is the identity on ASTs.  Source expressions and
+core terms share one printer: a form the two grammars have in common
+prints the same way in both, and ``pretty_expr``/``pretty_term`` only
+say which grammar every node must belong to.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .syntax import (
     SSusp,
     STyVar,
     SUnit,
+    Term,
     AArrow,
     AForall,
     AProd,
@@ -116,74 +120,59 @@ def pretty_ty(ty, need: int = 0) -> str:
 
 
 def pretty_expr(e: Expr, need: int = 0) -> str:
-    match e:
-        case Unit():
+    return _pretty(e, need, Expr)
+
+
+def pretty_term(m: Term, need: int = 0) -> str:
+    return _pretty(m, need, Term)
+
+
+_GRAMMAR_NAMES = {Expr: "source expression", Term: "core term"}
+_PREFIX = {MThunk: "thunk", MForce: "force", MRoll: "roll", MUnroll: "unroll"}
+
+
+def _pretty(n, need: int, grammar: type) -> str:
+    """``n`` printed at precedence ``need``; every node must belong to
+    ``grammar``, source expressions or core terms."""
+    if not isinstance(n, grammar):
+        raise TypeError(f"not a {_GRAMMAR_NAMES[grammar]}: {n!r}")
+    match n:
+        case Unit() | MUnit():
             return "()"
-        case Var(x) | FixVar(x):
+        case Var(x) | FixVar(x) | MVar(x) | MFixVar(x):
             return x
-        case Lam(x, b):
-            return _wrap(f"\\{x}. {pretty_expr(b)}", 0, need)
-        case Fix(u, b):
-            return _wrap(f"fix {u}. {pretty_expr(b)}", 0, need)
+        case Lam(x, b) | MLam(x, b):
+            return _wrap(f"\\{x}. {_pretty(b, 0, grammar)}", 0, need)
+        case Fix(u, b) | MFix(u, b):
+            return _wrap(f"fix {u}. {_pretty(b, 0, grammar)}", 0, need)
         case TyLam(v, b):
-            return _wrap(f"/\\'{v}. {pretty_expr(b)}", 0, need)
-        case App(f, a):
-            return _wrap(f"{pretty_expr(f, 1)} {pretty_expr(a, 3)}", 1, need)
-        case Inj(k, b):
-            return _wrap(f"inj{k} {pretty_expr(b, 2)}", 2, need)
-        case Proj(k, b):
-            return _wrap(f"{pretty_expr(b, 3)}.{k}", 3, need)
-        case TyApp(b, ty):
-            return _wrap(f"{pretty_expr(b, 3)} [{pretty_ty(ty)}]", 3, need)
-        case EoApp(b, eo):
-            return _wrap(f"{pretty_expr(b, 3)} {{{pretty_eo(eo)}}}", 3, need)
-        case Pair(l, r):
-            return f"({pretty_expr(l)}, {pretty_expr(r)})"
-        case Anno(b, ty):
-            return f"({pretty_expr(b)} : {pretty_ty(ty)})"
-        case Case(s, x1, b1, x2, b2):
-            return _wrap(
-                f"case {pretty_expr(s, 1)} {{ inj1 {x1} -> {pretty_expr(b1)}"
-                f" | inj2 {x2} -> {pretty_expr(b2)} }}",
-                0, need,
-            )
-    raise TypeError(f"not a source expression: {e!r}")
-
-
-def pretty_term(m, need: int = 0) -> str:
-    match m:
-        case MUnit():
-            return "()"
-        case MVar(x) | MFixVar(x):
-            return x
-        case MLam(x, b):
-            return _wrap(f"\\{x}. {pretty_term(b)}", 0, need)
-        case MFix(u, b):
-            return _wrap(f"fix {u}. {pretty_term(b)}", 0, need)
+            return _wrap(f"/\\'{v}. {_pretty(b, 0, grammar)}", 0, need)
         case MTyLam(b):
-            return _wrap(f"/\\. {pretty_term(b)}", 0, need)
+            return _wrap(f"/\\. {_pretty(b, 0, grammar)}", 0, need)
+        case App(f, a) | MApp(f, a):
+            return _wrap(f"{_pretty(f, 1, grammar)} {_pretty(a, 3, grammar)}",
+                         1, need)
+        case Inj(k, b) | MInj(k, b):
+            return _wrap(f"inj{k} {_pretty(b, 2, grammar)}", 2, need)
+        case MThunk(b) | MForce(b) | MRoll(b) | MUnroll(b):
+            return _wrap(f"{_PREFIX[type(n)]} {_pretty(b, 2, grammar)}", 2, need)
+        case Proj(k, b) | MProj(k, b):
+            return _wrap(f"{_pretty(b, 3, grammar)}.{k}", 3, need)
+        case TyApp(b, ty):
+            return _wrap(f"{_pretty(b, 3, grammar)} [{pretty_ty(ty)}]", 3, need)
         case MTyApp(b):
-            return _wrap(f"{pretty_term(b, 3)} []", 3, need)
-        case MApp(f, a):
-            return _wrap(f"{pretty_term(f, 1)} {pretty_term(a, 3)}", 1, need)
-        case MThunk(b):
-            return _wrap(f"thunk {pretty_term(b, 2)}", 2, need)
-        case MForce(b):
-            return _wrap(f"force {pretty_term(b, 2)}", 2, need)
-        case MRoll(b):
-            return _wrap(f"roll {pretty_term(b, 2)}", 2, need)
-        case MUnroll(b):
-            return _wrap(f"unroll {pretty_term(b, 2)}", 2, need)
-        case MInj(k, b):
-            return _wrap(f"inj{k} {pretty_term(b, 2)}", 2, need)
-        case MProj(k, b):
-            return _wrap(f"{pretty_term(b, 3)}.{k}", 3, need)
-        case MPair(l, r):
-            return f"({pretty_term(l)}, {pretty_term(r)})"
-        case MCase(s, x1, b1, x2, b2):
+            return _wrap(f"{_pretty(b, 3, grammar)} []", 3, need)
+        case EoApp(b, eo):
+            return _wrap(f"{_pretty(b, 3, grammar)} {{{pretty_eo(eo)}}}", 3, need)
+        case Pair(l, r) | MPair(l, r):
+            return f"({_pretty(l, 0, grammar)}, {_pretty(r, 0, grammar)})"
+        case Anno(b, ty):
+            return f"({_pretty(b, 0, grammar)} : {pretty_ty(ty)})"
+        case Case(s, x1, b1, x2, b2) | MCase(s, x1, b1, x2, b2):
             return _wrap(
-                f"case {pretty_term(s, 1)} {{ inj1 {x1} -> {pretty_term(b1)}"
-                f" | inj2 {x2} -> {pretty_term(b2)} }}",
+                f"case {_pretty(s, 1, grammar)} {{ inj1 {x1} -> "
+                f"{_pretty(b1, 0, grammar)} | inj2 {x2} -> "
+                f"{_pretty(b2, 0, grammar)} }}",
                 0, need,
             )
-    raise TypeError(f"not a core term: {m!r}")
+    raise TypeError(f"not a {_GRAMMAR_NAMES[grammar]}: {n!r}")

@@ -7,11 +7,13 @@ dataclass; binding structure is declared per class via ``scopes`` and
 field, the binders that scope over it), and every generic walk reads the
 plan: ``free_names``, ``subst`` and ``alpha_key``, and on top of them the
 structural helpers every grammar shares (``unfold``, ``match_instantiate``,
-``subterms``, ``node_count`` and the like).  ``focus``, ``plug`` and the
-run loop ``run`` likewise serve every evaluator, each driven by that
-evaluator's table of evaluation contexts; a run resumes each search for
-the next redex at the contractum instead of at the root.  Names live in
-four namespaces that never mix:
+``subterms``, ``node_count`` and the like).  ``rebuild`` is the one walk
+for rewrites that only replace nodes: erasure here, the annotation
+translation and the suspension normal form elsewhere.  ``focus``,
+``plug`` and the run loop ``run`` likewise serve every evaluator, each
+driven by that evaluator's table of evaluation contexts; a run resumes
+each search for the next redex at the contractum instead of at the root.
+Names live in four namespaces that never mix:
 
     "x"   term variables
     "u"   fixed-point variables
@@ -731,6 +733,27 @@ def subst_fix_term(replacement: Term, var: str, m: Term) -> Term:
 # Structural helpers, generic over the grammars via ``scopes`` and ``ref``
 # ---------------------------------------------------------------------------
 
+def rebuild(node: Node, f) -> Node:
+    """``node`` with ``f`` applied to each child node, or ``node`` itself
+    when ``f`` returned every child unchanged.
+
+    Every other field (binder names, indices, orders) is kept, and no
+    binder is renamed, so ``f`` must not bring in a free name that one of
+    ``node``'s binders would capture.
+    """
+    cls = type(node)
+    values = []
+    changed = False
+    for name in _field_names(cls):
+        v = getattr(node, name)
+        if isinstance(v, Node):
+            new = f(v)
+            changed = changed or new is not v
+            v = new
+        values.append(v)
+    return cls(*values) if changed else node
+
+
 @lru_cache(maxsize=None)
 def node_count(node: object) -> int:
     """Number of nodes in ``node``; types and orders count as nodes."""
@@ -751,8 +774,10 @@ def subterms(node: Node) -> list[Node]:
     while todo:
         n = todo.pop()
         out.append(n)
-        kids = [getattr(n, f) for f, _ in _plan(type(n))]
-        todo.extend(v for v in reversed(kids) if isinstance(v, Node))
+        for f in reversed(_field_names(type(n))):
+            v = getattr(n, f)
+            if isinstance(v, Node):
+                todo.append(v)
     return out
 
 
@@ -946,45 +971,16 @@ def run(node: Node, contexts: dict, values: tuple, contract, fuel: int,
 # Erasure
 # ---------------------------------------------------------------------------
 
+_MARKERS = (Anno, TyLam, TyApp, EoApp)
+
+
 def erase(e: Expr) -> Expr:
     """Drop annotations, type abstraction/application, and order markers."""
-    match e:
-        case Anno(body, _) | TyLam(_, body) | TyApp(body, _) | EoApp(body, _):
-            return erase(body)
-        case Unit() | Var(_) | FixVar(_):
-            return e
-        case Lam(x, body):
-            return Lam(x, erase(body))
-        case App(fn, arg):
-            return App(erase(fn), erase(arg))
-        case Fix(u, body):
-            return Fix(u, erase(body))
-        case Pair(l, r):
-            return Pair(erase(l), erase(r))
-        case Proj(k, body):
-            return Proj(k, erase(body))
-        case Inj(k, body):
-            return Inj(k, erase(body))
-        case Case(s, x1, e1, x2, e2):
-            return Case(erase(s), x1, erase(e1), x2, erase(e2))
-    raise TypeError(f"not a source expression: {e!r}")
-
-
-def is_erased(e: Expr) -> bool:
-    match e:
-        case Anno(_, _) | TyLam(_, _) | TyApp(_, _) | EoApp(_, _):
-            return False
-        case Unit() | Var(_) | FixVar(_):
-            return True
-        case Lam(_, body) | Fix(_, body) | Proj(_, body) | Inj(_, body):
-            return is_erased(body)
-        case App(fn, arg):
-            return is_erased(fn) and is_erased(arg)
-        case Pair(l, r):
-            return is_erased(l) and is_erased(r)
-        case Case(s, _, e1, _, e2):
-            return is_erased(s) and is_erased(e1) and is_erased(e2)
-    raise TypeError(f"not a source expression: {e!r}")
+    if isinstance(e, _MARKERS):
+        return erase(e.body)
+    if not isinstance(e, Expr):
+        raise TypeError(f"not a source expression: {e!r}")
+    return rebuild(e, erase)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,22 +1075,10 @@ class EconCtx(Ctx):
     def assumption(self, kind: str, name: str) -> tuple[Valueness, EconType]:
         return (VAL if kind == "x" else TOP), self.lookup(kind, name)
 
-    def subst_eo(self, eo: EO, var: str) -> "EconCtx":
-        out = []
-        for k, n, payload in self.entries:
-            if k in ("x", "u"):
-                out.append((k, n, subst_eo(eo, var, payload)))
-            else:
-                out.append((k, n, payload))
-        return EconCtx(tuple(out))
-
 
 class TgtCtx(Ctx):
     def with_x(self, name: str, ty: TgtType) -> "TgtCtx":
         return self._extend("x", name, ty)
-
-    def with_u(self, name: str, ty: TgtType) -> "TgtCtx":
-        return self._extend("u", name, ty)
 
 
 # ---------------------------------------------------------------------------

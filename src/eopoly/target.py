@@ -78,10 +78,6 @@ from .syntax import (
 )
 from .wf import ty_wf
 
-VALUE = "value"
-VALUABLE = "valuable"
-NEITHER = "neither"
-
 CONTEXTS = {
     MApp: ("fn", "arg"),
     MPair: ("left", "right"),
@@ -103,14 +99,6 @@ def is_value(m: Term) -> bool:
 
 def is_valuable(m: Term) -> bool:
     return focus(m, CONTEXTS, VALUABLES) is None
-
-
-def classify(m: Term) -> str:
-    if is_value(m):
-        return VALUE
-    if is_valuable(m):
-        return VALUABLE
-    return NEITHER
 
 
 # ---------------------------------------------------------------------------

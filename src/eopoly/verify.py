@@ -59,7 +59,6 @@ from .syntax import (
     Derivation,
     EconCtx,
     EconType,
-    EO,
     EoApp,
     Expr,
     Fix,
@@ -88,7 +87,6 @@ from .syntax import (
     Var,
     alpha_eq,
     alpha_key,
-    children,
     dedup,
     eo_var,
     erase,
@@ -913,16 +911,3 @@ def _replay_node(d: Derivation) -> None:
         _conclude(d, TOP, unfold(p.ty))
     else:
         raise ReplayError(f"unknown rule {d.rule}")
-
-
-def concrete_orders(node: Node) -> frozenset[str]:
-    """Concrete orders mentioned anywhere in a type or expression."""
-    return frozenset(v.tag for n in subterms(node) for _, v in children(n)
-                     if isinstance(v, EO) and not v.is_var())
-
-
-def derivation_orders(d: Derivation) -> frozenset[str]:
-    out = concrete_orders(d.ty)
-    for c in d.children:
-        out |= derivation_orders(c)
-    return out

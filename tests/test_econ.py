@@ -161,15 +161,6 @@ def test_derivations_replay():
         replay(r.deriv)
 
 
-def test_context_order_substitution():
-    ctx = (EconCtx().with_eo("a")
-           .with_x("x", SSusp(eo_var("a"), SU))
-           .with_u("u", SArrow(SSusp(eo_var("a"), SU), SU)))
-    out = ctx.subst_eo(N, "a")
-    assert out.lookup("x", "x") == SSusp(N, SU)
-    assert out.lookup("u", "u") == SArrow(SSusp(N, SU), SU)
-
-
 def test_econ_type_preserves_wellformedness():
     from eopoly.enum_terms import default_menu
     from eopoly.wf import ty_wf

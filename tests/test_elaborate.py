@@ -6,7 +6,6 @@ from eopoly import econ, elaborate as elab_mod, target
 from eopoly.elaborate import (
     ElabChecker,
     check_elab,
-    ctx_target,
     elaborate,
     ty_target,
 )
@@ -67,14 +66,6 @@ def test_ty_target_order_quantifier_pairs_instances():
 
 def test_ty_target_value_suspensions_vanish():
     assert ty_target(SSusp(V, SSusp(V, SU))) == AUnit()
-
-
-def test_ctx_target():
-    ctx = EconCtx().with_x("x", SSusp(N, SU))
-    assert ctx_target(ctx).lookup("x", "x") == AThunk(AUnit())
-    assert ctx_target(EconCtx()).entries == ()
-    with pytest.raises(EvalOrderVarInContext):
-        ctx_target(EconCtx().with_eo("a"))
 
 
 def test_golden_order_polymorphic_identity():

@@ -15,6 +15,7 @@ from eopoly.syntax import (
     Anno,
     App,
     Case,
+    EO,
     EoApp,
     Fix,
     FixVar,
@@ -39,9 +40,11 @@ from eopoly.syntax import (
     VAL,
     Var,
     alpha_eq,
+    children,
     eo_var,
+    subterms,
 )
-from eopoly.verify import derivation_orders, replay
+from eopoly.verify import replay
 
 U = IUnit()
 EMPTY = ImpCtx()
@@ -202,6 +205,19 @@ def test_derivations_replay():
     ]
     for r in cases:
         replay(r.deriv)
+
+
+def concrete_orders(node):
+    """Concrete orders mentioned anywhere in a type or expression."""
+    return frozenset(v.tag for n in subterms(node) for _, v in children(n)
+                     if isinstance(v, EO) and not v.is_var())
+
+
+def derivation_orders(d):
+    out = concrete_orders(d.ty)
+    for c in d.children:
+        out |= derivation_orders(c)
+    return out
 
 
 def test_annotation_subformula_discipline():

@@ -1,4 +1,4 @@
-"""Core language: classification, typing, deterministic stepping."""
+"""Core language: values and valuables, typing, deterministic stepping."""
 
 import itertools
 
@@ -35,15 +35,19 @@ OMEGA = MFix("u", MFixVar("u"))
 
 
 def test_classify_thunk_is_value_regardless_of_body():
-    assert target.classify(MThunk(OMEGA)) == target.VALUE
+    assert target.is_value(MThunk(OMEGA))
 
 
 def test_classify_projection_of_values_is_valuable():
-    assert target.classify(MProj(1, MPair(MUnit(), MUnit()))) == target.VALUABLE
+    m = MProj(1, MPair(MUnit(), MUnit()))
+    assert not target.is_value(m)
+    assert target.is_valuable(m)
 
 
 def test_classify_application_is_neither():
-    assert target.classify(MApp(MLam("x", MVar("x")), MUnit())) == target.NEITHER
+    m = MApp(MLam("x", MVar("x")), MUnit())
+    assert not target.is_value(m)
+    assert not target.is_valuable(m)
 
 
 def test_every_value_is_valuable():
