@@ -74,10 +74,9 @@ from .syntax import (
     Var,
     alpha_eq,
     eo_var,
+    instantiate,
     join,
     subst1,
-    subst_eo,
-    subst_ty_in_ty,
     unfold,
 )
 from .wf import eo_wf, rec_guarded, ty_wf
@@ -136,10 +135,10 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
 
     if isinstance(ty, s.alleo):
         a = ctx.fresh(ty.var, "eo")
-        body_ty = subst_eo(eo_var(a), ty.var, ty.body)
         # Annotations inside e refer to the binder by its written name.
-        e_inner = subst_eo(eo_var(a), ty.var, e) if a != ty.var else e
-        inner = _check(s, ctx.with_eo(a), e_inner, body_ty, UNROLL_LIMIT)
+        e_inner = subst1(e, "eo", ty.var, eo_var(a))
+        inner = _check(s, ctx.with_eo(a), e_inner, instantiate(ty, eo_var(a)),
+                       UNROLL_LIMIT)
         if inner.valueness != VAL:
             raise ValueRestriction("an order-polymorphic subject must be a value")
         return _result(p + "alleo-intro", ctx, e, CHECK, ty, VAL, (inner.deriv,),
@@ -151,9 +150,8 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
                 "only a type abstraction checks against a universal type"
             )
         a = ctx.fresh(ty.var, "ty")
-        body_ty = subst_ty_in_ty(s.tyvar(a), ty.var, ty.body)
-        body_e = subst1(e.body, "ty", e.var, s.tyvar(a))
-        inner = _check(s, ctx.with_ty(a), body_e, body_ty, UNROLL_LIMIT)
+        inner = _check(s, ctx.with_ty(a), instantiate(e, s.tyvar(a)),
+                       instantiate(ty, s.tyvar(a)), UNROLL_LIMIT)
         if inner.valueness != VAL:
             raise ValueRestriction("a polymorphic subject must be a value")
         return _result(p + "all-intro", ctx, e, CHECK, ty, VAL, (inner.deriv,),
@@ -171,12 +169,12 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
             if not isinstance(ty, s.unit):
                 raise TypeMismatch(f"unit value cannot have type {ty!r}")
             return _result(p + "unit-intro", ctx, e, CHECK, ty, VAL)
-        case Lam(x, body):
+        case Lam(x, _):
             if not isinstance(ty, s.arrow):
                 raise TypeMismatch(f"a function cannot have type {ty!r}")
             xx = ctx.fresh(x, "x", "u")
-            body = subst1(body, "x", x, Var(xx)) if xx != x else body
-            inner = _check(s, ctx.with_arg(xx, ty), body, ty.cod, UNROLL_LIMIT)
+            inner = _check(s, ctx.with_arg(xx, ty), instantiate(e, Var(xx)),
+                           ty.cod, UNROLL_LIMIT)
             return _result(p + "arrow-intro", ctx, e, CHECK, ty, VAL,
                            (inner.deriv,), {"var": xx})
         case Pair(l, r):
@@ -194,20 +192,20 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
                            UNROLL_LIMIT)
             return _result(p + "sum-intro", ctx, e, CHECK, ty, inner.valueness,
                            (inner.deriv,), {"k": k})
-        case Fix(u, body):
+        case Fix(u, _):
             uu = ctx.fresh(u, "x", "u")
-            body = subst1(body, "u", u, FixVar(uu)) if uu != u else body
-            inner = _check(s, ctx.with_u(uu, ty), body, ty, UNROLL_LIMIT)
+            inner = _check(s, ctx.with_u(uu, ty), instantiate(e, FixVar(uu)), ty,
+                           UNROLL_LIMIT)
             return _result(p + "fix", ctx, e, CHECK, ty, TOP, (inner.deriv,),
                            {"var": uu})
-        case Case(scrut, x1, e1, x2, e2):
+        case Case(scrut, x1, _, x2, _):
             rs = expose(s, ctx, scrut, synth(s, ctx, scrut), "sum")
             xx1 = ctx.fresh(x1, "x", "u")
-            e1 = subst1(e1, "x", x1, Var(xx1)) if xx1 != x1 else e1
             xx2 = ctx.fresh(x2, "x", "u")
-            e2 = subst1(e2, "x", x2, Var(xx2)) if xx2 != x2 else e2
-            r1 = _check(s, ctx.with_case(xx1, rs.ty.left), e1, ty, UNROLL_LIMIT)
-            r2 = _check(s, ctx.with_case(xx2, rs.ty.right), e2, ty, UNROLL_LIMIT)
+            r1 = _check(s, ctx.with_case(xx1, rs.ty.left),
+                        instantiate(e, Var(xx1), "body1"), ty, UNROLL_LIMIT)
+            r2 = _check(s, ctx.with_case(xx2, rs.ty.right),
+                        instantiate(e, Var(xx2), "body2"), ty, UNROLL_LIMIT)
             return _result(p + "sum-elim", ctx, e, CHECK, ty, TOP,
                            (rs.deriv, r1.deriv, r2.deriv),
                            {"var1": xx1, "var2": xx2})
@@ -316,14 +314,14 @@ def synth(s: System, ctx: Ctx, e: Expr) -> TypingResult:
                     f"unguarded recursive type argument: {arg_ty!r}"
                 )
             rb = expose(s, ctx, body, synth(s, ctx, body), "forall")
-            ty = subst_ty_in_ty(arg_ty, rb.ty.var, rb.ty.body)
+            ty = instantiate(rb.ty, arg_ty)
             return _result(p + "all-elim", ctx, e, SYNTH, ty, rb.valueness,
                            (rb.deriv,), {"ty_arg": arg_ty})
         case EoApp(body, eo):
             if not eo_wf(ctx, eo):
                 raise IllFormedType(f"evaluation order not in scope: {eo!r}")
             rb = expose(s, ctx, body, synth(s, ctx, body), "alleo")
-            ty = subst_eo(eo, rb.ty.var, rb.ty.body)
+            ty = instantiate(rb.ty, eo)
             return _result(p + "alleo-elim", ctx, e, SYNTH, ty, rb.valueness,
                            (rb.deriv,), {"eo": eo})
         case Case(_, _, _, _, _):

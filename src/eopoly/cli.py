@@ -9,6 +9,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -106,31 +107,38 @@ def cmd_elaborate(args) -> int:
     return 0
 
 
-def _report_run(args, result, final, show) -> int:
-    """Emit an evaluation's outcome, printing each state with ``show``."""
-    trace = [show(x) for x in result.trace] if args.trace and result.trace else []
-    lines = [f"  [{i}] {x}" for i, x in enumerate(trace)]
-    lines.append(f"{result.kind} after {result.steps} step(s): {show(final)}")
-    payload = {"result": show(final), "kind": result.kind, "steps": result.steps}
+def _report_run(args, evaluate, start, show) -> int:
+    """Run ``evaluate`` from ``start`` and emit the outcome, showing each
+    state with ``show``: printed as it comes, or with ``--json`` kept for
+    the record."""
+    trace: list[str] = []
+    count = itertools.count()
+
+    def on_state(x) -> None:
+        if args.json:
+            trace.append(show(x))
+        else:
+            print(f"  [{next(count)}] {show(x)}")
+
+    result = evaluate(start, args.fuel, on_state if args.trace else None)
+    final = show(result.term if isinstance(result, tgt_mod.EvalResult) else result.expr)
+    payload = {"result": final, "kind": result.kind, "steps": result.steps}
     if trace:
         payload["trace"] = trace
-    _emit(args, result.kind, payload, lines)
+    _emit(args, result.kind, payload,
+          [f"{result.kind} after {result.steps} step(s): {final}"])
     return 0 if result.kind == "value" else 1
 
 
 def cmd_run(args) -> int:
     prog = load_program(args.file)
-    result = tgt_mod.evaluate(_to_econ(prog).elab.term, args.fuel,
-                              want_trace=args.trace)
-    return _report_run(args, result, result.term, pretty_term)
+    return _report_run(args, tgt_mod.evaluate, _to_econ(prog).elab.term, pretty_term)
 
 
 def cmd_src_run(args) -> int:
     prog = load_program(args.file)
     _typecheck(prog)
-    result = src_mod.cbv_evaluate(erase(prog.main), args.fuel,
-                                  want_trace=args.trace)
-    return _report_run(args, result, result.expr, pretty_expr)
+    return _report_run(args, src_mod.cbv_evaluate, erase(prog.main), pretty_expr)
 
 
 def cmd_steps(args) -> int:

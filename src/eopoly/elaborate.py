@@ -94,20 +94,16 @@ from .syntax import (
     alpha_key,
     dedup,
     free_names,
-    fresh_name,
+    instantiate,
     join,
     match_instantiate,
     node_count,
     rebuild,
     refold_candidates,
-    subst_eo,
-    subst_expr,
-    subst_fix_expr,
-    subst_fix_term,
-    subst_term,
-    subst_ty_in_ty,
+    subst1,
     subterms,
     unfold,
+    vacuous,
 )
 from .target import is_value
 
@@ -132,11 +128,8 @@ def ty_target(ty: EconType) -> TgtType:
             return ATyVar(name)
         case SForall(var, body):
             return AForall(var, ty_target(body))
-        case SAllEo(var, body):
-            return AProd(
-                ty_target(subst_eo(V, var, body)),
-                ty_target(subst_eo(N, var, body)),
-            )
+        case SAllEo():
+            return AProd(ty_target(instantiate(ty, V)), ty_target(instantiate(ty, N)))
         case SSusp(eo, body):
             if eo == V:
                 return ty_target(body)
@@ -206,8 +199,8 @@ def _elab(d: Derivation) -> ElabResult:
         var = d.get("var")
         parts = []
         for eo in (V, N):
-            e_inst = subst_eo(eo, var, child.expr)
-            ty_inst = subst_eo(eo, var, child.ty)
+            e_inst = subst1(child.expr, "eo", var, eo)
+            ty_inst = subst1(child.ty, "eo", var, eo)
             d_inst = _econ_check_internal(d.ctx, e_inst, ty_inst, UNROLL_LIMIT)
             inner = _elab(d_inst.deriv)
             if inner.valueness != VAL:
@@ -311,7 +304,7 @@ def _cod(t: EconType) -> EconType | bool:
 
 
 def _instance(t: EconType, k: int) -> EconType | bool:
-    return (_nf(subst_eo(V if k == 1 else N, t.var, t.body))
+    return (_nf(instantiate(t, V if k == 1 else N))
             if isinstance(t, SAllEo) else False)
 
 
@@ -437,11 +430,11 @@ class ElabChecker:
         return None, clean
 
     @staticmethod
-    def _open(ctx: EconCtx, x: str, body: Expr, mx: str, mbody: Term):
-        """Both bodies with their bound variable renamed to one fresh name."""
-        z = fresh_name(x, ctx.names() | free_names(body, "x")
-                       | free_names(mbody, "x"))
-        return z, subst_expr(Var(z), x, body), subst_term(MVar(z), mx, mbody)
+    def _open(ctx: EconCtx, x: str, e: Expr, m: Term, field: str = "body"):
+        """The name the source binder ``x`` is opened at, and both binders'
+        ``field`` opened at it."""
+        z = ctx.fresh(x, "x", "u")
+        return z, instantiate(e, Var(z), field), instantiate(m, MVar(z), field)
 
     @staticmethod
     def _restrict(ctx: EconCtx, e: Expr, m: Term) -> EconCtx:
@@ -493,32 +486,30 @@ class ElabChecker:
                 if isinstance(e, Unit) and isinstance(ty, SUnit):
                     return VAL, True
                 return None, True
-            case MLam(mx, mbody):
+            case MLam():
                 if not (isinstance(e, Lam) and isinstance(ty, SArrow)):
                     return None, True
-                z, eb, mb = self._open(ctx, e.var, e.body, mx, mbody)
+                z, eb, mb = self._open(ctx, e.var, e, m)
                 inner, c = self._ce(ctx.with_x(z, ty.dom), eb, ty.cod, mb, d)
                 return (VAL if inner is not None else None), c
             case MTyLam(mbody):
                 if not isinstance(ty, SForall):
                     return None, True
                 a = ctx.fresh(ty.var, "ty")
-                body_ty = subst_ty_in_ty(STyVar(a), ty.var, ty.body)
-                inner, c = self._ce(ctx.with_ty(a), e, body_ty, mbody, d)
+                inner, c = self._ce(ctx.with_ty(a), e, instantiate(ty, STyVar(a)),
+                                    mbody, d)
                 return (VAL if inner == VAL else None), c
             case MThunk(mbody):
                 if isinstance(ty, SSusp) and ty.eo == N:
                     inner, c = self._ce(ctx, e, ty.body, mbody, d)
                     return (VAL if inner is not None else None), c
                 return None, True
-            case MFix(mu, mbody):
+            case MFix():
                 if not isinstance(e, Fix):
                     return None, True
-                z = fresh_name(e.var, ctx.names()
-                               | free_names(e.body, "u") | free_names(mbody, "u"))
-                eb = subst_fix_expr(FixVar(z), e.var, e.body)
-                mb = subst_fix_term(MFixVar(z), mu, mbody)
-                inner, c = self._ce(ctx.with_u(z, ty), eb, ty, mb, d)
+                z = ctx.fresh(e.var, "x", "u")
+                inner, c = self._ce(ctx.with_u(z, ty), instantiate(e, FixVar(z)), ty,
+                                    instantiate(m, MFixVar(z)), d)
                 return (TOP if inner is not None else None), c
             case MPair(m1, m2):
                 if isinstance(ty, SAllEo):
@@ -565,8 +556,7 @@ class ElabChecker:
                 pairs = self._decided(ctx, e, mbody,
                                       lambda t: _matches(_instance(t, k), ty))
                 if pairs is None:
-                    var = fresh_name("a", free_names(ty, "eo"))
-                    pairs = dedup([SAllEo(var, ty)] + [
+                    pairs = dedup([vacuous(SAllEo, "eo", ty)] + [
                         c for c in self.pool if _matches(_instance(c, k), ty)])
                 v, clean = self._first(pairs, lambda a: [(ctx, e, a, mbody)], d)
                 if v is not None or not (isinstance(e, Proj) and e.k == k):
@@ -588,7 +578,7 @@ class ElabChecker:
                     recs = refold_candidates(ty, self.pool)
                 v, c = self._first(recs, lambda r: [(ctx, e, r, mbody)], d)
                 return (TOP if v is not None else None), c
-            case MCase(ms, mx1, mb1, mx2, mb2):
+            case MCase(ms):
                 if not isinstance(e, Case):
                     return None, True
                 sums = self._decided(ctx, e.scrut, ms,
@@ -596,8 +586,8 @@ class ElabChecker:
                 if sums is None:
                     sums = [c for c in self._candidates(ty, ctx)
                             if isinstance(c, SSum)]
-                z1, eb1, mb1 = self._open(ctx, e.var1, e.body1, mx1, mb1)
-                z2, eb2, mb2 = self._open(ctx, e.var2, e.body2, mx2, mb2)
+                z1, eb1, mb1 = self._open(ctx, e.var1, e, m, "body1")
+                z2, eb2, mb2 = self._open(ctx, e.var2, e, m, "body2")
                 v, c = self._first(sums, lambda s: [
                     (ctx, e.scrut, s, ms),
                     (ctx.with_x(z1, s.left), eb1, ty, mb1),
@@ -606,11 +596,10 @@ class ElabChecker:
             case MTyApp(mbody):
                 def fits(t):
                     return (isinstance(t, SForall) and
-                            match_instantiate(t.body, t.var, ty) is not None)
+                            match_instantiate(t, ty) is not None)
                 foralls = self._decided(ctx, e, mbody, fits)
                 if foralls is None:
-                    unused = fresh_name("b", free_names(ty, "ty"))
-                    foralls = dedup([SForall(unused, ty)]
+                    foralls = dedup([vacuous(SForall, "ty", ty)]
                                     + [f for f in self.pool if fits(f)])
                 return self._first(foralls, lambda f: [(ctx, e, f, mbody)], d)
         return None, True

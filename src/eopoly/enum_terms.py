@@ -51,7 +51,7 @@ from .syntax import (
     Var,
     alpha_key,
     eo_var,
-    subst_eo,
+    instantiate,
     unfold,
 )
 from .wf import rec_guarded, ty_wf
@@ -137,7 +137,7 @@ class Enumerator:
         i = self._instances.get(key)
         if i is None:
             ty = self._types[t]
-            i = self._instances[key] = self._number(subst_eo(eo, ty.var, ty.body))
+            i = self._instances[key] = self._number(instantiate(ty, eo))
         return i
 
     def _components(self, t: int) -> tuple[int, int]:

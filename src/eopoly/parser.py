@@ -15,8 +15,11 @@ Core terms add:      thunk M  force M  roll M  unroll M  /\\. M  M []
 
 Application binds left; projection, type application, and order
 instantiation are postfix on atoms; the prefix keywords (inj1, thunk,
-force, ...) take one prefix-or-atom argument.  Abbreviations are expanded
-at parse time.
+force, ...) take one prefix-or-atom argument.  Types are built from the
+language's connective record (``impartial.IMPARTIAL`` or ``econ.ECON``),
+with an order ``[E]`` only where its connectives carry one.  Abbreviations
+are expanded at parse time, each use instantiating the abbreviation's
+parameters at its arguments.
 
 Expressions and core terms share one set of parsing methods, which build
 each shared form with the constructors of the grammar being parsed (a
@@ -30,7 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .econ import ECON
 from .errors import ParseError
+from .impartial import IMPARTIAL
 from .syntax import (
     Anno,
     App,
@@ -40,15 +45,7 @@ from .syntax import (
     Expr,
     Fix,
     FixVar,
-    IAllEo,
-    IArrow,
-    IForall,
     Inj,
-    IProd,
-    IRec,
-    ISum,
-    ITyVar,
-    IUnit,
     Lam,
     MApp,
     MCase,
@@ -69,15 +66,7 @@ from .syntax import (
     N,
     Pair,
     Proj,
-    SAllEo,
-    SArrow,
-    SForall,
-    SProd,
-    SRec,
-    SSum,
     SSusp,
-    STyVar,
-    SUnit,
     Term,
     TyApp,
     TyLam,
@@ -85,7 +74,7 @@ from .syntax import (
     V,
     Var,
     eo_var,
-    subst,
+    instantiate,
 )
 
 _SYMBOLS = [
@@ -196,9 +185,17 @@ _CORE = _Grammar(
 
 @dataclass
 class Abbrev:
+    """A type abbreviation.  ``body`` is the abbreviated type under one
+    quantifier per parameter, the first parameter's outermost, so a use
+    instantiates ``arity`` of them in turn, each at its argument."""
+
     name: str
-    params: list[tuple[str, str]]  # (kind "ty"|"eo", name)
+    arity: int
     body: object  # ImpType | EconType
+
+
+# The connective records of the two source languages.
+_SYSTEMS = {"impartial": IMPARTIAL, "econ": ECON}
 
 
 class Parser:
@@ -206,7 +203,9 @@ class Parser:
                  abbrevs: dict[str, Abbrev] | None = None):
         self.toks = tokenize(text)
         self.pos = 0
-        self.lang = lang
+        self.system = _SYSTEMS[lang]
+        # Impartial connectives carry an order; econ types suspend instead.
+        self.ordered = "eo" in self.system.arrow.__dataclass_fields__
         self.abbrevs: dict[str, Abbrev] = abbrevs if abbrevs is not None else {}
         self.grammar = _SOURCE
         # The term names in scope, innermost last, each marked whether a
@@ -263,32 +262,42 @@ class Parser:
                          t.line, t.col)
 
     def parse_type(self):
+        s = self.system
         t = self.peek()
-        if t.kind == "ident" and t.text == "forall":
+        if t.kind == "ident" and t.text in ("forall", "all"):
             self.next()
-            v = self._tvar()
+            v = self._tvar() if t.text == "forall" else self._eovar()
             self.eat_sym(".")
-            body = self.parse_type()
-            return IForall(v, body) if self.lang == "impartial" else SForall(v, body)
-        if t.kind == "ident" and t.text == "all":
-            self.next()
-            v = self._eovar()
-            self.eat_sym(".")
-            body = self.parse_type()
-            return IAllEo(v, body) if self.lang == "impartial" else SAllEo(v, body)
+            return (s.forall if t.text == "forall" else s.alleo)(v, self.parse_type())
         if t.kind == "ident" and t.text == "rec":
             self.next()
-            if self.lang == "impartial":
-                self.eat_sym("[")
-                eo = self.parse_eo()
-                self.eat_sym("]")
-                v = self._tvar()
-                self.eat_sym(".")
-                return IRec(v, self.parse_type(), eo)
+            eo = self._order("[", "]")
             v = self._tvar()
             self.eat_sym(".")
-            return SRec(v, self.parse_type())
+            return s.rec(v, self.parse_type(), *eo)
         return self._arrow()
+
+    def _order(self, opened: str, closed: str) -> tuple:
+        """``opened E closed`` where connectives carry an order, as the
+        arguments ``(E,)`` the connective takes after its parts; nothing
+        and ``()`` elsewhere."""
+        if not self.ordered:
+            return ()
+        self.eat_sym(opened)
+        eo = self.parse_eo()
+        self.eat_sym(closed)
+        return (eo,)
+
+    def _infix(self, opened: str, closed: str, bare: str) -> tuple | None:
+        """The order arguments of an infix connective that starts here,
+        written ``opened E closed`` or ``bare`` as the language has it; None
+        when none starts here."""
+        if self.ordered:
+            return self._order(opened, closed) if self.at_sym(opened) else None
+        if self.at_sym(bare):
+            self.next()
+            return ()
+        return None
 
     def _tvar(self) -> str:
         t = self.next()
@@ -306,15 +315,10 @@ class Parser:
 
     def _arrow(self):
         left = self._sum()
-        if self.lang == "impartial" and self.at_sym("-["):
-            self.next()
-            eo = self.parse_eo()
-            self.eat_sym("]>")
-            return IArrow(left, self._arrow_or_quant(), eo)
-        if self.lang != "impartial" and self.at_sym("->"):
-            self.next()
-            return SArrow(left, self._arrow_or_quant())
-        return left
+        eo = self._infix("-[", "]>", "->")
+        if eo is None:
+            return left
+        return self.system.arrow(left, self._arrow_or_quant(), *eo)
 
     def _arrow_or_quant(self):
         # A quantifier may follow an arrow without parentheses.
@@ -325,34 +329,19 @@ class Parser:
 
     def _sum(self):
         left = self._prod()
-        while True:
-            if self.lang == "impartial" and self.at_sym("+["):
-                self.next()
-                eo = self.parse_eo()
-                self.eat_sym("]")
-                left = ISum(left, self._prod(), eo)
-            elif self.lang != "impartial" and self.at_sym("+"):
-                self.next()
-                left = SSum(left, self._prod())
-            else:
-                return left
+        while (eo := self._infix("+[", "]", "+")) is not None:
+            left = self.system.sum(left, self._prod(), *eo)
+        return left
 
     def _prod(self):
         left = self._prefix_ty()
-        while True:
-            if self.lang == "impartial" and self.at_sym("*["):
-                self.next()
-                eo = self.parse_eo()
-                self.eat_sym("]")
-                left = IProd(left, self._prefix_ty(), eo)
-            elif self.lang != "impartial" and self.at_sym("*"):
-                self.next()
-                left = SProd(left, self._prefix_ty())
-            else:
-                return left
+        while (eo := self._infix("*[", "]", "*")) is not None:
+            left = self.system.prod(left, self._prefix_ty(), *eo)
+        return left
 
     def _prefix_ty(self):
-        if self.lang != "impartial" and self.at_ident("susp"):
+        # Suspensions belong to the language whose connectives carry no order.
+        if not self.ordered and self.at_ident("susp"):
             self.next()
             self.eat_sym("[")
             eo = self.parse_eo()
@@ -364,10 +353,10 @@ class Parser:
         t = self.peek()
         if t.kind == "num" and t.text == "1":
             self.next()
-            return IUnit() if self.lang == "impartial" else SUnit()
+            return self.system.unit()
         if t.kind == "tvar":
             self.next()
-            return ITyVar(t.text) if self.lang == "impartial" else STyVar(t.text)
+            return self.system.tyvar(t.text)
         if self.at_sym("("):
             self.next()
             ty = self.parse_type()
@@ -382,13 +371,11 @@ class Parser:
         ab = self.abbrevs.get(t.text)
         if ab is None:
             raise ParseError(f"unknown type abbreviation {t.text!r}", t.line, t.col)
-        sub = {}
-        for kind, pname in ab.params:
-            if kind == "eo":
-                sub[("eo", pname)] = self.parse_eo()
-            else:
-                sub[("ty", pname)] = self._atom_ty()
-        return subst(ab.body, sub)
+        ty = ab.body
+        for _ in range(ab.arity):
+            order = isinstance(ty, self.system.alleo)
+            ty = instantiate(ty, self.parse_eo() if order else self._atom_ty())
+        return ty
 
     # -- terms ---------------------------------------------------------------
 
@@ -546,13 +533,15 @@ class Parser:
         t = self.next()
         if t.kind != "ident" or not t.text[0].isupper():
             raise ParseError("abbreviation names start uppercase", t.line, t.col)
-        params: list[tuple[str, str]] = []
+        params = []
         while self.peek().kind in ("tvar", "eovar"):
-            p = self.next()
-            params.append(("ty" if p.kind == "tvar" else "eo", p.text))
+            params.append(self.next())
         self.eat_sym("=")
         body = self.parse_type()
-        return Abbrev(t.text, params, body)
+        for p in reversed(params):
+            quantifier = self.system.forall if p.kind == "tvar" else self.system.alleo
+            body = quantifier(p.text, body)
+        return Abbrev(t.text, len(params), body)
 
     def expect_eof(self):
         t = self.peek()

@@ -36,9 +36,8 @@ from .syntax import (
     Unit,
     focus,
     plug,
+    instantiate,
     run,
-    subst_expr,
-    subst_fix_expr,
 )
 
 BYVALUE = "byvalue"
@@ -75,14 +74,14 @@ class SourceStep:
 def _contract(e: Expr) -> tuple[str, Expr] | None:
     """The rule and result of reducing the redex ``e``; None if stuck."""
     match e:
-        case App(Lam(x, body), arg):
-            return "beta", subst_expr(arg, x, body)
-        case Fix(u, body):
-            return "fix", subst_fix_expr(e, u, body)
+        case App(Lam() as fn, arg):
+            return "beta", instantiate(fn, arg)
+        case Fix():
+            return "fix", instantiate(e, e)
         case Proj(k, Pair(l, r)):
             return "proj", l if k == 1 else r
-        case Case(Inj(k, e0), x1, e1, x2, e2):
-            return "case", subst_expr(e0, x1, e1) if k == 1 else subst_expr(e0, x2, e2)
+        case Case(Inj(k, e0)):
+            return "case", instantiate(e, e0, f"body{k}")
     return None
 
 
@@ -140,9 +139,10 @@ class SourceEvalResult:
     kind: str  # "value" | "stuck" | "out-of-fuel"
     expr: Expr
     steps: int
-    trace: list[Expr] | None = None
 
 
-def cbv_evaluate(e: Expr, fuel: int, want_trace: bool = False) -> SourceEvalResult:
+def cbv_evaluate(e: Expr, fuel: int, on_state=None) -> SourceEvalResult:
+    """The by-value run of ``e``; ``on_state`` sees each state as it comes
+    (see ``syntax.run``)."""
     return SourceEvalResult(*run(e, BYVALUE_CONTEXTS, VALUES, _contract, fuel,
-                                 want_trace))
+                                 on_state))

@@ -12,7 +12,8 @@ for rewrites that only replace nodes: erasure here, the annotation
 translation and the suspension normal form elsewhere.  ``focus``,
 ``plug`` and the run loop ``run`` likewise serve every evaluator, each
 driven by that evaluator's table of evaluation contexts; a run resumes
-each search for the next redex at the contractum instead of at the root.
+each search for the next redex at the contractum instead of at the root,
+and hands each state to its caller as it is reached.
 Names live in four namespaces that never mix:
 
     "x"   term variables
@@ -20,9 +21,25 @@ Names live in four namespaces that never mix:
     "ty"  type variables
     "eo"  evaluation-order variables
 
-Substitution is capture-avoiding; binders are renamed with fresh names
-only when a replacement would otherwise be captured.  Equality of types
-and terms is alpha-equivalence throughout the package.
+The binder interface.  Every rule that crosses a binder opens it through
+these four, and no other module calls ``subst`` or ``fresh_name``:
+
+    instantiate(b, v, field)  ``b``'s scoped ``field`` with its bound name
+                              replaced by ``v`` (a node, or an :class:`EO`):
+                              a redex's contractum, a quantifier's
+                              instance, or a body opened at a new name;
+    Ctx.fresh(name, *kinds)   the name to open a binder at: its own, unless
+                              the context already declares it;
+    vacuous(make, ns, body)   a binder around ``body`` that binds nothing;
+    subst1(node, ns, x, v)    one name replaced in a node that is not a
+                              binder's body (an expression's annotations,
+                              say).
+
+When ``v`` is a reference to the very name it replaces, ``instantiate``
+returns the field itself and ``subst1`` the node itself.  Substitution is
+capture-avoiding; binders are renamed with fresh names only when a
+replacement would otherwise be captured.  Equality of types and terms is
+alpha-equivalence throughout the package.
 """
 
 from __future__ import annotations
@@ -168,7 +185,28 @@ def free_names(node: object, ns: str) -> frozenset[str]:
 
 
 def subst1(node: object, ns: str, name: str, replacement: object) -> object:
+    """``node`` with ``replacement`` for the free ``name`` of namespace
+    ``ns``; ``node`` itself when ``replacement`` refers to that name."""
+    ref = ("eo", "name") if isinstance(replacement, EO) else type(replacement).ref
+    if ref is not None and ref[0] == ns and getattr(replacement, ref[1]) == name:
+        return node
     return subst(node, {(ns, name): replacement})
+
+
+def instantiate(binder: Node, value: object, field: str = "body") -> object:
+    """``binder``'s scoped ``field`` with its bound name replaced by
+    ``value``: a node of that name's namespace, or an :class:`EO` for an
+    order binder.  The field itself comes back when ``value`` is a
+    reference to the bound name."""
+    bf, ns = next((bf, ns) for bf, ns, scoped in type(binder).scopes
+                  if field in scoped)
+    return subst1(getattr(binder, field), ns, getattr(binder, bf), value)
+
+
+def vacuous(make, ns: str, body: Node) -> Node:
+    """``make(name, body)``: a binder in namespace ``ns`` around ``body``
+    whose name none of ``body``'s free names uses, so it binds nothing."""
+    return make(fresh_name(ns, free_names(body, ns)), body)
 
 
 def alpha_key(node: object, _env: tuple[tuple[str, str], ...] = ()) -> object:
@@ -704,31 +742,6 @@ def _under_binders(node: Node, sub: dict) -> dict[str, tuple[dict, str]]:
     return out
 
 
-def subst_ty_in_ty(replacement: Node, var: str, ty: Node) -> Node:
-    return subst(ty, {("ty", var): replacement})
-
-
-def subst_eo(eo: EO, var: str, node: object) -> object:
-    """Substitute an order for an order variable in a type or expression."""
-    return subst(node, {("eo", var): eo})
-
-
-def subst_expr(replacement: Expr, var: str, e: Expr) -> Expr:
-    return subst(e, {("x", var): replacement})
-
-
-def subst_fix_expr(replacement: Expr, var: str, e: Expr) -> Expr:
-    return subst(e, {("u", var): replacement})
-
-
-def subst_term(replacement: Term, var: str, m: Term) -> Term:
-    return subst(m, {("x", var): replacement})
-
-
-def subst_fix_term(replacement: Term, var: str, m: Term) -> Term:
-    return subst(m, {("u", var): replacement})
-
-
 # ---------------------------------------------------------------------------
 # Structural helpers, generic over the grammars via ``scopes`` and ``ref``
 # ---------------------------------------------------------------------------
@@ -791,7 +804,7 @@ def dedup(nodes: list[Node]) -> list[Node]:
 
 def unfold(ty: Node) -> Node:
     """One-step unfolding of a recursive type, in any type grammar."""
-    return subst(ty.body, {("ty", ty.var): ty})
+    return instantiate(ty, ty)
 
 
 def refold_candidates(ty: Node, pool: tuple[Node, ...] = ()) -> list[Node]:
@@ -800,10 +813,9 @@ def refold_candidates(ty: Node, pool: tuple[Node, ...] = ()) -> list[Node]:
     Any such type occurs in ``ty`` itself (when its variable occurs), or
     wraps ``ty`` with an unused binder; the pool adds externally known ones.
     """
-    wrap = _rec_wrap(ty)
     cands = [t for t in subterms(ty) + list(pool)
              if isinstance(t, REC_TYPES) and alpha_eq(unfold(t), ty)]
-    cands.append(wrap(fresh_name("rec", free_names(ty, "ty")), ty))
+    cands.append(vacuous(_rec_wrap(ty), "ty", ty))
     return dedup(cands)
 
 
@@ -816,14 +828,16 @@ def _same_ref(ns: str, x: str, y: str, env: tuple) -> bool:
     return x == y
 
 
-def match_instantiate(pattern: Node, var: str, goal: Node) -> Node | None | str:
-    """Solve ``[X/var]pattern == goal`` for the type ``X`` (up to alpha).
+def match_instantiate(binder: Node, goal: Node) -> Node | None | str:
+    """Solve ``instantiate(binder, X) == goal`` for the type ``X`` (up to
+    alpha), ``binder`` being a universal type.
 
-    Returns the solution, the marker string ``"any"`` when ``var`` does not
-    occur (any well-formed instantiation works), or None on mismatch.
-    Binders crossed on the way are paired per namespace, and a solution
-    may not mention a goal-side one.
+    Returns the solution, the marker string ``"any"`` when the bound
+    variable does not occur (any well-formed instantiation works), or None
+    on mismatch.  Binders crossed on the way are paired per namespace, and
+    a solution may not mention a goal-side one.
     """
+    var = binder.var
     solution: list[Node] = []
 
     def go(p: object, g: object, env: tuple[tuple[str, str, str], ...]) -> bool:
@@ -854,7 +868,7 @@ def match_instantiate(pattern: Node, var: str, goal: Node) -> Node | None | str:
                       env + tuple((ns, getattr(p, bf), getattr(g, bf)) for bf, ns in scope))
                    for f, scope in _plan(cls) if scope is not None)
 
-    if not go(pattern, goal, ()):
+    if not go(binder.body, goal, ()):
         return None
     return solution[0] if solution else "any"
 
@@ -931,23 +945,25 @@ def plug(frames: list[tuple[Node, str]], node: Node) -> Node:
 
 
 def run(node: Node, contexts: dict, values: tuple, contract, fuel: int,
-        want_trace: bool = False) -> tuple:
+        on_state=None) -> tuple:
     """Evaluate ``node`` by at most ``fuel`` contractions.
 
     ``contract`` maps a redex to ``(rule, contractum)``, or to None when it
-    is stuck.  Returns ``(kind, term, steps, trace)``: kind is "value",
-    "stuck" or "out-of-fuel" (a term still able to step after ``fuel``
-    steps), and ``trace``, with ``want_trace``, lists every term from
-    ``node`` on.  The run is refocused: after a contraction the walk
+    is stuck.  Returns ``(kind, term, steps)``: kind is "value", "stuck"
+    or "out-of-fuel" (a term still able to step after ``fuel`` steps).
+    ``on_state``, when given, is called with every term from ``node`` on,
+    each as soon as it is reached, so a caller can print a trace without
+    keeping it.  The run is refocused: after a contraction the walk
     resumes at the contractum, inside the frames it already holds, and
     shares one ``known`` table of values for the whole run; the frames are
-    plugged only to return the final term and, with ``want_trace``, after
+    plugged only to return the final term and, with ``on_state``, after
     each contraction.
     """
     stack: list = []
     known: dict[int, Node] = {}
-    trace = [node] if want_trace else None
     steps = 0
+    if on_state is not None:
+        on_state(node)
 
     def whole(hole: Node) -> Node:
         return plug([(n, fields[i]) for n, fields, i in stack], hole)
@@ -955,16 +971,16 @@ def run(node: Node, contexts: dict, values: tuple, contract, fuel: int,
     while True:
         node, found = _resume(node, stack, contexts, values, known)
         if not found:
-            return "value", node, steps, trace
+            return "value", node, steps
         red = contract(node)
         if red is None:
-            return "stuck", whole(node), steps, trace
+            return "stuck", whole(node), steps
         if steps == fuel:
-            return "out-of-fuel", whole(node), steps, trace
+            return "out-of-fuel", whole(node), steps
         node = red[1]
         steps += 1
-        if want_trace:
-            trace.append(whole(node))
+        if on_state is not None:
+            on_state(whole(node))
 
 
 # ---------------------------------------------------------------------------

@@ -64,17 +64,14 @@ from .syntax import (
     alpha_key,
     dedup,
     focus,
-    fresh_name,
-    free_names,
+    instantiate,
     match_instantiate,
     plug,
     refold_candidates,
     run,
-    subst_fix_term,
-    subst_term,
-    subst_ty_in_ty,
     subterms,
     unfold,
+    vacuous,
 )
 from .wf import ty_wf
 
@@ -217,8 +214,7 @@ class TargetChecker:
                 if not isinstance(ty, AForall) or not is_valuable(body):
                     return False
                 a = ctx.fresh(ty.var, "ty")
-                body_ty = subst_ty_in_ty(ATyVar(a), ty.var, ty.body)
-                return self.check(ctx.with_ty(a), body, body_ty)
+                return self.check(ctx.with_ty(a), body, instantiate(ty, ATyVar(a)))
             case MThunk(body):
                 return isinstance(ty, AThunk) and self.check(ctx, body, ty.body)
             case MPair(l, r):
@@ -288,19 +284,16 @@ class TargetChecker:
                 if t is not None:
                     if not isinstance(t, AForall):
                         return False
-                    sol = match_instantiate(t.body, t.var, ty)
+                    sol = match_instantiate(t, ty)
                     return sol == "any" or (sol is not None and ty_wf(ctx, sol))
                 if isinstance(body, MTyLam):
                     # The goal does not mention the bound variable here, so
-                    # checking the body at the goal under a fresh variable
-                    # witnesses some valid quantified type.
-                    if not is_valuable(body.body):
-                        return False
-                    a = fresh_name("a", ctx.names() | free_names(ty, "ty"))
-                    return self.check(ctx.with_ty(a), body.body, ty)
+                    # the body checking at a quantifier that binds nothing
+                    # around the goal witnesses some valid quantified type.
+                    return self.check(ctx, body, vacuous(AForall, "ty", ty))
                 for cand in self.pool:
                     if isinstance(cand, AForall):
-                        sol = match_instantiate(cand.body, cand.var, ty)
+                        sol = match_instantiate(cand, ty)
                         if sol == "any" or (sol is not None and ty_wf(ctx, sol)):
                             if self.check(ctx, body, cand):
                                 return True
@@ -333,18 +326,18 @@ class StepResult:
 def _contract(m: Term) -> tuple[str, Term] | None:
     """The rule and result of reducing the redex ``m``; None if stuck."""
     match m:
-        case MApp(MLam(x, body), arg):
-            return "beta", subst_term(arg, x, body)
+        case MApp(MLam() as fn, arg):
+            return "beta", instantiate(fn, arg)
         case MTyApp(MTyLam(body)):
             return "tyapp", body
         case MForce(MThunk(body)):
             return "force", body
-        case MFix(u, body):
-            return "fix", subst_fix_term(m, u, body)
+        case MFix():
+            return "fix", instantiate(m, m)
         case MProj(k, MPair(l, r)):
             return "proj", l if k == 1 else r
-        case MCase(MInj(k, v), x1, m1, x2, m2):
-            return "case", subst_term(v, x1, m1) if k == 1 else subst_term(v, x2, m2)
+        case MCase(MInj(k, v)):
+            return "case", instantiate(m, v, f"body{k}")
         case MUnroll(MRoll(body)):
             return "unroll", body
     return None
@@ -368,8 +361,9 @@ class EvalResult:
     kind: str  # "value" | "stuck" | "out-of-fuel"
     term: Term
     steps: int
-    trace: list[Term] | None = None
 
 
-def evaluate(m: Term, fuel: int, want_trace: bool = False) -> EvalResult:
-    return EvalResult(*run(m, CONTEXTS, VALUES, _contract, fuel, want_trace))
+def evaluate(m: Term, fuel: int, on_state=None) -> EvalResult:
+    """The run of ``m``; ``on_state`` sees each state as it comes (see
+    ``syntax.run``)."""
+    return EvalResult(*run(m, CONTEXTS, VALUES, _contract, fuel, on_state))

@@ -91,11 +91,10 @@ from .syntax import (
     eo_var,
     erase,
     free_names,
+    instantiate,
     join,
     node_count,
     subst1,
-    subst_eo,
-    subst_ty_in_ty,
     subterms,
     unfold,
     valof,
@@ -230,7 +229,7 @@ def _pool(tys: list[EconType], derivs: list[Derivation]) -> tuple[EconType, ...]
     for t in found:
         closed.append(t)
         if isinstance(t, SAllEo):
-            closed += [subst_eo(V, t.var, t.body), subst_eo(N, t.var, t.body)]
+            closed += [instantiate(t, V), instantiate(t, N)]
         elif isinstance(t, SRec):
             closed.append(unfold(t))
     return tuple(dedup([s for t in closed for s in subterms(t)]))
@@ -758,12 +757,6 @@ def _wf(ctx, ty: Node) -> bool:
     return ty_wf(ctx, ty) and rec_guarded(ty)
 
 
-def _renamed(node: object, ns: str, old: str, new: Node) -> object:
-    """``node`` with the free name ``old`` of namespace ``ns`` renamed to
-    the variable ``new``."""
-    return node if new.name == old else subst1(node, ns, old, new)
-
-
 def _declares(child, parent, decl: tuple) -> bool:
     """``child`` is ``parent`` with the fresh declaration ``decl`` added."""
     kind, name, payload = decl
@@ -826,7 +819,7 @@ def _replay_node(d: Derivation) -> None:
         _shape(d, Lam, CHECK, 1)
         _is(d, ty, s.arrow)
         x = _info(d, "var")
-        _premise(d, 0, _renamed(e.body, "x", e.var, Var(x)), CHECK, ty.cod,
+        _premise(d, 0, instantiate(e, Var(x)), CHECK, ty.cod,
                  decl=("x", x, decls.arg(ty)))
         _conclude(d, VAL)
     elif rule == "arrow-elim":
@@ -857,24 +850,22 @@ def _replay_node(d: Derivation) -> None:
         _shape(d, Case, CHECK, 3)
         p = _premise(d, 0, e.scrut, SYNTH)
         _is(d, p.ty, s.sum)
-        branches = ((e.var1, e.body1, p.ty.left), (e.var2, e.body2, p.ty.right))
-        for i, (var, body, comp) in enumerate(branches, 1):
+        for i, comp in enumerate((p.ty.left, p.ty.right), 1):
             x = _info(d, f"var{i}")
-            _premise(d, i, _renamed(body, "x", var, Var(x)), CHECK, ty,
+            _premise(d, i, instantiate(e, Var(x), f"body{i}"), CHECK, ty,
                      decl=("x", x, decls.case(comp)))
         _conclude(d, TOP)
     elif rule == "fix":
         _shape(d, Fix, CHECK, 1)
         u = _info(d, "var")
-        _premise(d, 0, _renamed(e.body, "u", e.var, FixVar(u)), CHECK, ty,
+        _premise(d, 0, instantiate(e, FixVar(u)), CHECK, ty,
                  decl=("u", u, decls.fix(ty)))
         _conclude(d, TOP)
     elif rule == "all-intro":
         _shape(d, TyLam, CHECK, 1)
         _is(d, ty, s.forall)
         a = s.tyvar(_info(d, "var"))
-        _premise(d, 0, _renamed(e.body, "ty", e.var, a), CHECK,
-                 _renamed(ty.body, "ty", ty.var, a), VAL,
+        _premise(d, 0, instantiate(e, a), CHECK, instantiate(ty, a), VAL,
                  decl=("ty", a.name, None))
         _conclude(d, VAL)
     elif rule == "all-elim":
@@ -883,13 +874,12 @@ def _replay_node(d: Derivation) -> None:
         p = _premise(d, 0, e.body, SYNTH)
         _is(d, p.ty, s.forall)
         _expect(alpha_eq(_info(d, "ty_arg"), e.ty), d, "recorded type argument")
-        _conclude(d, p.valueness, subst_ty_in_ty(e.ty, p.ty.var, p.ty.body))
+        _conclude(d, p.valueness, instantiate(p.ty, e.ty))
     elif rule == "alleo-intro":
         _shape(d, Expr, CHECK, 1)
         _is(d, ty, s.alleo)
         a = eo_var(_info(d, "var"))
-        _premise(d, 0, _renamed(e, "eo", ty.var, a), CHECK,
-                 _renamed(ty.body, "eo", ty.var, a), VAL,
+        _premise(d, 0, subst1(e, "eo", ty.var, a), CHECK, instantiate(ty, a), VAL,
                  decl=("eo", a.name, None))
         _conclude(d, VAL)
     elif rule == "alleo-elim":
@@ -898,7 +888,7 @@ def _replay_node(d: Derivation) -> None:
         p = _premise(d, 0, e.body, SYNTH)
         _is(d, p.ty, s.alleo)
         _expect(_info(d, "eo") == e.eo, d, "recorded order")
-        _conclude(d, p.valueness, subst_eo(e.eo, p.ty.var, p.ty.body))
+        _conclude(d, p.valueness, instantiate(p.ty, e.eo))
     elif rule == "rec-intro":
         _shape(d, Expr, CHECK, 1)
         _is(d, ty, s.rec)

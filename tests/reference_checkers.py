@@ -71,13 +71,22 @@ from eopoly.syntax import (
     alpha_eq,
     eo_var,
     join,
+    subst,
     subst1,
-    subst_eo,
-    subst_ty_in_ty,
     unfold,
     valof,
 )
 from eopoly.wf import eo_wf, rec_guarded, ty_wf
+
+
+# The single-name substitutions these oracles were written against.
+def subst_eo(eo, var, node):
+    return subst(node, {("eo", var): eo})
+
+
+def subst_ty_in_ty(replacement, var, ty):
+    return subst(ty, {("ty", var): replacement})
+
 
 # ---------------------------------------------------------------------------
 # The impartial checker

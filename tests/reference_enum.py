@@ -42,10 +42,15 @@ from eopoly.syntax import (
     alpha_eq,
     alpha_key,
     eo_var,
-    subst_eo,
+    subst,
     unfold,
     valof,
 )
+
+
+# The single-name substitutions these oracles were written against.
+def subst_eo(eo, var, node):
+    return subst(node, {("eo", var): eo})
 
 
 def _expose_type(ty: ImpType, want: type, budget: int = 16) -> ImpType | None:

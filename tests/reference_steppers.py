@@ -42,12 +42,26 @@ from eopoly.syntax import (
     Unit,
     Var,
     alpha_eq,
-    subst_expr,
-    subst_fix_expr,
-    subst_fix_term,
-    subst_term,
+    subst,
 )
 from eopoly.target import StepResult
+
+
+# The single-name substitutions these oracles were written against.
+def subst_expr(replacement, var, e):
+    return subst(e, {("x", var): replacement})
+
+
+def subst_fix_expr(replacement, var, e):
+    return subst(e, {("u", var): replacement})
+
+
+def subst_fix_term(replacement, var, m):
+    return subst(m, {("u", var): replacement})
+
+
+def subst_term(replacement, var, m):
+    return subst(m, {("x", var): replacement})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line behavior on the corpus."""
 
+import contextlib
 import glob
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -100,6 +102,29 @@ def test_src_run_json_trace(capsys):
         payload = json.loads(out)["payload"]
         assert len(payload["trace"]) == payload["steps"] + 1, cmd
         assert payload["trace"][-1] == payload["result"], cmd
+
+
+def test_trace_lines_are_written_as_the_run_goes(monkeypatch):
+    """A traced run prints each state as soon as it reaches it: the first
+    line is out before the run takes its last step."""
+    from eopoly import source, target
+
+    for cmd, module in (("run", target), ("src-run", source)):
+        taken = []
+        contract = module._contract
+        monkeypatch.setattr(module, "_contract",
+                            lambda redex: taken.append(redex) or contract(redex))
+        writes = []
+
+        class Out(io.StringIO):
+            def write(self, text):
+                writes.append((text, len(taken)))
+                return len(text)
+
+        with contextlib.redirect_stdout(Out()):
+            main([cmd, "--trace", "--fuel", "20", path("stream_head.eo")])
+        first = next(n for text, n in writes if text.startswith("  [0] "))
+        assert first < len(taken), cmd
 
 
 def test_src_run_reaches_default_fuel(capsys):

@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and only
+``syntax.py`` substitutes or invents names.
 
-A stdlib-``ast`` check, since the project runs no linter: an import that
+Stdlib-``ast`` checks, since the project runs no linter.  An import that
 nothing reads is either dead or a re-export, and re-exports belong in
-``__init__.py`` or ``__all__``, both exempt.
+``__init__.py`` or ``__all__``, both exempt.  A rule that crosses a binder
+opens it through ``syntax.instantiate`` (with ``Ctx.fresh``, ``vacuous``
+and ``subst1``), so no other module calls ``subst`` or ``fresh_name`` or
+imports the single-name substitutions they replaced.
 """
 
 import ast
@@ -62,3 +66,37 @@ def test_the_check_sees_an_unused_and_a_re_exported_name():
            "__all__ = ['e']\n"
            "print(d)\n")
     assert unused_imports(src) == [("b", 1), ("f", 2)]
+
+
+RETIRED = {"subst_ty_in_ty", "subst_eo", "subst_expr", "subst_fix_expr",
+           "subst_term", "subst_fix_term"}
+BINDER_RULE = {"subst", "fresh_name"}
+
+
+def binder_rule_uses(source: str) -> list[tuple[str, int]]:
+    """Each call of ``subst`` or ``fresh_name`` and each import of a
+    retired substitution, with its line."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            if name in BINDER_RULE:
+                out.append((name, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(a.name, node.lineno) for a in node.names if a.name in RETIRED]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "syntax.py"])
+def test_binders_are_opened_in_syntax_only(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert binder_rule_uses(fh.read()) == [], module
+
+
+def test_the_binder_check_sees_calls_and_retired_imports():
+    src = ("from .syntax import subst_eo, instantiate\n"
+           "x = S.subst(t, {})\n"
+           "y = fresh_name('a', set())\n"
+           "z = instantiate(t, u)\n")
+    assert binder_rule_uses(src) == [("fresh_name", 3), ("subst", 2), ("subst_eo", 1)]

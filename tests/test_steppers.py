@@ -101,19 +101,19 @@ def reference_run(x, fuel, ref_step):
 def same_whole_runs(x, cap, evaluate, ref_step):
     """``evaluate`` against the reference loop, at fuels 0, 1, the
     reference run's step count within ``cap`` and one less, with and
-    without a trace: same kind, final term, steps and trace."""
+    without a trace: same kind, final term, steps and trace, each state
+    handed over as the run reaches it."""
     ref_step = functools.lru_cache(maxsize=None)(ref_step)
     n = reference_run(x, cap, ref_step)[2]
     for fuel in sorted({0, 1, max(n - 1, 0), n}):
         kind, term, steps, trace = reference_run(x, fuel, ref_step)
-        for want_trace in (False, True):
-            got = evaluate(x, fuel, want_trace)
+        for traced in (False, True):
+            states = []
+            got = evaluate(x, fuel, states.append if traced else None)
             final = got.term if isinstance(got, target.EvalResult) else got.expr
             assert (got.kind, repr(final), got.steps) == (kind, repr(term), steps), (x, fuel)
-            if want_trace:
-                assert [repr(t) for t in got.trace] == [repr(t) for t in trace], (x, fuel)
-            else:
-                assert got.trace is None
+            want = trace if traced else []
+            assert [repr(t) for t in states] == [repr(t) for t in want], (x, fuel)
 
 
 CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS, "*.eo")))

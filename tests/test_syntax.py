@@ -21,6 +21,7 @@ from eopoly.syntax import (
     Proj,
     SAllEo,
     SArrow,
+    SForall,
     SProd,
     SRec,
     SSusp,
@@ -43,12 +44,12 @@ from eopoly.syntax import (
     join,
     match_instantiate,
     node_count,
+    instantiate,
     refold_candidates,
-    subst_eo,
-    subst_expr,
-    subst_ty_in_ty,
+    subst1,
     subterms,
     unfold,
+    vacuous,
     valof,
 )
 
@@ -98,21 +99,21 @@ def test_erase_idempotent_on_erased():
 
 def test_subst_eo_single_occurrence():
     ty = IArrow(IUnit(), IUnit(), eo_var("a"))
-    assert subst_eo(V, "a", ty) == IArrow(IUnit(), IUnit(), V)
+    assert subst1(ty, "eo", "a", V) == IArrow(IUnit(), IUnit(), V)
 
 
 def test_subst_ty_shadowing():
     ty = IForall("a", ITyVar("a"))
-    assert alpha_eq(subst_ty_in_ty(IUnit(), "a", ty), ty)
+    assert alpha_eq(subst1(ty, "ty", "a", IUnit()), ty)
 
 
 def test_subst_expr_under_unrelated_binder():
-    assert subst_expr(Unit(), "x", Lam("y", Var("x"))) == Lam("y", Unit())
+    assert subst1(Lam("y", Var("x")), "x", "x", Unit()) == Lam("y", Unit())
 
 
 def test_subst_capture_avoidance():
     body = Lam("y", App(Var("x"), Var("y")))
-    out = subst_expr(Var("y"), "x", body)
+    out = subst1(body, "x", "x", Var("y"))
     assert isinstance(out, Lam)
     assert out.var != "y"
     assert out.body == App(Var("y"), Var(out.var))
@@ -122,10 +123,44 @@ def test_subst_eo_capture_avoidance():
     # Substituting an order variable under a binder of the same name must
     # rename the binder.
     ty = SAllEo("b", SSusp(eo_var("a"), STyVar("t")))
-    out = subst_eo(eo_var("b"), "a", ty)
+    out = subst1(ty, "eo", "a", eo_var("b"))
     assert isinstance(out, SAllEo)
     assert out.var != "b"
     assert out.body == SSusp(eo_var("b"), STyVar("t"))
+
+
+def test_instantiate_opens_the_scoped_field():
+    case = Case(Var("s"), "x", Pair(Var("x"), Var("y")), "y", Var("y"))
+    assert instantiate(case, Unit(), "body1") == Pair(Unit(), Var("y"))
+    assert instantiate(case, Unit(), "body2") == Unit()
+    fix = Fix("u", App(FixVar("u"), Var("u")))
+    assert instantiate(fix, Unit()) == App(Unit(), Var("u"))
+    assert instantiate(SAllEo("a", SSusp(eo_var("a"), SUnit())), N) == SSusp(N, SUnit())
+
+
+def test_instantiate_at_its_own_name_is_the_body_itself():
+    lam = Lam("x", App(Var("x"), Var("y")))
+    assert instantiate(lam, Var("x")) is lam.body
+    assert instantiate(lam, Var("z")) == App(Var("z"), Var("y"))
+    alleo = SAllEo("a", SSusp(eo_var("a"), SUnit()))
+    assert instantiate(alleo, eo_var("a")) is alleo.body
+    assert subst1(lam, "x", "y", Var("y")) is lam
+
+
+def test_instantiate_renames_a_binder_that_would_capture():
+    # Opening at "y" goes under the inner binder "y", which must move.
+    lam = Lam("x", Lam("y", App(Var("x"), Var("y"))))
+    out = instantiate(lam, Var("y"))
+    assert out.var != "y" and out.body == App(Var("y"), Var(out.var))
+
+
+def test_vacuous_binds_nothing():
+    body = SArrow(STyVar("ty_1"), SSusp(eo_var("eo_1"), STyVar("ty")))
+    forall = vacuous(SForall, "ty", body)
+    assert forall.body is body and forall.var not in free_names(body, "ty")
+    alleo = vacuous(SAllEo, "eo", body)
+    assert alleo.body is body and alleo.var not in free_names(body, "eo")
+    assert instantiate(forall, SUnit()) == body
 
 
 def test_alpha_eq_examples():
@@ -175,9 +210,9 @@ def test_substitution_commutation_enumerated():
     repl = SSusp(eo_var("a"), SUnit())
     for eo in (V, N):
         for s in small_econ_types(2):
-            lhs = subst_eo(eo, "a", subst_ty_in_ty(repl, "t", s))
-            rhs = subst_ty_in_ty(subst_eo(eo, "a", repl), "t",
-                                 subst_eo(eo, "a", s))
+            lhs = subst1(subst1(s, "ty", "t", repl), "eo", "a", eo)
+            rhs = subst1(subst1(s, "eo", "a", eo), "ty", "t",
+                         subst1(repl, "eo", "a", eo))
             assert alpha_eq(lhs, rhs), s
 
 
@@ -214,15 +249,15 @@ def test_alpha_symmetric_and_key_consistent(a, b):
 @given(_exprs(), _exprs())
 def test_subst_respects_alpha(a, b):
     if alpha_eq(a, b):
-        sa = subst_expr(Unit(), "x", a)
-        sb = subst_expr(Unit(), "x", b)
+        sa = subst1(a, "x", "x", Unit())
+        sb = subst1(b, "x", "x", Unit())
         assert alpha_eq(sa, sb)
 
 
 @given(_exprs())
 def test_rename_round_trip(e):
-    renamed = subst_expr(Var("fresh_q"), "x", e)
-    back = subst_expr(Var("x"), "fresh_q", renamed)
+    renamed = subst1(e, "x", "x", Var("fresh_q"))
+    back = subst1(renamed, "x", "fresh_q", Var("x"))
     assert alpha_eq(back, e) or "x" not in free_names(e, "x")
 
 
@@ -278,37 +313,37 @@ def test_subterms_dedup_node_count(g):
 @pytest.mark.parametrize("g", [ECON, TGT], ids=["econ", "target"])
 def test_match_instantiate_pairs_binders(g):
     pattern = g.forall("a", g.arrow(g.var("a"), g.var("x")))
-    assert match_instantiate(pattern, "x", g.forall("b", g.arrow(g.var("b"), g.unit))) == g.unit
-    assert match_instantiate(pattern, "x", g.forall("b", g.arrow(g.unit, g.unit))) is None
+    assert match_instantiate(g.forall("x", pattern), g.forall("b", g.arrow(g.var("b"), g.unit))) == g.unit
+    assert match_instantiate(g.forall("x", pattern), g.forall("b", g.arrow(g.unit, g.unit))) is None
     # Under a binder of its own name, "x" is not the variable solved for.
     shadowed = g.forall("x", g.arrow(g.var("x"), g.var("x")))
-    assert match_instantiate(shadowed, "x", g.forall("y", g.arrow(g.var("y"), g.var("y")))) == "any"
+    assert match_instantiate(g.forall("x", shadowed), g.forall("y", g.arrow(g.var("y"), g.var("y")))) == "any"
 
 
 @pytest.mark.parametrize("g", [ECON, TGT], ids=["econ", "target"])
 def test_match_instantiate_any(g):
     ty = g.arrow(g.unit, g.unit)
-    assert match_instantiate(ty, "x", ty) == "any"
-    assert match_instantiate(ty, "x", g.prod(g.unit, g.unit)) is None
+    assert match_instantiate(g.forall("x", ty), ty) == "any"
+    assert match_instantiate(g.forall("x", ty), g.prod(g.unit, g.unit)) is None
 
 
 @pytest.mark.parametrize("g", [ECON, TGT], ids=["econ", "target"])
 def test_match_instantiate_rejects_capture(g):
     # The only solution would mention the goal's bound "c".
     pattern = g.forall("b", g.arrow(g.var("x"), g.var("b")))
-    assert match_instantiate(pattern, "x", g.forall("c", g.arrow(g.var("c"), g.var("c")))) is None
-    assert match_instantiate(pattern, "x", g.forall("c", g.arrow(g.var("d"), g.var("c")))) == g.var("d")
+    assert match_instantiate(g.forall("x", pattern), g.forall("c", g.arrow(g.var("c"), g.var("c")))) is None
+    assert match_instantiate(g.forall("x", pattern), g.forall("c", g.arrow(g.var("d"), g.var("c")))) == g.var("d")
     # Two occurrences must agree.
     twice = g.prod(g.var("x"), g.var("x"))
-    assert match_instantiate(twice, "x", g.prod(g.unit, g.var("d"))) is None
+    assert match_instantiate(g.forall("x", twice), g.prod(g.unit, g.var("d"))) is None
 
 
 def test_match_instantiate_pairs_order_binders():
     pattern = SAllEo("a", SSusp(eo_var("a"), STyVar("x")))
     for b in ("a", "b"):
         goal = SAllEo(b, SSusp(eo_var(b), SUnit()))
-        assert match_instantiate(pattern, "x", goal) == SUnit()
-    assert match_instantiate(pattern, "x", SAllEo("b", SSusp(V, SUnit()))) is None
+        assert match_instantiate(SForall("x", pattern), goal) == SUnit()
+    assert match_instantiate(SForall("x", pattern), SAllEo("b", SSusp(V, SUnit()))) is None
     # A solution may not mention a bound order variable.
     goal = SAllEo("b", SSusp(eo_var("b"), SSusp(eo_var("b"), SUnit())))
-    assert match_instantiate(pattern, "x", goal) is None
+    assert match_instantiate(SForall("x", pattern), goal) is None

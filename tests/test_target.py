@@ -133,8 +133,9 @@ def test_evaluate_examples():
 
 
 def test_evaluate_trace():
-    r = target.evaluate(MApp(MLam("x", MVar("x")), MUnit()), 10, want_trace=True)
-    assert len(r.trace) == 2 and r.trace[-1] == MUnit()
+    states = []
+    r = target.evaluate(MApp(MLam("x", MVar("x")), MUnit()), 10, states.append)
+    assert r.kind == "value" and len(states) == 2 and states[-1] == MUnit()
 
 
 # -- determinism: exhaustive decomposition agrees with the algorithm --------

@@ -280,8 +280,7 @@ def test_inversion_spot_checks():
         SRec,
         SSusp,
         erase,
-        subst_eo,
-        subst_ty_in_ty,
+        instantiate,
     )
     from eopoly.verify import build_pool
 
@@ -305,8 +304,8 @@ def test_inversion_spot_checks():
             assert ck.check(e0, s.body, m.body) is not None
             checked += 1
         if isinstance(m, MPair) and isinstance(s, SAllEo):
-            assert ck.check(e0, subst_eo(V, s.var, s.body), m.left) == VAL
-            assert ck.check(e0, subst_eo(N, s.var, s.body), m.right) == VAL
+            assert ck.check(e0, instantiate(s, V), m.left) == VAL
+            assert ck.check(e0, instantiate(s, N), m.right) == VAL
             checked += 1
         if isinstance(m, MPair) and isinstance(s, SProd):
             assert isinstance(e0, Pair)
@@ -319,7 +318,7 @@ def test_inversion_spot_checks():
                 assert isinstance(e0, Inj) and e0.k == m.k
                 checked += 1
         if isinstance(m, MRoll) and isinstance(s, SRec):
-            unrolled = subst_ty_in_ty(s, s.var, s.body)
+            unrolled = instantiate(s, s)
             assert ck.check(e0, unrolled, m.body) is not None
             checked += 1
     assert checked > 20

@@ -25,7 +25,7 @@ from eopoly.syntax import (
     AUnit,
     V,
     eo_var,
-    subst_eo,
+    subst1,
 )
 from eopoly.wf import eo_wf, rec_guarded, ty_wf
 
@@ -144,4 +144,4 @@ def test_wf_order_substitution_stability():
     for ty in tys:
         assert ty_wf(ctx_a, ty)
         for eo in (V, N):
-            assert ty_wf(EconCtx(), subst_eo(eo, "a", ty))
+            assert ty_wf(EconCtx(), subst1(ty, "eo", "a", eo))
