@@ -134,7 +134,7 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
         return _wrap(s, ctx, e, ty, _check(s, ctx, e, ty.body, UNROLL_LIMIT))
 
     if isinstance(ty, s.alleo):
-        a = ctx.fresh(ty.var, "eo")
+        a = ctx.fresh(ty.var, "eo", scope=(e, ty))
         # Annotations inside e refer to the binder by its written name.
         e_inner = subst1(e, "eo", ty.var, eo_var(a))
         inner = _check(s, ctx.with_eo(a), e_inner, instantiate(ty, eo_var(a)),
@@ -149,7 +149,7 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
             raise TypeMismatch(
                 "only a type abstraction checks against a universal type"
             )
-        a = ctx.fresh(ty.var, "ty")
+        a = ctx.fresh(ty.var, "ty", scope=(e, ty))
         inner = _check(s, ctx.with_ty(a), instantiate(e, s.tyvar(a)),
                        instantiate(ty, s.tyvar(a)), UNROLL_LIMIT)
         if inner.valueness != VAL:
@@ -172,7 +172,7 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
         case Lam(x, _):
             if not isinstance(ty, s.arrow):
                 raise TypeMismatch(f"a function cannot have type {ty!r}")
-            xx = ctx.fresh(x, "x", "u")
+            xx = ctx.fresh(x, "x", "u", scope=(e,))
             inner = _check(s, ctx.with_arg(xx, ty), instantiate(e, Var(xx)),
                            ty.cod, UNROLL_LIMIT)
             return _result(p + "arrow-intro", ctx, e, CHECK, ty, VAL,
@@ -193,15 +193,15 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
             return _result(p + "sum-intro", ctx, e, CHECK, ty, inner.valueness,
                            (inner.deriv,), {"k": k})
         case Fix(u, _):
-            uu = ctx.fresh(u, "x", "u")
+            uu = ctx.fresh(u, "x", "u", scope=(e,))
             inner = _check(s, ctx.with_u(uu, ty), instantiate(e, FixVar(uu)), ty,
                            UNROLL_LIMIT)
             return _result(p + "fix", ctx, e, CHECK, ty, TOP, (inner.deriv,),
                            {"var": uu})
         case Case(scrut, x1, _, x2, _):
             rs = expose(s, ctx, scrut, synth(s, ctx, scrut), "sum")
-            xx1 = ctx.fresh(x1, "x", "u")
-            xx2 = ctx.fresh(x2, "x", "u")
+            xx1 = ctx.fresh(x1, "x", "u", scope=(e,))
+            xx2 = ctx.fresh(x2, "x", "u", scope=(e,))
             r1 = _check(s, ctx.with_case(xx1, rs.ty.left),
                         instantiate(e, Var(xx1), "body1"), ty, UNROLL_LIMIT)
             r2 = _check(s, ctx.with_case(xx2, rs.ty.right),

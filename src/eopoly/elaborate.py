@@ -433,7 +433,7 @@ class ElabChecker:
     def _open(ctx: EconCtx, x: str, e: Expr, m: Term, field: str = "body"):
         """The name the source binder ``x`` is opened at, and both binders'
         ``field`` opened at it."""
-        z = ctx.fresh(x, "x", "u")
+        z = ctx.fresh(x, "x", "u", scope=(e, m))
         return z, instantiate(e, Var(z), field), instantiate(m, MVar(z), field)
 
     @staticmethod
@@ -495,7 +495,7 @@ class ElabChecker:
             case MTyLam(mbody):
                 if not isinstance(ty, SForall):
                     return None, True
-                a = ctx.fresh(ty.var, "ty")
+                a = ctx.fresh(ty.var, "ty", scope=(ty, e))
                 inner, c = self._ce(ctx.with_ty(a), e, instantiate(ty, STyVar(a)),
                                     mbody, d)
                 return (VAL if inner == VAL else None), c
@@ -507,7 +507,7 @@ class ElabChecker:
             case MFix():
                 if not isinstance(e, Fix):
                     return None, True
-                z = ctx.fresh(e.var, "x", "u")
+                z = ctx.fresh(e.var, "x", "u", scope=(e, m))
                 inner, c = self._ce(ctx.with_u(z, ty), instantiate(e, FixVar(z)), ty,
                                     instantiate(m, MFixVar(z)), d)
                 return (TOP if inner is not None else None), c

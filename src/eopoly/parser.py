@@ -2,7 +2,19 @@
 
 Files start with a ``#lang impartial`` or ``#lang econ`` header, carry any
 number of non-recursive type abbreviations, and end in one expression.
-``--`` starts a line comment.
+
+Lexical grammar.  Whitespace is space, tab, CR and LF; only LF ends a
+line, and every other character counts one column.  A name is a
+character for which ``str.isalpha`` holds, or ``_``, then any run of
+``str.isalnum`` characters and ``_``; ``'name`` is a type variable and
+``%name`` an order variable.  A number is a run of ``str.isdigit``
+characters.  ``--`` starts a comment that runs to the end of its line
+(an end of input right after it has the comment's column).
+The symbols are ``-[ ]> *[ +[ /\\ -> ( ) [ ] { } . , : \\ | = * +``, the
+longest one that fits taken first.  The header is the first line that is
+not blank when it starts with ``#lang``; it is blanked before
+tokenizing, and line breaks stay where they are.  :func:`tokenize` reads
+all of this with one compiled pattern.
 
 Types (impartial):   1   'a   forall 'a. T   all %a. T
                      T1 -[E]> T2   T1 *[E] T2   T1 +[E] T2   rec[E] 'a. T
@@ -30,7 +42,9 @@ binder is a ``fix``, a term variable otherwise or when nothing binds it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Callable
 
 from .econ import ECON
@@ -77,81 +91,77 @@ from .syntax import (
     instantiate,
 )
 
-_SYMBOLS = [
-    "-[", "]>", "*[", "+[", "/\\", "->", "(", ")", "[", "]", "{", "}",
-    ".", ",", ":", "\\", "|", "=", "*", "+",
-]
-
 _KEYWORDS = {
     "fix", "case", "inj1", "inj2", "forall", "all", "rec", "susp", "type",
     "thunk", "force", "roll", "unroll",
 }
 
+# One token, or the end of the input, after a run of blanks; each named
+# alternative is one lexical rule, tried in this order.  ``\w`` is exactly
+# ``str.isalnum`` or ``_``; a word's first character decides, by the same
+# predicates, whether it is a number or a name.
+_TOKEN = re.compile(r"""
+    [ \t\r]*
+    (?:
+      (?P<newline> \n )
+    | (?P<comment> --[^\n]* )
+    | (?P<var>     ['%]\w* )
+    | (?P<word>    \w+ )
+    | (?P<sym>     -\[ | \]> | \*\[ | \+\[ | /\\ | -> | [()\[\]{}.,:\\|=*+] )
+    )?
+""", re.VERBOSE)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "sym" | "ident" | "tvar" | "eovar" | "num" | "eof"
-    text: str
-    line: int
-    col: int
+# A token is (kind, text, line, col); kind is "sym", "ident", "tvar",
+# "eovar", "num" or "eof".
+Token = tuple[str, str, int, int]
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
+    append = toks.append
+    match = _TOKEN.match
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    i = bol = 0  # the position, and where its line begins
+    line = 1
+    while True:
+        m = match(text, i)
+        kind = m.lastgroup
+        i = m.end()
+        if kind == "sym":
+            tok = m.group(kind)
+            append((kind, tok, line, i - len(tok) - bol + 1))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "'" or ch == "%":
-            j = i + 1
-            if j >= n or not (text[j].isalpha() or text[j] == "_"):
-                raise ParseError(f"expected a name after {ch!r}", line, col)
-            k = j
-            while k < n and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            kind = "tvar" if ch == "'" else "eovar"
-            toks.append(Token(kind, text[j:k], line, col))
-            col += k - i
-            i = k
-            continue
-        if ch.isdigit():
-            k = i
-            while k < n and text[k].isdigit():
-                k += 1
-            toks.append(Token("num", text[i:k], line, col))
-            col += k - i
-            i = k
-            continue
-        if ch.isalpha() or ch == "_":
-            k = i
-            while k < n and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            toks.append(Token("ident", text[i:k], line, col))
-            col += k - i
-            i = k
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+            bol = i
+        elif kind is None:  # the end, or a character no rule starts with
+            if i < n:
+                raise ParseError(f"unexpected character {text[i]!r}",
+                                 line, i - bol + 1)
+            break
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            tok = m.group(kind)
+            start = i - len(tok)
+            col = start - bol + 1
+            if kind == "word":
+                c = tok[0]
+                if c.isdigit():
+                    tok = "".join(takewhile(str.isdigit, tok))
+                    i = start + len(tok)
+                    append(("num", tok, line, col))
+                elif c.isalpha() or c == "_":
+                    append(("ident", tok, line, col))
+                else:
+                    raise ParseError(f"unexpected character {c!r}", line, col)
+            elif kind == "var":
+                name = tok[1:2]
+                if not (name.isalpha() or name == "_"):
+                    raise ParseError(f"expected a name after {tok[0]!r}",
+                                     line, col)
+                append(("tvar" if tok[0] == "'" else "eovar", tok[1:], line, col))
+            elif i == n:  # a comment that ends the input leaves the column
+                i = start
+                break
+    append(("eof", "", line, i - bol + 1))
     return toks
 
 
@@ -198,6 +208,10 @@ class Abbrev:
 _SYSTEMS = {"impartial": IMPARTIAL, "econ": ECON}
 
 
+def _error(msg: str, t: Token) -> ParseError:
+    return ParseError(msg, t[2], t[3])
+
+
 class Parser:
     def __init__(self, text: str, lang: str = "impartial",
                  abbrevs: dict[str, Abbrev] | None = None):
@@ -223,56 +237,58 @@ class Parser:
         return t
 
     def at_sym(self, s: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == s
+        t = self.toks[self.pos]
+        return t[1] == s and t[0] == "sym"
 
-    def at_ident(self, s: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == s
+    def accept(self, kind: str, s: str) -> bool:
+        """Whether the next token is the ``kind`` token ``s``; if so, it is
+        consumed."""
+        t = self.toks[self.pos]
+        if t[1] == s and t[0] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def eat_sym(self, s: str) -> Token:
-        t = self.next()
-        if t.kind != "sym" or t.text != s:
-            raise ParseError(f"expected {s!r}, found {t.text!r}", t.line, t.col)
-        return t
+    def eat_sym(self, s: str) -> None:
+        if not self.accept("sym", s):
+            self.fail(f"expected {s!r}")
 
     def eat_ident(self) -> str:
-        t = self.next()
-        if t.kind != "ident":
-            raise ParseError(f"expected a name, found {t.text!r}", t.line, t.col)
-        if t.text in _KEYWORDS:
-            raise ParseError(f"{t.text!r} is a keyword", t.line, t.col)
-        return t.text
+        kind, text, _, _ = t = self.next()
+        if kind != "ident":
+            raise _error(f"expected a name, found {text!r}", t)
+        if text in _KEYWORDS:
+            raise _error(f"{text!r} is a keyword", t)
+        return text
 
     def fail(self, msg: str):
         t = self.peek()
-        raise ParseError(f"{msg}, found {t.text!r}", t.line, t.col)
+        raise _error(f"{msg}, found {t[1]!r}", t)
 
     # -- orders and types ---------------------------------------------------
 
     def parse_eo(self) -> EO:
-        t = self.next()
-        if t.kind == "ident" and t.text == "V":
+        kind, text, _, _ = t = self.next()
+        if kind == "ident" and text == "V":
             return V
-        if t.kind == "ident" and t.text == "N":
+        if kind == "ident" and text == "N":
             return N
-        if t.kind == "eovar":
-            return eo_var(t.text)
-        raise ParseError(f"expected an order (V, N or %a), found {t.text!r}",
-                         t.line, t.col)
+        if kind == "eovar":
+            return eo_var(text)
+        raise _error(f"expected an order (V, N or %a), found {text!r}", t)
 
     def parse_type(self):
         s = self.system
-        t = self.peek()
-        if t.kind == "ident" and t.text in ("forall", "all"):
+        kind, text, _, _ = self.peek()
+        if kind == "ident" and text in ("forall", "all"):
             self.next()
-            v = self._tvar() if t.text == "forall" else self._eovar()
+            v = self._var("tvar" if text == "forall" else "eovar")
             self.eat_sym(".")
-            return (s.forall if t.text == "forall" else s.alleo)(v, self.parse_type())
-        if t.kind == "ident" and t.text == "rec":
+            return (s.forall if text == "forall" else s.alleo)(v, self.parse_type())
+        if kind == "ident" and text == "rec":
             self.next()
             eo = self._order("[", "]")
-            v = self._tvar()
+            v = self._var("tvar")
             self.eat_sym(".")
             return s.rec(v, self.parse_type(), *eo)
         return self._arrow()
@@ -281,12 +297,13 @@ class Parser:
         """``opened E closed`` where connectives carry an order, as the
         arguments ``(E,)`` the connective takes after its parts; nothing
         and ``()`` elsewhere."""
-        if not self.ordered:
-            return ()
+        return (self._bracketed(opened, closed),) if self.ordered else ()
+
+    def _bracketed(self, opened: str, closed: str) -> EO:
         self.eat_sym(opened)
         eo = self.parse_eo()
         self.eat_sym(closed)
-        return (eo,)
+        return eo
 
     def _infix(self, opened: str, closed: str, bare: str) -> tuple | None:
         """The order arguments of an infix connective that starts here,
@@ -294,24 +311,16 @@ class Parser:
         when none starts here."""
         if self.ordered:
             return self._order(opened, closed) if self.at_sym(opened) else None
-        if self.at_sym(bare):
-            self.next()
-            return ()
-        return None
+        return () if self.accept("sym", bare) else None
 
-    def _tvar(self) -> str:
-        t = self.next()
-        if t.kind != "tvar":
-            raise ParseError(f"expected a type variable ('a), found {t.text!r}",
-                             t.line, t.col)
-        return t.text
-
-    def _eovar(self) -> str:
-        t = self.next()
-        if t.kind != "eovar":
-            raise ParseError(f"expected an order variable (%a), found {t.text!r}",
-                             t.line, t.col)
-        return t.text
+    def _var(self, kind: str) -> str:
+        """The name of a type variable ("tvar") or an order variable."""
+        k, text, _, _ = t = self.next()
+        if k != kind:
+            what = ("a type variable ('a)" if kind == "tvar"
+                    else "an order variable (%a)")
+            raise _error(f"expected {what}, found {text!r}", t)
+        return text
 
     def _arrow(self):
         left = self._sum()
@@ -322,8 +331,8 @@ class Parser:
 
     def _arrow_or_quant(self):
         # A quantifier may follow an arrow without parentheses.
-        t = self.peek()
-        if t.kind == "ident" and t.text in ("forall", "all", "rec"):
+        kind, text, _, _ = self.peek()
+        if kind == "ident" and text in ("forall", "all", "rec"):
             return self.parse_type()
         return self._arrow()
 
@@ -341,36 +350,31 @@ class Parser:
 
     def _prefix_ty(self):
         # Suspensions belong to the language whose connectives carry no order.
-        if not self.ordered and self.at_ident("susp"):
-            self.next()
-            self.eat_sym("[")
-            eo = self.parse_eo()
-            self.eat_sym("]")
-            return SSusp(eo, self._prefix_ty())
+        if not self.ordered and self.accept("ident", "susp"):
+            return SSusp(self._bracketed("[", "]"), self._prefix_ty())
         return self._atom_ty()
 
     def _atom_ty(self):
-        t = self.peek()
-        if t.kind == "num" and t.text == "1":
+        kind, text, _, _ = t = self.peek()
+        if kind == "num" and text == "1":
             self.next()
             return self.system.unit()
-        if t.kind == "tvar":
+        if kind == "tvar":
             self.next()
-            return self.system.tyvar(t.text)
-        if self.at_sym("("):
-            self.next()
+            return self.system.tyvar(text)
+        if self.accept("sym", "("):
             ty = self.parse_type()
             self.eat_sym(")")
             return ty
-        if t.kind == "ident" and t.text[0].isupper():
+        if kind == "ident" and text[0].isupper():
             self.next()
             return self._expand_abbrev(t)
         self.fail("expected a type")
 
     def _expand_abbrev(self, t: Token):
-        ab = self.abbrevs.get(t.text)
+        ab = self.abbrevs.get(t[1])
         if ab is None:
-            raise ParseError(f"unknown type abbreviation {t.text!r}", t.line, t.col)
+            raise _error(f"unknown type abbreviation {t[1]!r}", t)
         ty = ab.body
         for _ in range(ab.arity):
             order = isinstance(ty, self.system.alleo)
@@ -389,25 +393,22 @@ class Parser:
 
     def _term(self):
         g = self.grammar
-        if self.at_sym("\\"):
-            self.next()
+        if self.accept("sym", "\\"):
             x = self.eat_ident()
             self.eat_sym(".")
             return g.lam(x, self._scoped(x, False, self._term))
-        if self.at_ident("fix"):
-            self.next()
+        if self.accept("ident", "fix"):
             u = self.eat_ident()
             self.eat_sym(".")
             return g.fix(u, self._scoped(u, True, self._term))
-        if self.at_sym("/\\"):
-            self.next()
+        if self.accept("sym", "/\\"):
             if g is _CORE:
                 self.eat_sym(".")
                 return MTyLam(self._term())
-            v = self._tvar()
+            v = self._var("tvar")
             self.eat_sym(".")
             return TyLam(v, self._term())
-        if self.at_ident("case"):
+        if self.accept("ident", "case"):
             return self._case()
         return self._app()
 
@@ -419,7 +420,7 @@ class Parser:
         return body
 
     def _case(self):
-        self.next()  # 'case'
+        """A case expression, after its ``case`` keyword."""
         scrut = self._app()
         self.eat_sym("{")
         x1, b1 = self._branch("inj1")
@@ -429,16 +430,15 @@ class Parser:
         return self.grammar.case(scrut, x1, b1, x2, b2)
 
     def _branch(self, keyword: str):
-        if not self.at_ident(keyword):
+        if not self.accept("ident", keyword):
             self.fail(f"expected {keyword!r}")
-        self.next()
         x = self.eat_ident()
         self.eat_sym("->")
         return x, self._scoped(x, False, self._term)
 
     def _prefix(self):
-        t = self.peek()
-        make = self.grammar.prefix.get(t.text) if t.kind == "ident" else None
+        kind, text, _, _ = self.peek()
+        make = self.grammar.prefix.get(text) if kind == "ident" else None
         if make is None:
             return None
         self.next()
@@ -454,35 +454,29 @@ class Parser:
         return head
 
     def _starts_atom(self) -> bool:
-        t = self.peek()
-        if t.kind == "ident" and t.text not in _KEYWORDS:
-            return True
-        if t.kind == "sym" and t.text == "(":
-            return True
-        return False
+        kind, text, _, _ = self.peek()
+        return (kind == "ident" and text not in _KEYWORDS
+                or kind == "sym" and text == "(")
 
     def _at_order_brace(self) -> bool:
         # Distinguishes the instantiation postfix "e {E}" from case braces.
         if not self.at_sym("{") or self.pos + 2 >= len(self.toks):
             return False
-        t1 = self.toks[self.pos + 1]
-        t2 = self.toks[self.pos + 2]
-        order = t1.kind == "eovar" or (t1.kind == "ident" and t1.text in ("V", "N"))
-        return order and t2.kind == "sym" and t2.text == "}"
+        kind1, text1, _, _ = self.toks[self.pos + 1]
+        kind2, text2, _, _ = self.toks[self.pos + 2]
+        order = kind1 == "eovar" or (kind1 == "ident" and text1 in ("V", "N"))
+        return order and kind2 == "sym" and text2 == "}"
 
     def _postfix(self):
         g = self.grammar
         e = self._atom()
         while True:
-            if self.at_sym("."):
-                self.next()
-                t = self.next()
-                if t.kind != "num" or t.text not in ("1", "2"):
-                    raise ParseError("projection index must be 1 or 2",
-                                     t.line, t.col)
-                e = g.proj(int(t.text), e)
-            elif self.at_sym("["):
-                self.next()
+            if self.accept("sym", "."):
+                kind, text, _, _ = t = self.next()
+                if kind != "num" or text not in ("1", "2"):
+                    raise _error("projection index must be 1 or 2", t)
+                e = g.proj(int(text), e)
+            elif self.accept("sym", "["):
                 if g is _CORE:
                     e = MTyApp(e)
                 else:
@@ -498,72 +492,69 @@ class Parser:
 
     def _atom(self):
         g = self.grammar
-        t = self.peek()
-        if self.at_sym("("):
-            self.next()
-            if self.at_sym(")"):
-                self.next()
+        kind, text, _, _ = self.peek()
+        if self.accept("sym", "("):
+            if self.accept("sym", ")"):
                 return g.unit()
             e = self._term()
-            if self.at_sym(","):
-                self.next()
+            if self.accept("sym", ","):
                 right = self._term()
                 self.eat_sym(")")
                 return g.pair(e, right)
-            if g is _SOURCE and self.at_sym(":"):
-                self.next()
+            if g is _SOURCE and self.accept("sym", ":"):
                 ty = self.parse_type()
                 self.eat_sym(")")
                 return Anno(e, ty)
             self.eat_sym(")")
             return e
-        if t.kind == "ident" and t.text not in _KEYWORDS:
+        if kind == "ident" and text not in _KEYWORDS:
             self.next()
             # The innermost binder of the name decides what it refers to.
             for name, is_fix in reversed(self.scope):
-                if name == t.text:
-                    return (g.fixvar if is_fix else g.var)(t.text)
-            return g.var(t.text)
+                if name == text:
+                    return (g.fixvar if is_fix else g.var)(text)
+            return g.var(text)
         self.fail(f"expected {g.what}")
 
     # -- declarations and files --------------------------------------------
 
     def parse_decl(self) -> Abbrev:
-        self.next()  # 'type'
-        t = self.next()
-        if t.kind != "ident" or not t.text[0].isupper():
-            raise ParseError("abbreviation names start uppercase", t.line, t.col)
+        """An abbreviation, after its ``type`` keyword."""
+        kind, name, _, _ = t = self.next()
+        if kind != "ident" or not name[0].isupper():
+            raise _error("abbreviation names start uppercase", t)
         params = []
-        while self.peek().kind in ("tvar", "eovar"):
+        while self.peek()[0] in ("tvar", "eovar"):
             params.append(self.next())
         self.eat_sym("=")
         body = self.parse_type()
-        for p in reversed(params):
-            quantifier = self.system.forall if p.kind == "tvar" else self.system.alleo
-            body = quantifier(p.text, body)
-        return Abbrev(t.text, len(params), body)
+        for kind, param, _, _ in reversed(params):
+            quantifier = self.system.forall if kind == "tvar" else self.system.alleo
+            body = quantifier(param, body)
+        return Abbrev(name, len(params), body)
 
     def expect_eof(self):
         t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing input starting at {t.text!r}",
-                             t.line, t.col)
+        if t[0] != "eof":
+            raise _error(f"trailing input starting at {t[1]!r}", t)
+
+
+# Blank lines, then a line that starts (after blanks) with ``#lang``.
+_HEADER = re.compile(r"(?:[ \t\r]*\n)*[ \t\r]*(#lang[^\n]*)")
 
 
 def split_header(text: str) -> tuple[str, str]:
-    """Return (lang, rest); the default language is impartial."""
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines) and not lines[i].strip():
-        i += 1
-    if i < len(lines) and lines[i].strip().startswith("#lang"):
-        parts = lines[i].split()
-        if len(parts) != 2 or parts[1] not in ("impartial", "econ"):
-            raise ParseError("header must be '#lang impartial' or '#lang econ'",
-                             i + 1, 1)
-        rest = "\n".join(lines[:i] + [""] + lines[i + 1:])
-        return parts[1], rest
-    return "impartial", text
+    """Return (lang, rest): the language the header names, impartial when
+    there is none, and ``text`` with the header line's characters removed
+    and every other character, line breaks included, left in place."""
+    m = _HEADER.match(text)
+    if m is None:
+        return "impartial", text
+    parts = m.group(1).split()
+    if len(parts) != 2 or parts[1] not in ("impartial", "econ"):
+        raise ParseError("header must be '#lang impartial' or '#lang econ'",
+                         text.count("\n", 0, m.start(1)) + 1, 1)
+    return parts[1], text[:m.start(1)] + text[m.end(1):]
 
 
 def parse_type_text(text: str, lang: str = "impartial",

@@ -26,7 +26,7 @@ def parse_program(text: str) -> ProgramFile:
     lang, rest = split_header(text)
     p = Parser(rest, lang)
     prog = ProgramFile(lang)
-    while p.at_ident("type"):
+    while p.accept("ident", "type"):
         ab = p.parse_decl()
         if ab.name in p.abbrevs:
             raise ParseError(f"duplicate abbreviation {ab.name!r}")

@@ -28,8 +28,11 @@ these four, and no other module calls ``subst`` or ``fresh_name``:
                               replaced by ``v`` (a node, or an :class:`EO`):
                               a redex's contractum, a quantifier's
                               instance, or a body opened at a new name;
-    Ctx.fresh(name, *kinds)   the name to open a binder at: its own, unless
-                              the context already declares it;
+    Ctx.fresh(name, *kinds, scope)
+                              the name to open a binder at: its own, unless
+                              the context already declares it, and then one
+                              apart from the context and from the free names
+                              of what the binder scopes over;
     vacuous(make, ns, body)   a binder around ``body`` that binds nothing;
     subst1(node, ns, x, v)    one name replaced in a node that is not a
                               binder's body (an expression's annotations,
@@ -1043,12 +1046,16 @@ class Ctx:
     def names(self) -> frozenset[str]:
         return frozenset(n for _, n, _ in self.entries)
 
-    def fresh(self, name: str, *kinds: str) -> str:
-        """``name`` for a new binder, renamed apart from every declared
-        name when the context already declares it in one of ``kinds``."""
-        if any(self.declares(k, name) for k in kinds):
-            return fresh_name(name, self.names())
-        return name
+    def fresh(self, name: str, *kinds: str, scope: tuple) -> str:
+        """``name`` for a new binder, renamed when the context already
+        declares it in one of ``kinds``: apart from every declared name and
+        from the free ``kinds`` names of ``scope``, the nodes the binder
+        scopes over."""
+        if not any(self.declares(k, name) for k in kinds):
+            return name
+        avoid = self.names().union(*(free_names(node, k)
+                                     for node in scope for k in kinds))
+        return fresh_name(name, avoid)
 
 
 class ImpCtx(Ctx):

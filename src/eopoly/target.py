@@ -213,7 +213,7 @@ class TargetChecker:
             case MTyLam(body):
                 if not isinstance(ty, AForall) or not is_valuable(body):
                     return False
-                a = ctx.fresh(ty.var, "ty")
+                a = ctx.fresh(ty.var, "ty", scope=(ty,))
                 return self.check(ctx.with_ty(a), body, instantiate(ty, ATyVar(a)))
             case MThunk(body):
                 return isinstance(ty, AThunk) and self.check(ctx, body, ty.body)

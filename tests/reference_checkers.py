@@ -121,7 +121,7 @@ def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
         return _subsume(ctx, e, ty, budget)
 
     if isinstance(ty, IAllEo):
-        a = ctx.fresh(ty.var, "eo")
+        a = ctx.fresh(ty.var, "eo", scope=(e, ty))
         body_ty = subst_eo(eo_var(a), ty.var, ty.body)
         # Annotations inside e refer to the binder by its written name.
         e_inner = subst_eo(eo_var(a), ty.var, e) if a != ty.var else e
@@ -139,7 +139,7 @@ def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
             raise TypeMismatch(
                 "only a type abstraction checks against a universal type"
             )
-        a = ctx.fresh(ty.var, "ty")
+        a = ctx.fresh(ty.var, "ty", scope=(e, ty))
         body_ty = subst_ty_in_ty(ITyVar(a), ty.var, ty.body)
         body_e = subst1(e.body, "ty", e.var, ITyVar(a))
         inner = _check(ctx.with_ty(a), body_e, body_ty, UNROLL_LIMIT)
@@ -166,7 +166,7 @@ def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
         case Lam(x, body):
             if not isinstance(ty, IArrow):
                 raise TypeMismatch(f"a function cannot have type {ty!r}")
-            xx = ctx.fresh(x, "x", "u")
+            xx = ctx.fresh(x, "x", "u", scope=(e,))
             body = subst1(body, "x", x, Var(xx)) if xx != x else body
             inner = _check(ctx.with_x(xx, valof(ty.eo), ty.dom), body, ty.cod,
                            UNROLL_LIMIT)
@@ -191,7 +191,7 @@ def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
                            (inner.deriv,), {"k": k})
             return TypingResult(ty, inner.valueness, d)
         case Fix(u, body):
-            uu = ctx.fresh(u, "x", "u")
+            uu = ctx.fresh(u, "x", "u", scope=(e,))
             body = subst1(body, "u", u, FixVar(uu)) if uu != u else body
             inner = _check(ctx.with_u(uu, ty), body, ty, UNROLL_LIMIT)
             d = Derivation("i-fix", ctx, e, CHECK, ty, TOP, (inner.deriv,),
@@ -201,9 +201,9 @@ def _check(ctx: ImpCtx, e: Expr, ty: ImpType, budget: int) -> TypingResult:
             rs = _synth(ctx, scrut)
             rs = expose(ctx, scrut, rs, "sum")
             assert isinstance(rs.ty, ISum)
-            xx1 = ctx.fresh(x1, "x", "u")
+            xx1 = ctx.fresh(x1, "x", "u", scope=(e,))
             e1 = subst1(e1, "x", x1, Var(xx1)) if xx1 != x1 else e1
-            xx2 = ctx.fresh(x2, "x", "u")
+            xx2 = ctx.fresh(x2, "x", "u", scope=(e,))
             e2 = subst1(e2, "x", x2, Var(xx2)) if xx2 != x2 else e2
             r1 = _check(ctx.with_x(xx1, VAL, rs.ty.left), e1, ty, UNROLL_LIMIT)
             r2 = _check(ctx.with_x(xx2, VAL, rs.ty.right), e2, ty, UNROLL_LIMIT)
@@ -401,7 +401,7 @@ def _econ_check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingR
         return EconTypingResult(ty, v, d)
 
     if isinstance(ty, SAllEo):
-        a = ctx.fresh(ty.var, "eo")
+        a = ctx.fresh(ty.var, "eo", scope=(e, ty))
         body_ty = subst_eo(eo_var(a), ty.var, ty.body)
         # Annotations inside e refer to the binder by its written name.
         e_inner = subst_eo(eo_var(a), ty.var, e) if a != ty.var else e
@@ -417,7 +417,7 @@ def _econ_check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingR
             raise TypeMismatch(
                 "only a type abstraction checks against a universal type"
             )
-        a = ctx.fresh(ty.var, "ty")
+        a = ctx.fresh(ty.var, "ty", scope=(e, ty))
         body_ty = subst_ty_in_ty(STyVar(a), ty.var, ty.body)
         body_e = subst1(e.body, "ty", e.var, STyVar(a))
         inner = _econ_check(ctx.with_ty(a), body_e, body_ty, UNROLL_LIMIT)
@@ -445,7 +445,7 @@ def _econ_check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingR
         case Lam(x, body):
             if not isinstance(ty, SArrow):
                 raise TypeMismatch(f"a function cannot have type {ty!r}")
-            xx = ctx.fresh(x, "x", "u")
+            xx = ctx.fresh(x, "x", "u", scope=(e,))
             body = subst1(body, "x", x, Var(xx)) if xx != x else body
             inner = _econ_check(ctx.with_x(xx, ty.dom), body, ty.cod, UNROLL_LIMIT)
             d = Derivation("r-arrow-intro", ctx, e, CHECK, ty, VAL,
@@ -469,7 +469,7 @@ def _econ_check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingR
                            (inner.deriv,), {"k": k})
             return EconTypingResult(ty, inner.valueness, d)
         case Fix(u, body):
-            uu = ctx.fresh(u, "x", "u")
+            uu = ctx.fresh(u, "x", "u", scope=(e,))
             body = subst1(body, "u", u, FixVar(uu)) if uu != u else body
             inner = _econ_check(ctx.with_u(uu, ty), body, ty, UNROLL_LIMIT)
             d = Derivation("r-fix", ctx, e, CHECK, ty, TOP, (inner.deriv,),
@@ -479,9 +479,9 @@ def _econ_check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> EconTypingR
             rs = _econ_synth(ctx, scrut)
             rs = econ_expose(ctx, scrut, rs, "sum")
             assert isinstance(rs.ty, SSum)
-            xx1 = ctx.fresh(x1, "x", "u")
+            xx1 = ctx.fresh(x1, "x", "u", scope=(e,))
             e1 = subst1(e1, "x", x1, Var(xx1)) if xx1 != x1 else e1
-            xx2 = ctx.fresh(x2, "x", "u")
+            xx2 = ctx.fresh(x2, "x", "u", scope=(e,))
             e2 = subst1(e2, "x", x2, Var(xx2)) if xx2 != x2 else e2
             r1 = _econ_check(ctx.with_x(xx1, rs.ty.left), e1, ty, UNROLL_LIMIT)
             r2 = _econ_check(ctx.with_x(xx2, rs.ty.right), e2, ty, UNROLL_LIMIT)

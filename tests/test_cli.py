@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from eopoly.cli import main
 from eopoly.enum_terms import enumerate_welltyped
 
@@ -54,6 +56,22 @@ def test_check_renames_type_binder_in_expression(tmp_path, capsys):
     assert code == 0, err
     assert out.splitlines() == ["type: forall 'a. forall 'c. 'a -[V]> 'a",
                                 "valueness: val"]
+
+
+@pytest.mark.parametrize("lang,ty", [("impartial", "1 -[V]> 1 -[V]> 1"),
+                                     ("econ", "1 -> 1 -> 1")])
+@pytest.mark.parametrize("outer", ["\\x.", "\\y.", "fix x. \\z.", "fix y. \\z."])
+def test_renamed_binder_does_not_capture_a_free_name(tmp_path, capsys, lang,
+                                                     ty, outer):
+    """The inner binder x, renamed apart from an outer x, must not become
+    the free x_1 of its body: every alpha-variant is the same unbound
+    variable error."""
+    f = tmp_path / "capture.eo"
+    f.write_text(f"#lang {lang}\n(({outer} \\x. x_1) : {ty})\n")
+    for command in ("check", "elaborate"):
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out) == (1, ""), out
+        assert err == "error: UnboundVariable: unbound variable x_1\n"
 
 
 def test_econ_command(capsys):

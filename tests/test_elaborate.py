@@ -127,6 +127,22 @@ def test_check_elab_fix():
     assert check_elab(Fix("u", FixVar("u")), SU, MFix("w", MFixVar("w"))) == TOP
 
 
+def test_check_elab_renamed_binder_does_not_capture():
+    """The source binder x is opened under a fixed point x, so it is
+    renamed; the new name must not be the free x_1 of either body."""
+    fn = SArrow(SU, SU)
+    e = Fix("x", Lam("x", App(FixVar("x"), Var("x_1"))))
+    m = MFix("x", MLam("x", MApp(MFixVar("x"), MVar("x_1"))))
+    assert check_elab(e, fn, m) is None
+    e = Fix("x", Lam("x", App(FixVar("x"), Var("x"))))
+    m = MFix("x", MLam("x", MApp(MFixVar("x"), MVar("x"))))
+    assert check_elab(e, fn, m) == TOP  # shadowing alone relates
+    # The same for a fixed point opened under a function's x.
+    e = Lam("x", Fix("x", Lam("y", App(FixVar("x_1"), Var("x")))))
+    m = MLam("x", MFix("x", MLam("y", MApp(MFixVar("x_1"), MVar("x")))))
+    assert check_elab(e, SArrow(SU, fn), m) is None
+
+
 def test_check_elab_respects_structure():
     assert check_elab(Unit(), SU, MVar("x")) is None
     assert check_elab(Lam("x", Var("x")), SU, MLam("x", MVar("x"))) is None

@@ -2,6 +2,7 @@
 
 import glob
 import os
+import re
 
 import pytest
 
@@ -13,6 +14,8 @@ from eopoly.parser import (
     parse_expr_text,
     parse_term_text,
     parse_type_text,
+    split_header,
+    tokenize,
 )
 from eopoly.pretty import pretty_expr, pretty_term, pretty_ty
 from eopoly.program import load_program, parse_program
@@ -172,6 +175,51 @@ def test_program_abbreviations_expand():
     assert prog.main == Anno(
         Lam("x", Var("x")), IArrow(U, ISum(U, U, V), N)
     )
+
+
+def _corpus_texts():
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        with open(path, encoding="utf-8") as fh:
+            yield path, fh.read()
+
+
+def test_header_line_is_only_blanked():
+    for path, text in _corpus_texts():
+        header, _, body = text.partition("\n")
+        lang, rest = split_header(text)
+        assert (header, rest) == (f"#lang {lang}", "\n" + body), path
+        # The body without its header reads the same, one line down.
+        assert tokenize(rest) == [(kind, tok, line + 1, col)
+                                  for kind, tok, line, col in tokenize(body)]
+        if lang == "impartial":
+            assert parse_program(body) == parse_program(text), path
+        crlf = text.replace("\n", "\r\n")
+        assert tokenize(split_header(crlf)[1]) == tokenize(rest), path
+        assert parse_program(crlf) == parse_program(text), path
+
+
+@pytest.mark.parametrize("ch", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                "\x85", "\u2028", "\u2029"])
+def test_header_leaves_every_other_character_to_the_tokenizer(ch):
+    body = f"(() : 1){ch}\n"
+    with pytest.raises(ParseError) as bare:
+        parse_program(body)
+    with pytest.raises(ParseError) as headed:
+        parse_program("#lang impartial\n" + body)
+    assert str(bare.value) == f"1:9: unexpected character {ch!r}"
+    assert str(headed.value) == f"2:9: unexpected character {ch!r}"
+
+
+def test_header_errors_keep_their_line():
+    with pytest.raises(ParseError, match=r"^2:4: unexpected character '\\x0c'$"):
+        parse_program("#lang impartial\n(()\x0c: 1) )\n")
+    with pytest.raises(ParseError, match=r"^2:10: trailing input starting at '\)'$"):
+        parse_program("#lang impartial\n(() : 1) )\r\n")
+    with pytest.raises(ParseError, match=r"^3:1: header must be"):
+        parse_program("\n \t\r\n#lang lazy\n(() : 1)\n")
+    # A lone CR is a blank, so the header line runs on into the program.
+    with pytest.raises(ParseError, match=r"^1:1: header must be"):
+        parse_program("#lang impartial\r(() : 1)\n")
 
 
 def test_round_trip_corpus():
@@ -362,3 +410,59 @@ def test_elaborated_corpus_terms_round_trip():
         e = econ_expr(prog.main) if prog.lang == "impartial" else prog.main
         m = elaborate(econ_synth(EconCtx(), e).deriv).term
         assert parse_term_text(pretty_term(m)) == m, path
+
+
+# -- fuzzing: random text parses or raises ParseError, nothing else ----------
+
+_FUZZ_PIECES = [
+    "-[", "]>", "*[", "+[", "/\\", "->", "(", ")", "()", "[", "]", "{", "}",
+    ".", ",", ":", "\\", "|", "=", "*", "+", "'a", "'b", "%a", "%e", "x",
+    "y", "u", "_", "fix", "case", "inj1", "inj2", "V", "N", "1", "2", "3",
+    "type", "T", "List", "forall", "all", "rec", "susp", "thunk", "force",
+    "roll", "unroll", " ", "\n", "-- c\n", "#lang econ\n", "#lang impartial\n",
+    "é", "²",
+]
+
+
+def _parses_or_raises_parse_error(text):
+    for parse in (parse_program, parse_expr_text, parse_term_text,
+                  lambda t: parse_expr_text(t, "econ"), parse_type_text,
+                  lambda t: parse_type_text(t, "econ")):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_FUZZ_PIECES), max_size=60).map("".join))
+def test_random_pieces_parse_or_raise_parse_error(text):
+    _parses_or_raises_parse_error(text)
+
+
+@settings(max_examples=200)
+@given(st.text(max_size=60))
+def test_random_text_parses_or_raises_parse_error(text):
+    _parses_or_raises_parse_error(text)
+
+
+_CORPUS_TEXTS = [text for _, text in _corpus_texts()]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_edited_corpus_files_parse_or_raise_parse_error(data):
+    """A corpus file with a few of its tokens deleted, replaced or
+    preceded by a random piece: text that is mostly well-formed."""
+    text = data.draw(st.sampled_from(_CORPUS_TEXTS))
+    pieces = [text[m.start():m.end()]
+              for m in re.finditer(r"\s+|--[^\n]*|['%]?\w+|\S", text)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(pieces) - 1))
+        edit = data.draw(st.sampled_from(["delete", "replace", "insert"]))
+        if edit == "delete":
+            del pieces[i]
+        else:
+            piece = data.draw(st.sampled_from(_FUZZ_PIECES))
+            pieces[i:i + (edit == "replace")] = [piece]
+    _parses_or_raises_parse_error("".join(pieces))

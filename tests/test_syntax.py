@@ -14,6 +14,7 @@ from eopoly.syntax import (
     IForall,
     ITyVar,
     IUnit,
+    ImpCtx,
     Inj,
     Lam,
     N,
@@ -152,6 +153,17 @@ def test_instantiate_renames_a_binder_that_would_capture():
     lam = Lam("x", Lam("y", App(Var("x"), Var("y"))))
     out = instantiate(lam, Var("y"))
     assert out.var != "y" and out.body == App(Var("y"), Var(out.var))
+
+
+def test_fresh_avoids_the_free_names_of_its_scope():
+    ctx = ImpCtx().with_x("x", VAL, IUnit())
+    assert ctx.fresh("y", "x", "u", scope=(Var("y_1"),)) == "y"
+    assert ctx.fresh("x", "x", "u", scope=()) == "x_1"
+    # Renamed to x_1, the inner binder would capture the body's free x_1.
+    inner = Lam("x", App(Var("x_1"), FixVar("x_2")))
+    assert ctx.fresh("x", "x", "u", scope=(inner,)) == "x_3"
+    tylam = TyLam("a", Anno(Unit(), IArrow(ITyVar("a_1"), IUnit(), V)))
+    assert ImpCtx().with_ty("a").fresh("a", "ty", scope=(tylam,)) == "a_2"
 
 
 def test_vacuous_binds_nothing():
