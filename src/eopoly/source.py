@@ -10,14 +10,13 @@ application, into projections and injections, and into case scrutinees:
 they never evaluate an argument before the function, nor inside a pair.
 
 One contraction, ``_contract``, serves both flavors: at a by-value focus
-every evaluated field already holds a value.  ``cbv_step`` is the
-deterministic by-value step: one walk (``syntax.focus``) finds the redex,
-``_contract`` reduces it and ``syntax.plug`` puts the result back.
-``cbv_evaluate`` does not step from the root each time: ``syntax.run``
-resumes the same walk at each contractum.  ``enumerate_steps`` lists every
-step the relation admits, with positions, so the simulation harness can
-search: that by-value step, then the by-name steps along the chain of
-by-name contexts.
+every evaluated field already holds a value.  ``cbv_run`` is the
+deterministic by-value run (a ``syntax.Run``): ``cbv_step`` is its first
+contraction, and ``cbv_evaluate`` the whole run, which resumes its walk
+at each contractum instead of stepping from the root.
+``enumerate_steps`` lists every step the relation admits, with
+positions, so the simulation harness can search: that by-value step,
+then the by-name steps along the chain of by-name contexts.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from .syntax import (
     Lam,
     Pair,
     Proj,
+    Run,
     Unit,
-    focus,
-    plug,
     instantiate,
-    run,
+    no_redex,
+    plug,
 )
 
 BYVALUE = "byvalue"
@@ -60,7 +59,7 @@ VALUES = (Unit, Lam, Pair, Inj)
 
 
 def is_source_value(e: Expr) -> bool:
-    return focus(e, BYVALUE_CONTEXTS, VALUES) is None
+    return no_redex(e, BYVALUE_CONTEXTS, VALUES)
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,13 @@ def _contract(e: Expr) -> tuple[str, Expr] | None:
     return None
 
 
+def cbv_run(e: Expr, fuel: int) -> Run:
+    """The by-value run of ``e`` (see ``syntax.Run``)."""
+    return Run(e, BYVALUE_CONTEXTS, VALUES, _contract, fuel)
+
+
 def _path(frames: list) -> tuple[str, ...]:
-    return tuple(field for _, field in frames)
+    return tuple(fields[i] for _, fields, i in frames)
 
 
 def enumerate_steps(e: Expr) -> list[SourceStep]:
@@ -94,11 +98,10 @@ def enumerate_steps(e: Expr) -> list[SourceStep]:
     steps at other positions (at the by-value position a by-name step has
     the same result, and the tag stays byvalue)."""
     steps: list[SourceStep] = []
-    found = focus(e, BYVALUE_CONTEXTS, VALUES)
-    red = _contract(found[0]) if found else None
-    if red:
-        rule, out = red
-        steps.append(SourceStep(_path(found[1]), BYVALUE, rule, plug(found[1], out)))
+    r = cbv_run(e, 1)
+    for rule in r:
+        steps.append(SourceStep(_path(r.frames), BYVALUE, rule, r.term()))
+        break
     byvalue_path = steps[0].path if steps else None
     frames: list = []
     node = e
@@ -110,7 +113,7 @@ def enumerate_steps(e: Expr) -> list[SourceStep]:
         fields = BYNAME_CONTEXTS.get(type(node))
         if fields is None:
             return steps
-        frames.append((node, fields[0]))
+        frames.append((node, fields, 0))
         node = getattr(node, fields[0])
 
 
@@ -122,16 +125,11 @@ class SourceStepResult:
 
 
 def cbv_step(e: Expr) -> SourceStepResult:
-    """Deterministic leftmost by-value step."""
-    found = focus(e, BYVALUE_CONTEXTS, VALUES)
-    if found is None:
-        return SourceStepResult("value")
-    redex, frames = found
-    red = _contract(redex)
-    if red is None:
-        return SourceStepResult("stuck")
-    rule, out = red
-    return SourceStepResult("step", plug(frames, out), rule)
+    """Deterministic leftmost by-value step, the first of ``e``'s run."""
+    r = cbv_run(e, 1)
+    for rule in r:
+        return SourceStepResult("step", r.term(), rule)
+    return SourceStepResult(r.kind)
 
 
 @dataclass
@@ -142,7 +140,6 @@ class SourceEvalResult:
 
 
 def cbv_evaluate(e: Expr, fuel: int, on_state=None) -> SourceEvalResult:
-    """The by-value run of ``e``; ``on_state`` sees each state as it comes
-    (see ``syntax.run``)."""
-    return SourceEvalResult(*run(e, BYVALUE_CONTEXTS, VALUES, _contract, fuel,
-                                 on_state))
+    """The by-value run of ``e`` to its end; ``on_state`` sees each state
+    as it comes (see ``syntax.Run.finish``)."""
+    return SourceEvalResult(*cbv_run(e, fuel).finish(on_state))

@@ -9,11 +9,12 @@ plan: ``free_names``, ``subst`` and ``alpha_key``, and on top of them the
 structural helpers every grammar shares (``unfold``, ``match_instantiate``,
 ``subterms``, ``node_count`` and the like).  ``rebuild`` is the one walk
 for rewrites that only replace nodes: erasure here, the annotation
-translation and the suspension normal form elsewhere.  ``focus``,
-``plug`` and the run loop ``run`` likewise serve every evaluator, each
-driven by that evaluator's table of evaluation contexts; a run resumes
-each search for the next redex at the contractum instead of at the root,
-and hands each state to its caller as it is reached.
+translation and the suspension normal form elsewhere.  ``Run`` is the
+one loop that steps a term, for every evaluator and every check that
+steps, driven by that evaluator's table of evaluation contexts: it
+resumes each search for the next redex at the contractum instead of at
+the root, and hands each contraction to its caller with the frames around
+the contractum, which the caller plugs only when it needs the whole term.
 Names live in four namespaces that never mix:
 
     "x"   term variables
@@ -884,15 +885,15 @@ def match_instantiate(binder: Node, goal: Node) -> Node | None | str:
 # constructor to the fields it evaluates, in order, and ``values`` lists the
 # constructors that make a value once those fields hold values (leaves such
 # as abstractions, which evaluate no field, and data such as pairs).  A
-# frame ``(node, field)`` is ``node`` with a hole at ``field``.
+# frame ``(node, fields, i)`` is ``node`` with a hole at the ``i``-th of the
+# ``fields`` it evaluates.
 
 def _resume(node: Node, stack: list, contexts: dict, values: tuple,
             known: dict) -> tuple[Node, bool]:
     """The context walk, from ``node`` in the hole of ``stack`` to a redex.
 
-    ``stack`` holds ``(parent, fields, i)`` frames: ``parent`` with a hole
-    at the ``i``-th of the ``fields`` it evaluates.  The walk pushes and
-    pops them in place, without recursion.  Returns ``(redex, True)``,
+    The walk pushes and pops ``stack``'s frames in place, without
+    recursion.  Returns ``(redex, True)``,
     ``stack`` leading to the redex: the first subterm, in evaluation order,
     that is not a value though every field it evaluates holds one.  Returns
     ``(term, False)``, ``stack`` empty, once the whole term is a value.
@@ -924,14 +925,9 @@ def _resume(node: Node, stack: list, contexts: dict, values: tuple,
             return node, True
 
 
-def focus(node: Node, contexts: dict, values: tuple) -> tuple | None:
-    """None when ``node`` is a value; else ``(redex, frames)``, the frames
-    leading from the root down to the redex."""
-    stack: list = []
-    redex, found = _resume(node, stack, contexts, values, {})
-    if not found:
-        return None
-    return redex, [(n, fields[i]) for n, fields, i in stack]
+def no_redex(node: Node, contexts: dict, values: tuple) -> bool:
+    """The walk finds no redex in ``node``: it is a value of ``values``."""
+    return not _resume(node, [], contexts, values, {})[1]
 
 
 def _fill(parent: Node, field: str, child: Node) -> Node:
@@ -940,50 +936,65 @@ def _fill(parent: Node, field: str, child: Node) -> Node:
                  for f in _field_names(cls)])
 
 
-def plug(frames: list[tuple[Node, str]], node: Node) -> Node:
+def plug(frames: list[tuple[Node, tuple, int]], node: Node) -> Node:
     """``node`` in the hole of the context ``frames``."""
-    for parent, field in reversed(frames):
-        node = _fill(parent, field, node)
+    for parent, fields, i in reversed(frames):
+        node = _fill(parent, fields[i], node)
     return node
 
 
-def run(node: Node, contexts: dict, values: tuple, contract, fuel: int,
-        on_state=None) -> tuple:
-    """Evaluate ``node`` by at most ``fuel`` contractions.
+class Run:
+    """The run of ``node`` by at most ``fuel`` contractions: iterating it
+    (once) makes them one by one and yields each one's rule.
 
     ``contract`` maps a redex to ``(rule, contractum)``, or to None when it
-    is stuck.  Returns ``(kind, term, steps)``: kind is "value", "stuck"
-    or "out-of-fuel" (a term still able to step after ``fuel`` steps).
-    ``on_state``, when given, is called with every term from ``node`` on,
-    each as soon as it is reached, so a caller can print a trace without
-    keeping it.  The run is refocused: after a contraction the walk
-    resumes at the contractum, inside the frames it already holds, and
-    shares one ``known`` table of values for the whole run; the frames are
-    plugged only to return the final term and, with ``on_state``, after
-    each contraction.
+    is stuck.  After each yield ``node`` is the contractum and ``frames``
+    the context around it; ``term()`` plugs the one into the other.  At
+    the end ``kind`` is "value", "stuck" or "out-of-fuel" (a term still
+    able to step after ``fuel`` contractions), ``term()`` the final term
+    and ``steps`` the number of contractions.  The walk resumes at each
+    contractum, inside the frames it holds, and shares one ``known`` table
+    of values for the whole run, so a step walks nothing from the root and
+    plugs nothing unless asked to.
     """
-    stack: list = []
-    known: dict[int, Node] = {}
-    steps = 0
-    if on_state is not None:
-        on_state(node)
 
-    def whole(hole: Node) -> Node:
-        return plug([(n, fields[i]) for n, fields, i in stack], hole)
+    def __init__(self, node: Node, contexts: dict, values: tuple, contract,
+                 fuel: int):
+        self.node, self.frames, self.kind, self.steps = node, [], "", 0
+        self._rules = contexts, values, contract, fuel
 
-    while True:
-        node, found = _resume(node, stack, contexts, values, known)
-        if not found:
-            return "value", node, steps
-        red = contract(node)
-        if red is None:
-            return "stuck", whole(node), steps
-        if steps == fuel:
-            return "out-of-fuel", whole(node), steps
-        node = red[1]
-        steps += 1
-        if on_state is not None:
-            on_state(whole(node))
+    def __iter__(self) -> Iterator[str]:
+        contexts, values, contract, fuel = self._rules
+        node, stack, known = self.node, self.frames, {}
+        while True:
+            node, found = _resume(node, stack, contexts, values, known)
+            red = contract(node) if found else None
+            if red is None or self.steps == fuel:
+                self.node = node
+                self.kind = ("value" if not found else
+                             "stuck" if red is None else "out-of-fuel")
+                return
+            rule, node = red
+            self.node = node
+            self.steps += 1
+            yield rule
+
+    def term(self) -> Node:
+        return plug(self.frames, self.node)
+
+    def finish(self, on_state=None) -> tuple[str, Node, int]:
+        """``(kind, term, steps)`` at the end of the run.  ``on_state``,
+        when given, is called with every term from the start on, each as
+        soon as it is reached, so a caller can print a trace without
+        keeping it."""
+        if on_state is None:
+            for _ in self:
+                pass
+        else:
+            on_state(self.node)
+            for _ in self:
+                on_state(self.term())
+        return self.kind, self.term(), self.steps
 
 
 # ---------------------------------------------------------------------------

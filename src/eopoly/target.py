@@ -20,12 +20,12 @@ fields each constructor evaluates, left to right (thunk bodies,
 abstraction bodies and case branches are frozen).  ``VALUES`` names the
 constructors that form a value once those fields hold values, and
 ``VALUABLES`` adds the eliminations a valuable may apply to them.  The
-stepper is substitution-based and deterministic: one walk
-(``syntax.focus``) finds the unique redex and its context, ``_contract``
-reduces it, and ``syntax.plug`` puts the result back; a value is a term
-in which the walk finds no redex.  ``evaluate`` does not step from the
-root each time: ``syntax.run`` resumes the walk at each contractum, in
-the context it already holds, and skips the values it has already found.
+stepper is substitution-based and deterministic: ``run`` is the term's
+``syntax.Run``, whose walk finds the unique redex and its context and
+whose ``_contract`` reduces it; a value is a term in which the walk finds
+no redex.  ``step`` is a run's first contraction and ``evaluate`` a whole
+run, which does not step from the root each time but resumes the walk at
+each contractum, in the context it already holds.
 """
 
 from __future__ import annotations
@@ -57,18 +57,17 @@ from .syntax import (
     MUnit,
     MUnroll,
     MVar,
+    Run,
     Term,
     TgtCtx,
     TgtType,
     alpha_eq,
     alpha_key,
     dedup,
-    focus,
     instantiate,
     match_instantiate,
-    plug,
+    no_redex,
     refold_candidates,
-    run,
     subterms,
     unfold,
     vacuous,
@@ -91,11 +90,11 @@ VALUABLES = VALUES + (MProj, MTyApp, MUnroll)
 
 
 def is_value(m: Term) -> bool:
-    return focus(m, CONTEXTS, VALUES) is None
+    return no_redex(m, CONTEXTS, VALUES)
 
 
 def is_valuable(m: Term) -> bool:
-    return focus(m, CONTEXTS, VALUABLES) is None
+    return no_redex(m, CONTEXTS, VALUABLES)
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +342,18 @@ def _contract(m: Term) -> tuple[str, Term] | None:
     return None
 
 
+def run(m: Term, fuel: int) -> Run:
+    """The by-value run of ``m`` (see ``syntax.Run``)."""
+    return Run(m, CONTEXTS, VALUES, _contract, fuel)
+
+
 def step(m: Term) -> StepResult:
-    """One deterministic by-value step; values and stuck terms report as such."""
-    found = focus(m, CONTEXTS, VALUES)
-    if found is None:
-        return StepResult("value")
-    redex, frames = found
-    red = _contract(redex)
-    if red is None:
-        return StepResult("stuck")
-    rule, out = red
-    return StepResult("step", plug(frames, out), rule)
+    """One deterministic by-value step, the first of ``m``'s run; values
+    and stuck terms report as such."""
+    r = run(m, 1)
+    for rule in r:
+        return StepResult("step", r.term(), rule)
+    return StepResult(r.kind)
 
 
 @dataclass
@@ -364,6 +364,6 @@ class EvalResult:
 
 
 def evaluate(m: Term, fuel: int, on_state=None) -> EvalResult:
-    """The run of ``m``; ``on_state`` sees each state as it comes (see
-    ``syntax.run``)."""
-    return EvalResult(*run(m, CONTEXTS, VALUES, _contract, fuel, on_state))
+    """The run of ``m`` to its end; ``on_state`` sees each state as it
+    comes (see ``syntax.Run.finish``)."""
+    return EvalResult(*run(m, fuel).finish(on_state))

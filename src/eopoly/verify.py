@@ -18,6 +18,14 @@ Each runner executes both sides of one implication and compares:
 * ``run_cbv_endpoint``        -- an N-free program's by-value source run
   ends in a value that elaborates to the core run's value.
 
+Type safety and simulation step the core term on its refocused run
+(``target.run``), plugging it into the whole term once per step for their
+checks, and share one fuel rule and two stops: ``fuel`` counts
+contractions, so a run that reaches a value in exactly ``fuel`` steps
+ends in that value; a repeated state (the core term, or the (core,
+source) pair) and a core term past ``GROWTH_CAP`` nodes each end the
+check early with a pass and a note.
+
 The suspension-point checks on one judgment share one :class:`Judgment`,
 which derives it once and builds its elaboration and pools on first use.
 The translation checks have bodies (``econ_preservation``,
@@ -27,7 +35,8 @@ The translation checks have bodies (``econ_preservation``,
 ``replay`` validates a reified derivation of either source system node by
 node against the declarative rules, so the algorithmic checker is itself
 checked.  Every rule checks every premise: its subject, direction, type,
-valueness and context.  It states each system's binder declarations
+valueness and context, and every binder rule that its binder is opened
+at a name not free in it.  It states each system's binder declarations
 itself and reads only the connective classes from :mod:`eopoly.bidir`'s
 system records, so it shares no rule code with the checker.
 """
@@ -327,51 +336,58 @@ def elab_soundness(j: Judgment, program: str = "?") -> CheckOutcome:
 # Target type safety along whole evaluations
 # ---------------------------------------------------------------------------
 
+GROWTH_CAP = 100  # core nodes
+
+
+def _stop(seen: set, key: object, m: Term) -> str:
+    """The note on which a run checked so far stops at the state ``m``
+    whose repeated-state key is ``key``; "" to go on.
+
+    The core and source steppers are deterministic and commute with
+    renaming, so a state whose key is in ``seen`` makes the run periodic
+    from there: every future state is already checked.  A diverging
+    producer grows by a constant each cycle, so past ``GROWTH_CAP`` core
+    nodes the rest of the run only repeats already-checked redex families.
+    Neither stop masks a violation in the checked prefix.
+    """
+    if key in seen:
+        return "cycle, no violation"
+    seen.add(key)
+    if node_count(m) > GROWTH_CAP:
+        return "growth-capped, no violation"
+    return ""
+
+
 def run_type_safety(m: Term, ty, pool, fuel: int = 10_000,
-                    program: str = "?", size_cap: int = 100,
-                    checker=None) -> CheckOutcome:
+                    program: str = "?", checker=None) -> CheckOutcome:
     """Step to completion, re-checking the type after every step.
 
-    A diverging producer grows by a constant each cycle, so past a size
-    cap the remaining prefix only repeats already-checked redex families;
-    the run stops there and reports the checked prefix (never masking a
-    stuck state or a preservation failure inside it).
+    The run stops early, passing with a note, at the first repeated state
+    or past the growth cap (see ``_stop``).
     """
     name = "target-type-safety"
     if checker is None:
         checker = tgt_mod.TargetChecker(pool)
-    steps = 0
+    run = tgt_mod.run(m, fuel)
     seen = {alpha_key(m)}
-    while True:
-        r = tgt_mod.step(m)
-        if r.kind == "value":
-            return CheckOutcome(name, program, PASS, {"steps": steps})
-        if r.kind == "stuck":
-            return CheckOutcome(name, program, FAIL,
-                                {"reason": "stuck", "term": m, "steps": steps})
-        if steps == fuel:
-            break
-        m = r.term
-        steps += 1
+    for _ in run:
+        m = run.term()
         if not checker.check(TgtCtx(), m, ty):
             return CheckOutcome(
                 name, program, FAIL,
-                {"reason": "type not preserved", "term": m, "steps": steps},
+                {"reason": "type not preserved", "term": m, "steps": run.steps},
             )
-        key = alpha_key(m)
-        if key in seen:
-            # Deterministic stepping commutes with renaming, so the run is
-            # periodic from here: every future state is already checked.
+        note = _stop(seen, alpha_key(m), m)
+        if note:
             return CheckOutcome(name, program, PASS,
-                                {"steps": steps, "note": "cycle, no violation"})
-        seen.add(key)
-        if node_count(m) > size_cap:
-            return CheckOutcome(
-                name, program, PASS,
-                {"steps": steps, "note": "growth-capped, no violation"},
-            )
-    return CheckOutcome(name, program, PASS,
-                        {"steps": steps, "note": "fuel exhausted, no violation"})
+                                {"steps": run.steps, "note": note})
+    if run.kind == "stuck":
+        return CheckOutcome(name, program, FAIL, {"reason": "stuck",
+                            "term": run.term(), "steps": run.steps})
+    detail = {"steps": run.steps}
+    if run.kind == OUT_OF_FUEL:
+        detail["note"] = "fuel exhausted, no violation"
+    return CheckOutcome(name, program, PASS, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +464,7 @@ class ConsistencyReport:
     final_source: Expr | None = None
     only_byvalue: bool = True
     endpoint_value: bool | None = None
+    note: str = ""
 
     def outcome(self) -> CheckOutcome:
         detail = {
@@ -459,6 +476,8 @@ class ConsistencyReport:
             detail["reason"] = self.reason
         if self.endpoint_value is not None:
             detail["endpoint_value"] = self.endpoint_value
+        if self.note:
+            detail["note"] = self.note
         return CheckOutcome("consistency-simulation", self.program,
                             self.verdict, detail)
 
@@ -476,7 +495,9 @@ def consistency(j: Judgment, fuel: int = 10_000, search_depth: int = 8,
     The search for a matching source term is a breadth-first walk over the
     stepping relation, depth-bounded; hitting the bound is reported as
     search exhaustion, distinct from refutation, because the matched
-    source run may be longer than any fixed bound.
+    source run may be longer than any fixed bound.  The simulation stops
+    early, passing with a note, at the first repeated (core, source) pair
+    or past the growth cap (see ``_stop``).
     """
     r = j.typing
     m = j.elab.term
@@ -493,29 +514,16 @@ def consistency(j: Judgment, fuel: int = 10_000, search_depth: int = 8,
             "the membership search hit its bound on the program's own elaboration"
         )
         return report
-    for i in range(fuel):
-        st = tgt_mod.step(m)
-        if st.kind == "value":
-            report.final_target = m
-            report.final_source = e_cur
-            if n_free_target(m):
-                report.endpoint_value = src_mod.is_source_value(e_cur)
-                if not report.endpoint_value:
-                    report.verdict = FAIL
-                    report.reason = "N-free core value matched by a non-value"
-            return report
-        if st.kind == "stuck":
-            report.verdict = FAIL
-            report.reason = "core term got stuck"
-            report.final_target = m
-            return report
-        m2 = st.term
+    run = tgt_mod.run(m, fuel)
+    seen = {(alpha_key(m), alpha_key(e_cur))}
+    for i, rule in enumerate(run):
+        m2 = run.term()
         if nfree and not n_free_target(m2):
             report.verdict = FAIL
             report.reason = "stepping produced a thunk or force from nothing"
             return report
         found, pruned = _search_match(e_cur, r.ty, m2, checker, search_depth,
-                                      byvalue_only=nfree, prefer_rule=st.rule)
+                                      byvalue_only=nfree, prefer_rule=rule)
         if found is None:
             # A pruned search means the match may lie beyond a bound; a
             # fully explored one refutes the existence of a match outright.
@@ -540,12 +548,24 @@ def consistency(j: Judgment, fuel: int = 10_000, search_depth: int = 8,
                 report.reason = "an N-free program needed a by-name step"
                 return report
         report.steps.append(
-            SimStep(i, st.rule, depth, not used_byname, phi2.value)
+            SimStep(i, rule, depth, not used_byname, phi2.value)
         )
         m, e_cur, phi = m2, e2, phi2
-    report.verdict = OUT_OF_FUEL
+        report.note = _stop(seen, (alpha_key(m), alpha_key(e_cur)), m)
+        if report.note:
+            break
     report.final_target = m
     report.final_source = e_cur
+    if run.kind == "stuck":
+        report.verdict = FAIL
+        report.reason = "core term got stuck"
+    elif run.kind == OUT_OF_FUEL:
+        report.verdict = OUT_OF_FUEL
+    elif run.kind == "value" and n_free_target(m):
+        report.endpoint_value = src_mod.is_source_value(e_cur)
+        if not report.endpoint_value:
+            report.verdict = FAIL
+            report.reason = "N-free core value matched by a non-value"
     return report
 
 
@@ -674,7 +694,8 @@ def replay(d: Derivation) -> None:
     Each node is checked against its own premises: their number, system,
     subject (the matching part of the node's expression, with the binder
     renamed as the node records), direction, type, valueness and context;
-    and the annotations and instantiations it reads must be well-formed.
+    the annotations and instantiations it reads must be well-formed, and a
+    binder's recorded name must not be free in what the binder scopes over.
     """
     todo = [d]
     while todo:
@@ -749,6 +770,12 @@ def _premise(d: Derivation, i: int, expr: Expr, direction: str,
     raise ReplayError(f"rule {d.rule}: premise {i + 1} {problem}")
 
 
+def _fresh(d: Derivation, name: str, free: frozenset[str]) -> None:
+    """Refuse a binder opened at ``name`` when ``name`` is among the
+    ``free`` names of what the binder scopes over: it would capture them."""
+    _expect(name not in free, d, f"the binder is opened at its free {name}")
+
+
 def _same(a: object, b: object) -> bool:
     return a is b or alpha_eq(a, b)
 
@@ -819,6 +846,7 @@ def _replay_node(d: Derivation) -> None:
         _shape(d, Lam, CHECK, 1)
         _is(d, ty, s.arrow)
         x = _info(d, "var")
+        _fresh(d, x, free_names(e, "x"))
         _premise(d, 0, instantiate(e, Var(x)), CHECK, ty.cod,
                  decl=("x", x, decls.arg(ty)))
         _conclude(d, VAL)
@@ -852,12 +880,14 @@ def _replay_node(d: Derivation) -> None:
         _is(d, p.ty, s.sum)
         for i, comp in enumerate((p.ty.left, p.ty.right), 1):
             x = _info(d, f"var{i}")
+            _fresh(d, x, free_names(e, "x"))
             _premise(d, i, instantiate(e, Var(x), f"body{i}"), CHECK, ty,
                      decl=("x", x, decls.case(comp)))
         _conclude(d, TOP)
     elif rule == "fix":
         _shape(d, Fix, CHECK, 1)
         u = _info(d, "var")
+        _fresh(d, u, free_names(e, "u"))
         _premise(d, 0, instantiate(e, FixVar(u)), CHECK, ty,
                  decl=("u", u, decls.fix(ty)))
         _conclude(d, TOP)
@@ -865,6 +895,7 @@ def _replay_node(d: Derivation) -> None:
         _shape(d, TyLam, CHECK, 1)
         _is(d, ty, s.forall)
         a = s.tyvar(_info(d, "var"))
+        _fresh(d, a.name, free_names(e, "ty") | free_names(ty, "ty"))
         _premise(d, 0, instantiate(e, a), CHECK, instantiate(ty, a), VAL,
                  decl=("ty", a.name, None))
         _conclude(d, VAL)
@@ -879,6 +910,8 @@ def _replay_node(d: Derivation) -> None:
         _shape(d, Expr, CHECK, 1)
         _is(d, ty, s.alleo)
         a = eo_var(_info(d, "var"))
+        # The subject's annotations refer to the binder by its written name.
+        _fresh(d, a.name, (free_names(e, "eo") - {ty.var}) | free_names(ty, "eo"))
         _premise(d, 0, subst1(e, "eo", ty.var, a), CHECK, instantiate(ty, a), VAL,
                  decl=("eo", a.name, None))
         _conclude(d, VAL)

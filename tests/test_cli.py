@@ -265,6 +265,35 @@ def test_verify_derives_the_impartial_side_once(capsys, monkeypatch):
     assert counts == enumerator_only
 
 
+def _check_line(out, check):
+    return next(line for line in out.splitlines() if f" {check} " in line)
+
+
+def test_verify_fuel_counts_steps_alike(capsys):
+    """At ``--fuel k``, where the core run takes ``k`` steps, type safety
+    and simulation both see the run end in a value; at ``k - 1`` both run
+    out of fuel.  The gap witness's refutation comes before either."""
+    for f in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        _, out, _ = run(capsys, "run", f)
+        assert out.startswith("value after "), f
+        k = int(out.split()[2])
+        _, out, _ = run(capsys, "verify", f)
+        simulation = _check_line(out, "consistency-simulation")
+        for fuel, verdict in ((k, "PASS"), (k - 1, "OUT-OF-FUEL")):
+            if fuel < 0:
+                continue
+            _, out, _ = run(capsys, "verify", "--fuel", str(fuel), f)
+            safety = _check_line(out, "target-type-safety")
+            assert safety.split() == ["PASS", "target-type-safety", f,
+                                      f"steps={fuel}"], safety
+            got = _check_line(out, "consistency-simulation")
+            if "gap_" in f:
+                assert got == simulation, got
+            else:
+                assert got.split() == [verdict, "consistency-simulation", f,
+                                       f"steps={fuel}"], got
+
+
 def test_verify_ill_typed_impartial_file(tmp_path, capsys):
     bad = tmp_path / "bad.eo"
     bad.write_text("#lang impartial\n((\\x. x) : 1 -[V]> 1 +[N] 1)\n")

@@ -19,6 +19,7 @@ from eopoly.program import load_program
 from eopoly.syntax import (
     Anno,
     App,
+    Case,
     Derivation,
     EconCtx,
     Fix,
@@ -27,6 +28,7 @@ from eopoly.syntax import (
     IAllEo,
     IForall,
     ImpCtx,
+    ISum,
     ITyVar,
     IUnit,
     Lam,
@@ -53,6 +55,7 @@ from eopoly.syntax import (
     Var,
     alpha_eq,
     eo_var,
+    rebuild,
     subterms,
     unfold,
 )
@@ -206,6 +209,39 @@ def test_consistency_corpus():
                               program=os.path.basename(path))
         assert rep.verdict in (PASS, SEARCH_EXHAUSTED), (path, rep.reason)
         assert rep.verdict == PASS, (path, rep.reason)
+
+
+def test_consistency_stops_where_type_safety_does():
+    # A periodic run stops at its first repeated (core, source) pair, and a
+    # growing producer (bound-5 judgment 396, `fix u0. ((), u0.1)`, whose
+    # unchecked run exhausts the recursion limit) past the growth cap.
+    j = enumerate_welltyped(5)[396]
+    grows = (econ.econ_expr(j.expr), econ.econ_type(j.ty), j.direction)
+    assert j.direction == CHECK
+    loops = (Anno(Fix("u", FixVar("u")), SU), None, SYNTH)
+    for (e, ty, direction), note in ((loops, "cycle, no violation"),
+                                     (grows, "growth-capped, no violation")):
+        out = run_consistency(e, ty, direction).outcome()
+        assert out.verdict == PASS and out.detail["note"] == note
+        jj = Judgment(e, ty, direction)
+        safety = run_type_safety(jj.elab.term, ty_target(jj.typing.ty), jj.tpool)
+        assert safety.verdict == PASS and safety.detail["note"] == note
+
+
+def test_checks_do_not_step_from_the_root(monkeypatch):
+    """Type safety and simulation step on the refocused run, never on
+    ``target.step``, which walks from the root."""
+    def refuse(m):
+        raise AssertionError("stepped from the root")
+
+    monkeypatch.setattr(target, "step", refuse)
+    for path in corpus_files(exclude_gaps=False):
+        e, _ = econ_main(path)
+        j = Judgment(e, None, SYNTH)
+        out = run_type_safety(j.elab.term, ty_target(j.typing.ty), j.tpool)
+        assert out.verdict == PASS, path
+        rep = run_consistency(e, None, SYNTH)
+        assert rep.verdict == (FAIL if "gap_" in path else PASS), path
 
 
 def test_gap_witness_is_refuted_honestly():
@@ -411,6 +447,66 @@ def test_replay_rejects_malformed_nodes():
     for bad in (dropped, unbound, mixed, ill_formed):
         with pytest.raises(ReplayError):
             replay(bad)
+
+
+def _swapped(d, old, new):
+    """``d`` with the subterm ``old`` of every subject replaced by ``new``,
+    renaming no binder."""
+    def swap(x):
+        return new if x == old else rebuild(x, swap)
+    return Derivation(d.rule, d.ctx, swap(d.expr), d.direction, d.ty, d.valueness,
+                      tuple(_swapped(c, old, new) for c in d.children), d.info)
+
+
+_ID_B = IArrow(ITyVar("b"), ITyVar("b"), V)
+_SUM = ISum(U, U, V)
+# Per binder rule: a closed term, one of its binders, and that binder
+# renamed to another name so that the name the derivation recorded for it
+# is now free in it.  Opening either binder at that name gives the same
+# premise, so only a freshness check tells the two derivations apart.
+_CAPTURES = {
+    "arrow-intro": (
+        Anno(Lam("x", Lam("x_1", Var("x_1"))), IArrow(U, IArrow(U, U, V), V)),
+        Lam("x_1", Var("x_1")), Lam("x", Var("x_1"))),
+    "sum-elim, first branch": (
+        Anno(Lam("x", Case(Var("x"), "x_1", Var("x_1"), "y", Unit())), IArrow(_SUM, U, V)),
+        Case(Var("x"), "x_1", Var("x_1"), "y", Unit()),
+        Case(Var("x"), "x", Var("x_1"), "y", Unit())),
+    "sum-elim, second branch": (
+        Anno(Lam("x", Case(Var("x"), "y", Unit(), "x_2", Var("x_2"))), IArrow(_SUM, U, V)),
+        Case(Var("x"), "y", Unit(), "x_2", Var("x_2")),
+        Case(Var("x"), "y", Unit(), "x", Var("x_2"))),
+    "fix": (Anno(Fix("u_1", FixVar("u_1")), U),
+            Fix("u_1", FixVar("u_1")), Fix("u", FixVar("u_1"))),
+    "all-intro": (
+        Anno(TyLam("b", Anno(Lam("x", Var("x")), _ID_B)), IForall("b", _ID_B)),
+        TyLam("b", Anno(Lam("x", Var("x")), _ID_B)),
+        TyLam("a", Anno(Lam("x", Var("x")), _ID_B))),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_CAPTURES))
+def test_replay_refuses_a_binder_opened_at_a_free_name(rule):
+    term, old, new = _CAPTURES[rule]
+    d = impartial.synth(ImpCtx(), term).deriv
+    replay(d)
+    with pytest.raises(ReplayError, match=f"i-{rule.split(',')[0]}: the binder is opened"):
+        replay(_swapped(d, old, new))
+
+
+def test_replay_refuses_an_order_binder_opened_at_a_free_name():
+    # The subject's annotation names the order binder 'b; with the type's
+    # binder renamed to 'a, the recorded 'b is a free order of the subject.
+    arrow = IArrow(U, U, eo_var("b"))
+    e = Lam("x", App(Anno(Lam("y", Var("y")), arrow), Var("x")))
+    d = impartial.check(ImpCtx(), e, IAllEo("b", arrow)).deriv
+    assert d.rule == "i-alleo-intro" and d.info["var"] == "b"
+    replay(d)
+    renamed = IAllEo("a", IArrow(U, U, eo_var("a")))
+    bad = Derivation(d.rule, d.ctx, d.expr, d.direction, renamed, d.valueness,
+                     d.children, d.info)
+    with pytest.raises(ReplayError, match="i-alleo-intro: the binder is opened"):
+        replay(bad)
 
 
 # -- a search cut by its bound is not a refutation -----------------------------
