@@ -149,7 +149,7 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
             raise TypeMismatch(
                 "only a type abstraction checks against a universal type"
             )
-        a = ctx.fresh(ty.var, "ty", scope=(e, ty))
+        a = ctx.apart(ty.var, "ty", scope=(e, ty))
         inner = _check(s, ctx.with_ty(a), instantiate(e, s.tyvar(a)),
                        instantiate(ty, s.tyvar(a)), UNROLL_LIMIT)
         if inner.valueness != VAL:

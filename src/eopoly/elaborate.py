@@ -93,6 +93,7 @@ from .syntax import (
     Var,
     alpha_key,
     dedup,
+    distinct_subterms,
     free_names,
     instantiate,
     join,
@@ -101,7 +102,6 @@ from .syntax import (
     rebuild,
     refold_candidates,
     subst1,
-    subterms,
     unfold,
     vacuous,
 )
@@ -317,6 +317,11 @@ def _carry(t, conclude):
     return t if t is None or t is False else conclude(t)
 
 
+def _assumed(ctx: EconCtx) -> tuple[EconType, ...]:
+    """The types ``ctx`` assumes of its term and fixed-point variables."""
+    return tuple(t for kind, _, t in ctx.entries if kind in ("x", "u"))
+
+
 def _matches(t, goal: EconType) -> bool:
     return t is not False and alpha_key(t) == alpha_key(goal)
 
@@ -346,9 +351,6 @@ class ElabChecker:
         self.in_progress: set = set()
         self._cand_cache: dict = {}
         self._syn_cache: dict = {}
-        self._pool_subterms = dedup(
-            [s for p in self.pool for s in subterms(p)] + [SUnit()]
-        )
 
     def check(self, e: Expr, ty: EconType, m: Term) -> Valueness | None:
         budget = 2 * (node_count(m) + node_count(ty)) + 64
@@ -361,11 +363,7 @@ class ElabChecker:
         key = (alpha_key(ty), ctx.entries)
         hit = self._cand_cache.get(key)
         if hit is None:
-            cands = list(self._pool_subterms) + subterms(ty)
-            for kind, _, payload in ctx.entries:
-                if kind in ("x", "u"):
-                    cands.extend(subterms(payload))
-            hit = dedup(cands)
+            hit = distinct_subterms((*self.pool, SUnit(), ty, *_assumed(ctx)))
             self._cand_cache[key] = hit
         return hit
 
@@ -495,7 +493,7 @@ class ElabChecker:
             case MTyLam(mbody):
                 if not isinstance(ty, SForall):
                     return None, True
-                a = ctx.fresh(ty.var, "ty", scope=(ty, e))
+                a = ctx.apart(ty.var, "ty", scope=(ty, e, *_assumed(ctx)))
                 inner, c = self._ce(ctx.with_ty(a), e, instantiate(ty, STyVar(a)),
                                     mbody, d)
                 return (VAL if inner == VAL else None), c

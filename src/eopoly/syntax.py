@@ -7,11 +7,13 @@ dataclass; binding structure is declared per class via ``scopes`` and
 field, the binders that scope over it), and every generic walk reads the
 plan: ``free_names``, ``subst`` and ``alpha_key``, and on top of them the
 structural helpers every grammar shares (``unfold``, ``match_instantiate``,
-``subterms``, ``node_count`` and the like).  ``rebuild`` is the one walk
-for rewrites that only replace nodes: erasure here, the annotation
-translation and the suspension normal form elsewhere.  ``Run`` is the
-one loop that steps a term, for every evaluator and every check that
-steps, driven by that evaluator's table of evaluation contexts: it
+``subterms``, ``node_count`` and the like).  ``distinct_subterms`` is
+``dedup`` of a list of roots' ``subterms``, walking each repeated subtree
+once; every candidate pool is closed under subterms on it.  ``rebuild``
+is the one walk for rewrites that only replace nodes: erasure here, the
+annotation translation and the suspension normal form elsewhere.
+``Run`` is the one loop that steps a term, for every evaluator and every
+check that steps, driven by that evaluator's table of evaluation contexts: it
 resumes each search for the next redex at the contractum instead of at
 the root, and hands each contraction to its caller with the frames around
 the contractum, which the caller plugs only when it needs the whole term.
@@ -23,7 +25,7 @@ Names live in four namespaces that never mix:
     "eo"  evaluation-order variables
 
 The binder interface.  Every rule that crosses a binder opens it through
-these four, and no other module calls ``subst`` or ``fresh_name``:
+these five, and no other module calls ``subst`` or ``fresh_name``:
 
     instantiate(b, v, field)  ``b``'s scoped ``field`` with its bound name
                               replaced by ``v`` (a node, or an :class:`EO`):
@@ -34,6 +36,10 @@ these four, and no other module calls ``subst`` or ``fresh_name``:
                               the context already declares it, and then one
                               apart from the context and from the free names
                               of what the binder scopes over;
+    Ctx.apart(name, kind, scope)
+                              the same for a binder opened at another's
+                              name (a type abstraction at its quantifier's),
+                              renamed also when that name is free in it;
     vacuous(make, ns, body)   a binder around ``body`` that binds nothing;
     subst1(node, ns, x, v)    one name replaced in a node that is not a
                               binder's body (an expression's annotations,
@@ -211,6 +217,15 @@ def vacuous(make, ns: str, body: Node) -> Node:
     """``make(name, body)``: a binder in namespace ``ns`` around ``body``
     whose name none of ``body``'s free names uses, so it binds nothing."""
     return make(fresh_name(ns, free_names(body, ns)), body)
+
+
+def _closes(node: Node, ns: str, name: str) -> bool:
+    """Whether ``node`` binds ``name`` in ``ns`` over every other field,
+    so that the name is not free in it."""
+    n_fields = len(_field_names(type(node)))
+    return any(bns == ns and getattr(node, bf) == name
+               and len(scoped) == n_fields - 1
+               for bf, bns, scoped in type(node).scopes)
 
 
 def alpha_key(node: object, _env: tuple[tuple[str, str], ...] = ()) -> object:
@@ -806,6 +821,28 @@ def dedup(nodes: list[Node]) -> list[Node]:
     return list(out.values())
 
 
+def distinct_subterms(roots) -> list[Node]:
+    """``dedup`` of every root's ``subterms``, in the same order.
+
+    A subtree structurally equal to one already walked is skipped whole:
+    its first occurrence listed every subterm it has.  Alpha-equivalence
+    would not do, since the two may differ in their open subterms."""
+    seen: set = set()
+    out: dict = {}
+    todo = list(reversed(roots))
+    while todo:
+        n = todo.pop()
+        if n in seen:
+            continue
+        seen.add(n)
+        out.setdefault(alpha_key(n), n)
+        for f in reversed(_field_names(type(n))):
+            v = getattr(n, f)
+            if isinstance(v, Node):
+                todo.append(v)
+    return list(out.values())
+
+
 def unfold(ty: Node) -> Node:
     """One-step unfolding of a recursive type, in any type grammar."""
     return instantiate(ty, ty)
@@ -1067,6 +1104,17 @@ class Ctx:
         avoid = self.names().union(*(free_names(node, k)
                                      for node in scope for k in kinds))
         return fresh_name(name, avoid)
+
+    def apart(self, name: str, kind: str, scope: tuple) -> str:
+        """``name`` for a binder opened at another binder's name, as a type
+        abstraction is at its quantifier's: renamed as by :meth:`fresh`,
+        and also when it is free in ``scope``, which it would capture.  A
+        node that binds ``name`` over all its fields is not looked into."""
+        if any(name in free_names(node, kind) for node in scope
+               if not _closes(node, kind, name)):
+            return fresh_name(name, self.names().union(
+                *(free_names(node, kind) for node in scope)))
+        return self.fresh(name, kind, scope=scope)
 
 
 class ImpCtx(Ctx):

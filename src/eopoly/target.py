@@ -13,7 +13,12 @@ the expected type.  Only at the few joints the term does not determine
 (function domains, dropped product components, refolded recursive types)
 does it try candidates from a caller-supplied pool: the target images of
 the types the source program's own typing derivation names
-(``verify.build_pool``, ``verify.target_pool``).
+(``verify.build_pool``, ``verify.target_pool``).  At an application
+whose function and argument both leave the domain open, each candidate
+domain is tried on the argument first, as ``ElabChecker`` does: the
+argument is usually the smaller side, and a function that is a λ would
+re-check its whole body at every domain the argument refutes.  Both
+checks are pure and memoized, so the order changes no verdict.
 
 The evaluation-context grammar is declared once, in ``CONTEXTS``: the
 fields each constructor evaluates, left to right (thunk bodies,
@@ -238,9 +243,11 @@ class TargetChecker:
                 a = self.synth(ctx, arg)
                 if a is not None:
                     return self.check(ctx, fn, AArrow(a, ty))
+                # The argument first (see the module docstring): a
+                # domain it refutes never reaches the function's body.
                 return any(
-                    self.check(ctx, fn, AArrow(cand, ty))
-                    and self.check(ctx, arg, cand)
+                    self.check(ctx, arg, cand)
+                    and self.check(ctx, fn, AArrow(cand, ty))
                     for cand in self.candidates(ty)
                 )
             case MProj(k, body):

@@ -96,7 +96,7 @@ from .syntax import (
     Var,
     alpha_eq,
     alpha_key,
-    dedup,
+    distinct_subterms,
     eo_var,
     erase,
     free_names,
@@ -104,7 +104,6 @@ from .syntax import (
     join,
     node_count,
     subst1,
-    subterms,
     unfold,
     valof,
     vleq,
@@ -216,7 +215,9 @@ def build_pool(e: Expr, tys: list[EconType]) -> tuple[EconType, ...]:
     step adds what a derivation leaves implicit: the two order instances
     of a quantified type, at which elaboration re-checks without
     recording a derivation, and the unfolding of a recursive type, which
-    a bare type list (a menu, with no program to derive) needs.
+    a bare type list (a menu, with no program to derive) needs.  Each
+    distinct type is closed once, and ``syntax.distinct_subterms`` lists
+    the closure's alpha-distinct subterms in first-occurrence order.
     """
     derivs = []
     for t in tys:
@@ -235,13 +236,13 @@ def _pool(tys: list[EconType], derivs: list[Derivation]) -> tuple[EconType, ...]
         found.append(d.ty)
         todo.extend(reversed(d.children))
     closed = []
-    for t in found:
+    for t in dict.fromkeys(found):
         closed.append(t)
         if isinstance(t, SAllEo):
             closed += [instantiate(t, V), instantiate(t, N)]
         elif isinstance(t, SRec):
             closed.append(unfold(t))
-    return tuple(dedup([s for t in closed for s in subterms(t)]))
+    return tuple(distinct_subterms(closed))
 
 
 def target_pool(pool: tuple[EconType, ...]) -> tuple:

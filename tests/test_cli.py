@@ -74,6 +74,23 @@ def test_renamed_binder_does_not_capture_a_free_name(tmp_path, capsys, lang,
         assert err == "error: UnboundVariable: unbound variable x_1\n"
 
 
+@pytest.mark.parametrize("lang,arrow", [("impartial", "-[V]>"), ("econ", "->")])
+@pytest.mark.parametrize("free", ["'b", "'c"])
+def test_type_abstraction_does_not_capture_a_free_type_name(tmp_path, capsys,
+                                                             lang, arrow, free):
+    """The abstraction is opened at its quantifier's name 'b, which is free
+    in its body, so the name is renamed: with 'b the annotation is as
+    ill-formed as its alpha-variant with 'c."""
+    f = tmp_path / "tycapture.eo"
+    f.write_text(f"#lang {lang}\n"
+                 f"((/\\'a. (\\x. x : {free} {arrow} {free})) "
+                 f": forall 'b. 'b {arrow} 'b)\n")
+    for command in ("check", "elaborate"):
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out) == (1, ""), out
+        assert err.startswith("error: IllFormedType: annotation is not well-formed")
+
+
 def test_econ_command(capsys):
     code, out, _ = run(capsys, "econ", path("map_impartial.eo"))
     assert code == 0

@@ -30,6 +30,7 @@ from eopoly.syntax import (
     MPair,
     MProj,
     MThunk,
+    MTyLam,
     MUnit,
     MVar,
     N,
@@ -37,7 +38,9 @@ from eopoly.syntax import (
     SAllEo,
     SArrow,
     SProd,
+    SForall,
     SSusp,
+    STyVar,
     SUnit,
     TOP,
     TgtCtx,
@@ -143,6 +146,19 @@ def test_check_elab_renamed_binder_does_not_capture():
     assert check_elab(e, SArrow(SU, fn), m) is None
 
 
+def test_check_elab_type_abstraction_does_not_capture():
+    """Under x : 'b, an abstraction at forall 'b. 'b -> 'b is opened at a
+    name apart from x's 'b, so x does not have the inner 'b."""
+    b = STyVar("b")
+    ty = SArrow(b, SForall("b", SArrow(b, b)))
+    e = Lam("x", Lam("y", Var("x")))
+    m = MLam("x", MTyLam(MLam("y", MVar("x"))))
+    assert check_elab(e, ty, m) is None
+    e = Lam("x", Lam("y", Var("y")))
+    m = MLam("x", MTyLam(MLam("y", MVar("y"))))
+    assert check_elab(e, ty, m) == VAL
+
+
 def test_check_elab_respects_structure():
     assert check_elab(Unit(), SU, MVar("x")) is None
     assert check_elab(Lam("x", Var("x")), SU, MLam("x", MVar("x"))) is None
@@ -159,12 +175,13 @@ def test_determinate_spine_decides(monkeypatch):
     # A projection from a variable synthesizes its product type, so no
     # candidate list is built: a fitting type is the only one tried, and
     # a variable of the wrong shape refutes outright.  Every fallback list
-    # goes through ``dedup`` or ``refold_candidates``.
+    # goes through ``dedup``, ``distinct_subterms`` or ``refold_candidates``.
     def no_candidates(*a):
         raise AssertionError("candidate types built at a determinate spine")
 
     fits, refuted = ElabChecker(), ElabChecker()
     monkeypatch.setattr(elab_mod, "dedup", no_candidates)
+    monkeypatch.setattr(elab_mod, "distinct_subterms", no_candidates)
     monkeypatch.setattr(elab_mod, "refold_candidates", no_candidates)
     fst = Lam("p", Proj(1, Var("p")))
     mfst = MLam("p", MProj(1, MVar("p")))

@@ -15,7 +15,7 @@ from eopoly.nfree import (
     n_free_target,
 )
 from eopoly.parser import parse_type_text
-from eopoly.program import load_program
+from eopoly.program import load_program, parse_program
 from eopoly.syntax import (
     Anno,
     App,
@@ -492,6 +492,22 @@ def test_replay_refuses_a_binder_opened_at_a_free_name(rule):
     replay(d)
     with pytest.raises(ReplayError, match=f"i-{rule.split(',')[0]}: the binder is opened"):
         replay(_swapped(d, old, new))
+
+
+@pytest.mark.parametrize("text", [
+    # The outer abstraction is opened at 'a, and the inner 'a is renamed.
+    "((/\\'b. /\\'a. \\x. (x : 'b)) : forall 'a. forall 'c. 'a -[V]> 'a)",
+    # The outer one is opened at 'b, so the inner 'b becomes 'b_1, free in
+    # nothing the inner quantifier's 'a is opened over.
+    "((/\\'a. /\\'b. (\\x. x : 'a -[V]> 'a)) : forall 'b. forall 'a. 'b -[V]> 'b)",
+    "((/\\'a. (\\x. x : 'a -[V]> 'a)) : forall 'b. 'b -[V]> 'b)",
+])
+def test_type_abstractions_replay_in_both_systems(text):
+    """Type abstractions opened at their quantifiers' names, with and
+    without a renaming on the way: both checkers' derivations replay."""
+    e = parse_program(f"#lang impartial\n{text}\n").main
+    replay(impartial.synth(ImpCtx(), e).deriv)
+    replay(econ.econ_synth(EconCtx(), econ.econ_expr(e)).deriv)
 
 
 def test_replay_refuses_an_order_binder_opened_at_a_free_name():
