@@ -367,6 +367,17 @@ class ElabChecker:
             self._cand_cache[key] = hit
         return hit
 
+    def _fallback(self, key: tuple, ty: EconType, ctx: EconCtx,
+                  build) -> list[EconType]:
+        """``dedup`` of ``build`` applied to ``_candidates(ty, ctx)``: a
+        joint's fallback list, built once per ``key``.  The key holds the
+        goal node itself, so each list is the one its first visit built,
+        node for node."""
+        hit = self._cand_cache.get(key)
+        if hit is None:
+            hit = self._cand_cache[key] = dedup(build(self._candidates(ty, ctx)))
+        return hit
+
     def _synth(self, ctx: EconCtx, e: Expr,
                m: Term) -> EconType | bool | None:
         """The one type at which the elimination spine (e, m) can relate.
@@ -541,9 +552,10 @@ class ElabChecker:
                 arrows = self._decided(ctx, e.fn, m1,
                                        lambda t: _matches(_cod(t), ty))
                 if arrows is None:
-                    cands = self._candidates(ty, ctx)
-                    arrows = dedup([a for a in cands if _matches(_cod(a), ty)]
-                                   + [SArrow(dom, ty) for dom in cands])
+                    arrows = self._fallback(
+                        ("app", ty, ctx.entries), ty, ctx,
+                        lambda cands: [a for a in cands if _matches(_cod(a), ty)]
+                        + [SArrow(dom, ty) for dom in cands])
                 # The argument side is cheaper and shared across arrows
                 # with the same domain, so try it first.
                 v, c = self._first(arrows, lambda a: [
@@ -562,11 +574,11 @@ class ElabChecker:
                 prods = self._decided(ctx, e.body, mbody,
                                       lambda t: _matches(_component(t, k), ty))
                 if prods is None:
-                    cands = self._candidates(ty, ctx)
-                    prods = dedup(
-                        [p for p in cands if _matches(_component(p, k), ty)]
-                        + [SProd(ty, o) if k == 1 else SProd(o, ty)
-                           for o in cands])
+                    prods = self._fallback(
+                        ("proj", k, ty, ctx.entries), ty, ctx,
+                        lambda cands: [
+                            p for p in cands if _matches(_component(p, k), ty)]
+                        + [SProd(ty, o) if k == 1 else SProd(o, ty) for o in cands])
                 v, c = self._first(prods, lambda p: [(ctx, e.body, p, mbody)], d)
                 return (TOP, True) if v is not None else (None, clean and c)
             case MUnroll(mbody):

@@ -37,6 +37,7 @@ from .syntax import (
     instantiate,
     no_redex,
     plug,
+    unfold,
 )
 
 BYVALUE = "byvalue"
@@ -76,7 +77,7 @@ def _contract(e: Expr) -> tuple[str, Expr] | None:
         case App(Lam() as fn, arg):
             return "beta", instantiate(fn, arg)
         case Fix():
-            return "fix", instantiate(e, e)
+            return "fix", unfold(e)
         case Proj(k, Pair(l, r)):
             return "proj", l if k == 1 else r
         case Case(Inj(k, e0)):

@@ -7,9 +7,13 @@ dataclass; binding structure is declared per class via ``scopes`` and
 field, the binders that scope over it), and every generic walk reads the
 plan: ``free_names``, ``subst`` and ``alpha_key``, and on top of them the
 structural helpers every grammar shares (``unfold``, ``match_instantiate``,
-``subterms``, ``node_count`` and the like).  ``distinct_subterms`` is
-``dedup`` of a list of roots' ``subterms``, walking each repeated subtree
-once; every candidate pool is closed under subterms on it.  ``rebuild``
+``subterms``, ``node_count`` and the like).  ``subst`` gathers its
+replacements' free names once per call, not at every binder it crosses.
+``unfold`` serves recursive types and fixed points alike, and keeps each
+unfolding on its node, as ``alpha_key`` keeps a node's key.
+``distinct_subterms`` is ``dedup`` of a list of roots' ``subterms``,
+walking each repeated subtree once; every candidate pool is closed under
+subterms on it.  ``rebuild``
 is the one walk for rewrites that only replace nodes: erasure here, the
 annotation translation and the suspension normal form elsewhere.
 ``Run`` is the one loop that steps a term, for every evaluator and every
@@ -711,8 +715,12 @@ def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
     "x"/"u"/"ty" namespaces, an :class:`EO` for "eo".  Capture is avoided by
     renaming the binder, never reported.
     """
-    if not sub:
-        return node
+    return _subst(node, sub, {}) if sub else node
+
+
+def _subst(node: object, sub: dict, frees: dict[str, frozenset[str]]) -> object:
+    # ``frees`` maps a namespace to the free names of ``sub``'s replacements
+    # in it, gathered when a binder of that namespace is first crossed.
     if isinstance(node, EO):
         if node.is_var() and ("eo", node.name) in sub:
             repl = sub[("eo", node.name)]
@@ -724,15 +732,17 @@ def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
     cls = type(node)
     if cls.ref is not None:
         return sub.get((cls.ref[0], getattr(node, cls.ref[1])), node)
-    under = _under_binders(node, sub) if cls.scopes else None
+    under = _under_binders(node, sub, frees) if cls.scopes else None
     values = []
     changed = False
     for f, scope in _plan(cls):
         v = getattr(node, f)
         if scope is None:
-            new = under[f][1]
+            new = under[f][2]
         elif isinstance(v, (Node, EO)):
-            new = subst(v, under[scope[-1][0]][0] if scope else sub)
+            inner, inner_frees, _ = (under[scope[-1][0]] if scope
+                                     else (sub, frees, None))
+            new = _subst(v, inner, inner_frees) if inner else v
         else:
             new = v
         changed = changed or new is not v
@@ -740,24 +750,31 @@ def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
     return cls(*values) if changed else node
 
 
-def _under_binders(node: Node, sub: dict) -> dict[str, tuple[dict, str]]:
-    """Per binder field of ``node``: the substitution to apply in its scope
-    and the binder's name there, renamed when a replacement would
-    otherwise be captured."""
+def _under_binders(node: Node, sub: dict,
+                   frees: dict) -> dict[str, tuple[dict, dict, str]]:
+    """Per binder field of ``node``: the substitution to apply in its scope,
+    its replacements' free names (as ``frees``) and the binder's name
+    there, renamed when a replacement would otherwise be captured."""
     out = {}
     for binder_field, bns, scoped in type(node).scopes:
         bname = getattr(node, binder_field)
         key = (bns, bname)
-        inner = {k: v for k, v in sub.items() if k != key} if key in sub else sub
-        frees = frozenset().union(*[free_names(r, bns) for r in inner.values()])
-        if bname in frees:
-            avoid = set(frees)
+        inner, inner_frees = sub, frees
+        if key in sub:
+            inner, inner_frees = {k: v for k, v in sub.items() if k != key}, {}
+        names = inner_frees.get(bns)
+        if names is None:
+            names = inner_frees[bns] = frozenset().union(
+                *[free_names(r, bns) for r in inner.values()])
+        if bname in names:
+            avoid = set(names)
             for f in scoped:
                 avoid |= free_names(getattr(node, f), bns)
             fresh = fresh_name(bname, avoid)
             inner = {**inner, key: _ref_like(inner, bns, bname, fresh)}
+            inner_frees = {**inner_frees, bns: names | {fresh}}
             bname = fresh
-        out[binder_field] = (inner, bname)
+        out[binder_field] = (inner, inner_frees, bname)
     return out
 
 
@@ -843,9 +860,20 @@ def distinct_subterms(roots) -> list[Node]:
     return list(out.values())
 
 
-def unfold(ty: Node) -> Node:
-    """One-step unfolding of a recursive type, in any type grammar."""
-    return instantiate(ty, ty)
+def unfold(b: Node) -> Node:
+    """One-step unfolding of a recursive binder: a recursive type, in any
+    type grammar, or a fixed point, its body at itself.
+
+    The unfolding depends on ``b`` alone, so it is kept on the node, as
+    its alpha key is.  Where the bound name occurs, the unfolding refers
+    back to ``b``, and the two form a reference cycle: reference counting
+    cannot free it, and it waits for Python's cyclic garbage collector.
+    """
+    d = b.__dict__
+    u = d.get("_unfolding")
+    if u is None:
+        u = d["_unfolding"] = instantiate(b, b)
+    return u
 
 
 def refold_candidates(ty: Node, pool: tuple[Node, ...] = ()) -> list[Node]:

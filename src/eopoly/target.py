@@ -339,7 +339,7 @@ def _contract(m: Term) -> tuple[str, Term] | None:
         case MForce(MThunk(body)):
             return "force", body
         case MFix():
-            return "fix", instantiate(m, m)
+            return "fix", unfold(m)
         case MProj(k, MPair(l, r)):
             return "proj", l if k == 1 else r
         case MCase(MInj(k, v)):

@@ -46,8 +46,14 @@ def ty_wf(ctx: Ctx, ty: Node) -> bool:
 
 
 def rec_guarded(ty: Node) -> bool:
-    """True iff every recursive binder in ``ty`` is structurally guarded."""
-    return _guarded(ty, frozenset())
+    """True iff every recursive binder in ``ty`` is structurally guarded.
+    The answer depends on ``ty`` alone and is kept on the node, as its
+    alpha key is."""
+    d = ty.__dict__
+    ok = d.get("_rec_guarded")
+    if ok is None:
+        ok = d["_rec_guarded"] = _guarded(ty, frozenset())
+    return ok
 
 
 def _guarded(ty: Node, unguarded: frozenset[str]) -> bool:

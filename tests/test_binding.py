@@ -317,6 +317,27 @@ def test_forced_capture_agrees(grammar, ns, binder, make_ref, data):
         same_walks(result)
 
 
+@pytest.mark.parametrize("node, sub", [
+    # The shadowed replacement's free y must not rename the inner binder,
+    # whether or not an outer binder gathered the free names first.
+    (Lam("x", Lam("y", Var("z"))), {("x", "x"): Var("y"), ("x", "z"): Var("w")}),
+    (Lam("v", Lam("x", Lam("y", Var("z")))),
+     {("x", "x"): Var("y"), ("x", "z"): Var("w")}),
+    (Case(Var("s"), "x", Lam("y", Var("z")), "v", Lam("y", Var("x"))),
+     {("x", "x"): Var("y"), ("x", "z"): Var("w")}),
+    # The fresh y_1 of the outer renaming must rename the inner binder too.
+    (Lam("y", Lam("y_1", Var("x"))), {("x", "x"): Var("y")}),
+    (Lam("y", Lam("y_1", App(Var("x"), Var("y")))), {("x", "x"): Var("y")}),
+], ids=["shadowed", "shadowed-below-a-binder", "shadowed-in-one-branch",
+        "fresh", "fresh-and-referred-to"])
+def test_free_names_follow_the_substitution_down(node, sub):
+    """The free names of a substitution's replacements, gathered once, are
+    recomputed where a binder shadows a key and grow by the fresh name
+    where a binder is renamed: the result is the reference's, name for
+    name."""
+    assert syntax.subst(node, sub) == ref.subst(node, sub)
+
+
 @pytest.mark.parametrize("tyvar", [ITyVar, STyVar], ids=lambda c: c.__name__)
 def test_expression_replacement_renames_type_binder(tyvar):
     """Only an expression replacement mentions the type variable that a

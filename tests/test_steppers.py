@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_steppers as ref
-from eopoly import econ, source, target
+from eopoly import econ, source, syntax, target
 from eopoly.elaborate import elaborate
 from eopoly.enum_terms import enumerate_welltyped
 from eopoly.program import load_program, parse_program
@@ -218,6 +218,55 @@ def test_run_visits_per_contraction_do_not_grow(monkeypatch):
         sys.setrecursionlimit(limit)
     for small, large in zip(per[16], per[128]):
         assert large < 1.25 * small, per
+
+
+def _unfoldings(monkeypatch, evaluate, x):
+    """The fixed points a whole run of ``x`` unfolds: the ``subst1`` calls
+    that replace a name by a fixed point."""
+    count = 0
+    real = syntax.subst1
+
+    def counting(node, ns, name, replacement):
+        nonlocal count
+        count += isinstance(replacement, (Fix, MFix))
+        return real(node, ns, name, replacement)
+
+    monkeypatch.setattr(syntax, "subst1", counting)
+    r = evaluate(x, 100_000)
+    monkeypatch.undo()
+    assert r.kind == "value"
+    return count
+
+
+def test_unfoldings_do_not_grow_with_the_input(monkeypatch):
+    """Each recursive call contracts the fixed point the first unfolding
+    put in place, and its unfolding is kept on it: map at V over 16
+    elements unfolds as many fixed points as over 4, in both evaluators
+    (unfolding at every contraction, they grow with the list)."""
+    per = {n: program_run(_map_v(n)) for n in (4, 16)}
+    for evaluate, i in ((target.evaluate, 0), (source.cbv_evaluate, 1)):
+        small = _unfoldings(monkeypatch, evaluate, per[4][i])
+        assert 0 < small == _unfoldings(monkeypatch, evaluate, per[16][i])
+
+
+def test_a_diverging_fixed_point_substitutes_once(monkeypatch):
+    """``fix u. u`` steps to itself: a by-value run of
+    ``corpus/byname_discard.eo`` to fuel 2 000 substitutes for its
+    unfolding once, not at every step."""
+    calls = 0
+    real = syntax.subst
+
+    def counting(node, sub):
+        nonlocal calls
+        calls += 1
+        return real(node, sub)
+
+    _, e = corpus_run(os.path.join(CORPUS, "byname_discard.eo"))
+    monkeypatch.setattr(syntax, "subst", counting)
+    r = source.cbv_evaluate(e, 2000)
+    monkeypatch.undo()
+    assert (r.kind, r.steps) == ("out-of-fuel", 2000)
+    assert calls <= 5
 
 
 # -- random untyped, open and stuck terms ---------------------------------------

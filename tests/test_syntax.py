@@ -17,6 +17,10 @@ from eopoly.syntax import (
     ImpCtx,
     Inj,
     Lam,
+    MApp,
+    MFix,
+    MFixVar,
+    MUnit,
     N,
     Pair,
     Proj,
@@ -295,6 +299,24 @@ def test_unfold(g):
     ty = g.rec("t", g.prod(g.var("s"), g.forall("s", g.prod(g.var("t"), g.var("s")))))
     want = g.prod(g.var("s"), g.forall("z", g.prod(ty, g.var("z"))))
     assert alpha_eq(unfold(ty), want)
+
+
+_RECURSIVE_BINDERS = [
+    *[(g.name, g.rec("t", g.sum(g.unit, g.prod(g.var("t"), g.var("t")))))
+      for g in GRAMMARS],
+    ("fix", Fix("u", App(Lam("x", Pair(Var("x"), FixVar("u"))), FixVar("u")))),
+    ("mfix", MFix("u", MApp(MFixVar("u"), MUnit()))),
+]
+
+
+@pytest.mark.parametrize("b", [b for _, b in _RECURSIVE_BINDERS],
+                         ids=[name for name, _ in _RECURSIVE_BINDERS])
+def test_a_recursive_binder_unfolds_once(b):
+    """A recursive type of each grammar and a fixed point of each term
+    grammar unfold once: the unfolding is kept on the node, and it is the
+    binder's body at the binder itself."""
+    assert unfold(b) is unfold(b)
+    assert unfold(b) == instantiate(b, b)
 
 
 @pytest.mark.parametrize("g", GRAMMARS, ids=_ids)
