@@ -7,8 +7,11 @@ dataclass; binding structure is declared per class via ``scopes`` and
 field, the binders that scope over it), and every generic walk reads the
 plan: ``free_names``, ``subst`` and ``alpha_key``, and on top of them the
 structural helpers every grammar shares (``unfold``, ``match_instantiate``,
-``subterms``, ``node_count`` and the like).  ``subst`` gathers its
-replacements' free names once per call, not at every binder it crosses.
+``subterms``, ``node_count`` and the like).  A node keeps its free names
+on itself, as it keeps its alpha key, so they die with it; ``subst``
+learns them for each node it walks, and with closed replacements (every
+contraction's and every order instantiation's) it returns a subtree in
+which no key is free as it is, without walking it.
 ``unfold`` serves recursive types and fixed points alike, and keeps each
 unfolding on its node, as ``alpha_key`` keeps a node's key.
 ``distinct_subterms`` is ``dedup`` of a list of roots' ``subterms``,
@@ -179,23 +182,61 @@ def _plan(cls: type) -> tuple[tuple[str, tuple[tuple[str, str], ...] | None], ..
                  for f in _field_names(cls))
 
 
-@lru_cache(maxsize=None)
+_NO_NAMES: frozenset = frozenset()
+
+
 def free_names(node: object, ns: str) -> frozenset[str]:
     """Free names of ``node`` in namespace ``ns``."""
-    if isinstance(node, EO):
-        return frozenset([node.name]) if (ns == "eo" and node.is_var()) else frozenset()
-    if not isinstance(node, Node):
-        return frozenset()
-    cls = type(node)
-    if cls.ref is not None:
-        return frozenset([getattr(node, cls.ref[1])]) if cls.ref[0] == ns else frozenset()
-    out: frozenset[str] = frozenset()
-    for f, scope in _plan(cls):
+    pairs = _free(node)
+    return frozenset([x for n, x in pairs if n == ns]) if pairs else _NO_NAMES
+
+
+def _free(node: object, walk: bool = True) -> frozenset[tuple[str, str]] | None:
+    """``node``'s free ``(namespace, name)`` pairs, kept on the node as its
+    alpha key is.  Without ``walk``, None when the pairs of a child that
+    holds no reference are not known yet."""
+    if not isinstance(node, Node) or node.ref is not None:
+        return _leaf_free(node)
+    d = node.__dict__
+    out = d.get("_free")
+    if out is not None:
+        return out
+    out = _NO_NAMES
+    for f, scope in _plan(type(node)):
+        if scope is None:
+            continue
         v = getattr(node, f)
-        if isinstance(v, (Node, EO)):
-            out |= free_names(v, ns).difference(
-                getattr(node, bf) for bf, bns in scope if bns == ns)
+        if isinstance(v, Node):
+            ref = v.ref
+            if ref is not None:
+                names = frozenset([(ref[0], getattr(v, ref[1]))])
+            else:
+                names = v.__dict__.get("_free")
+                if names is None:
+                    if not walk:
+                        return None
+                    names = _free(v)
+        elif isinstance(v, EO) and v.tag == "var":
+            names = frozenset([("eo", v.name)])
+        else:
+            continue
+        for bf, bns in scope:
+            bound = (bns, getattr(node, bf))
+            if bound in names:
+                names = names - {bound}
+        if names:
+            out = out | names if out else names
+    d["_free"] = out
     return out
+
+
+def _leaf_free(v: object) -> frozenset[tuple[str, str]]:
+    """The free pairs of a reference, an order or a plain field."""
+    if isinstance(v, Node):
+        return frozenset([(v.ref[0], getattr(v, v.ref[1]))])
+    if isinstance(v, EO) and v.is_var():
+        return frozenset([("eo", v.name)])
+    return _NO_NAMES
 
 
 def subst1(node: object, ns: str, name: str, replacement: object) -> object:
@@ -221,15 +262,6 @@ def vacuous(make, ns: str, body: Node) -> Node:
     """``make(name, body)``: a binder in namespace ``ns`` around ``body``
     whose name none of ``body``'s free names uses, so it binds nothing."""
     return make(fresh_name(ns, free_names(body, ns)), body)
-
-
-def _closes(node: Node, ns: str, name: str) -> bool:
-    """Whether ``node`` binds ``name`` in ``ns`` over every other field,
-    so that the name is not free in it."""
-    n_fields = len(_field_names(type(node)))
-    return any(bns == ns and getattr(node, bf) == name
-               and len(scoped) == n_fields - 1
-               for bf, bns, scoped in type(node).scopes)
 
 
 def alpha_key(node: object, _env: tuple[tuple[str, str], ...] = ()) -> object:
@@ -715,12 +747,15 @@ def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
     "x"/"u"/"ty" namespaces, an :class:`EO` for "eo".  Capture is avoided by
     renaming the binder, never reported.
     """
-    return _subst(node, sub, {}) if sub else node
+    if not sub:
+        return node
+    return _subst(node, sub, not any(_free(r) for r in sub.values()))
 
 
-def _subst(node: object, sub: dict, frees: dict[str, frozenset[str]]) -> object:
-    # ``frees`` maps a namespace to the free names of ``sub``'s replacements
-    # in it, gathered when a binder of that namespace is first crossed.
+def _subst(node: object, sub: dict, closed: bool) -> object:
+    # With ``closed`` replacements no binder is renamed, so a subtree in
+    # which no key is free comes back as it is; the walk learns the free
+    # names of each node it visits for the next substitution into it.
     if isinstance(node, EO):
         if node.is_var() and ("eo", node.name) in sub:
             repl = sub[("eo", node.name)]
@@ -732,49 +767,49 @@ def _subst(node: object, sub: dict, frees: dict[str, frozenset[str]]) -> object:
     cls = type(node)
     if cls.ref is not None:
         return sub.get((cls.ref[0], getattr(node, cls.ref[1])), node)
-    under = _under_binders(node, sub, frees) if cls.scopes else None
+    known = node.__dict__.get("_free")
+    if closed and known is not None and known.isdisjoint(sub):
+        return node
+    under = _under_binders(node, sub, closed) if cls.scopes else None
     values = []
     changed = False
     for f, scope in _plan(cls):
         v = getattr(node, f)
         if scope is None:
-            new = under[f][2]
+            new = under[f][1]
         elif isinstance(v, (Node, EO)):
-            inner, inner_frees, _ = (under[scope[-1][0]] if scope
-                                     else (sub, frees, None))
-            new = _subst(v, inner, inner_frees) if inner else v
+            inner = under[scope[-1][0]][0] if scope else sub
+            new = _subst(v, inner, closed) if inner else v
         else:
             new = v
         changed = changed or new is not v
         values.append(new)
+    if known is None:
+        _free(node, walk=False)
     return cls(*values) if changed else node
 
 
-def _under_binders(node: Node, sub: dict,
-                   frees: dict) -> dict[str, tuple[dict, dict, str]]:
-    """Per binder field of ``node``: the substitution to apply in its scope,
-    its replacements' free names (as ``frees``) and the binder's name
-    there, renamed when a replacement would otherwise be captured."""
+def _under_binders(node: Node, sub: dict, closed: bool) -> dict[str, tuple[dict, str]]:
+    """Per binder field of ``node``: the substitution to apply in its scope
+    and the binder's name there, renamed when a replacement would
+    otherwise be captured."""
     out = {}
     for binder_field, bns, scoped in type(node).scopes:
         bname = getattr(node, binder_field)
         key = (bns, bname)
-        inner, inner_frees = sub, frees
+        inner = sub
         if key in sub:
-            inner, inner_frees = {k: v for k, v in sub.items() if k != key}, {}
-        names = inner_frees.get(bns)
-        if names is None:
-            names = inner_frees[bns] = frozenset().union(
-                *[free_names(r, bns) for r in inner.values()])
-        if bname in names:
-            avoid = set(names)
-            for f in scoped:
-                avoid |= free_names(getattr(node, f), bns)
-            fresh = fresh_name(bname, avoid)
-            inner = {**inner, key: _ref_like(inner, bns, bname, fresh)}
-            inner_frees = {**inner_frees, bns: names | {fresh}}
-            bname = fresh
-        out[binder_field] = (inner, inner_frees, bname)
+            inner = {k: v for k, v in sub.items() if k != key}
+        if not closed:
+            names = frozenset().union(*[free_names(r, bns) for r in inner.values()])
+            if bname in names:
+                avoid = set(names)
+                for f in scoped:
+                    avoid |= free_names(getattr(node, f), bns)
+                fresh = fresh_name(bname, avoid)
+                inner = {**inner, key: _ref_like(inner, bns, bname, fresh)}
+                bname = fresh
+        out[binder_field] = (inner, bname)
     return out
 
 
@@ -1136,10 +1171,8 @@ class Ctx:
     def apart(self, name: str, kind: str, scope: tuple) -> str:
         """``name`` for a binder opened at another binder's name, as a type
         abstraction is at its quantifier's: renamed as by :meth:`fresh`,
-        and also when it is free in ``scope``, which it would capture.  A
-        node that binds ``name`` over all its fields is not looked into."""
-        if any(name in free_names(node, kind) for node in scope
-               if not _closes(node, kind, name)):
+        and also when it is free in ``scope``, which it would capture."""
+        if any(name in free_names(node, kind) for node in scope):
             return fresh_name(name, self.names().union(
                 *(free_names(node, kind) for node in scope)))
         return self.fresh(name, kind, scope=scope)

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_steppers as ref
 from eopoly import econ, source, syntax, target
+from eopoly import elaborate as elaborate_module
 from eopoly.elaborate import elaborate
 from eopoly.enum_terms import enumerate_welltyped
 from eopoly.program import load_program, parse_program
@@ -267,6 +268,53 @@ def test_a_diverging_fixed_point_substitutes_once(monkeypatch):
     monkeypatch.undo()
     assert (r.kind, r.steps) == ("out-of-fuel", 2000)
     assert calls <= 5
+
+
+def _eq_calls(monkeypatch, runs) -> int:
+    """The structural comparisons (``__eq__`` calls on nodes) that ``runs``
+    make, each a thunk."""
+    count = 0
+    for cls in vars(syntax).values():
+        if (isinstance(cls, type) and issubclass(cls, syntax.Node)
+                and "__eq__" in vars(cls)):
+            def counting(a, b, _real=cls.__eq__):
+                nonlocal count
+                count += 1
+                return _real(a, b)
+            monkeypatch.setattr(cls, "__eq__", counting)
+    for run in runs:
+        assert run().kind == "value"
+    monkeypatch.undo()
+    return count
+
+
+def _runs(n):
+    m, e = program_run(_map_v(n))
+    return (lambda: target.evaluate(m, 100_000),
+            lambda: source.cbv_evaluate(e, 100_000))
+
+
+def _clear_package_tables():
+    for mod in (syntax, elaborate_module):
+        for v in vars(mod).values():
+            if hasattr(v, "cache_info"):
+                v.cache_clear()
+
+
+def test_shorter_runs_leave_nothing_a_longer_run_compares(monkeypatch):
+    """Map at V over 512 elements, run in the core and as by-value source
+    after the same runs over 64, 128 and 256 elements, makes no more
+    structural node comparisons than when run alone, from empty tables: no
+    table kept across runs holds a node that a later run's equal node is
+    compared with in full."""
+    _clear_package_tables()
+    alone = _eq_calls(monkeypatch, _runs(512))
+    _clear_package_tables()
+    for n in (64, 128, 256):
+        for run in _runs(n):
+            run()
+    after = _eq_calls(monkeypatch, _runs(512))
+    assert after <= alone, (after, alone)
 
 
 # -- random untyped, open and stuck terms ---------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from eopoly import syntax
 from eopoly.syntax import (
     Anno,
     App,
@@ -51,6 +52,7 @@ from eopoly.syntax import (
     node_count,
     instantiate,
     refold_candidates,
+    subst,
     subst1,
     subterms,
     unfold,
@@ -381,3 +383,46 @@ def test_match_instantiate_pairs_order_binders():
     # A solution may not mention a bound order variable.
     goal = SAllEo("b", SSusp(eo_var("b"), SSusp(eo_var("b"), SUnit())))
     assert match_instantiate(SForall("x", pattern), goal) is None
+
+
+# -- free names on the node, and the substitution that reads them -------------
+
+def _tree(depth: int):
+    """A balanced tree of ``2 ** depth`` distinct leaves, open in ``y``."""
+    if depth == 0:
+        return Lam("z", App(Var("z"), Var("y")))
+    return Pair(_tree(depth - 1), _tree(depth - 1))
+
+
+def test_a_closed_substitution_skips_what_it_cannot_change(monkeypatch):
+    """Substituting a closed value for ``x`` in a node that holds ``x``
+    beside a large subtree, whose free names are known and do not include
+    ``x``, visits a bounded number of nodes, whatever the subtree's size,
+    and the result holds that subtree itself."""
+    visits = {}
+    for depth in (2, 9):
+        big = _tree(depth)
+        assert free_names(big, "x") == {"y"}
+        count = 0
+        real = syntax._subst
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return real(*args)
+
+        monkeypatch.setattr(syntax, "_subst", counting)
+        got = subst(App(Var("x"), big), {("x", "x"): Unit()})
+        monkeypatch.undo()
+        assert got == App(Unit(), big) and got.arg is big
+        visits[depth] = count
+    assert visits[2] == visits[9] <= 3, visits
+
+
+def test_free_names_live_on_nodes_not_in_a_module_table():
+    """The module's process-lifetime memo tables are the per-class plans
+    and the node-keyed tables not yet moved onto nodes; none of them holds
+    free names, so a lookup of an equal node left by an earlier request
+    cannot compare the two in full."""
+    tables = {name for name, v in vars(syntax).items() if hasattr(v, "cache_info")}
+    assert tables == {"_field_names", "_plan", "_scoped_key", "node_count"}
