@@ -31,7 +31,6 @@ spurious success.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bidir import UNROLL_LIMIT
 from .econ import _check as _econ_check_internal
@@ -97,6 +96,7 @@ from .syntax import (
     free_names,
     instantiate,
     join,
+    kept,
     match_instantiate,
     node_count,
     rebuild,
@@ -278,7 +278,7 @@ def _elab(d: Derivation) -> ElabResult:
 # Membership in the elaboration relation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@kept
 def _nf(ty: EconType) -> EconType:
     """Erase every by-value suspension: they elaborate to nothing and
     preserve valueness, so membership in the elaboration relation is

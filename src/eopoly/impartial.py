@@ -3,7 +3,7 @@ type system.
 
 Its rules are the ones :mod:`eopoly.bidir` runs for both source systems;
 this module supplies the impartial connectives and the ``i-`` rule names,
-and keeps ``check``, ``synth`` and ``expose`` as the system's entries.
+and keeps ``check`` and ``synth`` as the system's entries.
 Where the impartial system differs (see :class:`ImpCtx`), a function's
 binder is declared at the valueness of its arrow's order, a case binder
 at val, and a variable synthesizes the valueness it was declared at.
@@ -40,9 +40,3 @@ def check(ctx: ImpCtx, e: Expr, ty: ImpType) -> TypingResult:
 
 def synth(ctx: ImpCtx, e: Expr) -> TypingResult:
     return bidir.synth(IMPARTIAL, ctx, e)
-
-
-def expose(ctx: ImpCtx, e: Expr, r: TypingResult, want: str) -> TypingResult:
-    """Unroll recursive heads until the connective ``want`` ("arrow",
-    "prod", "sum", "forall" or "alleo") shows, or fail."""
-    return bidir.expose(IMPARTIAL, ctx, e, r, want)

@@ -7,18 +7,24 @@ dataclass; binding structure is declared per class via ``scopes`` and
 field, the binders that scope over it), and every generic walk reads the
 plan: ``free_names``, ``subst`` and ``alpha_key``, and on top of them the
 structural helpers every grammar shares (``unfold``, ``match_instantiate``,
-``subterms``, ``node_count`` and the like).  A node keeps its free names
-on itself, as it keeps its alpha key, so they die with it; ``subst``
-learns them for each node it walks, and with closed replacements (every
-contraction's and every order instantiation's) it returns a subtree in
-which no key is free as it is, without walking it.
-``unfold`` serves recursive types and fixed points alike, and keeps each
-unfolding on its node, as ``alpha_key`` keeps a node's key.
+``subterms``, ``node_count`` and the like).  ``unfold`` serves recursive
+types and fixed points alike.
+
+``kept`` is the one way an answer about a node alone lives on the node
+(its hash, alpha key, unfolding and size here; its guardedness and its
+suspension normal form elsewhere), so it dies with the node and a lookup
+never compares two equal nodes.  Two memos stand apart: free names sit
+in a hand-written slot, because ``subst`` probes for them without
+starting a walk, learns them for each node it walks, and with closed
+replacements returns a subtree in which no key is free unwalked; and
+``_scoped_key``, the alpha key under a scope, stays a table until nodes
+are interned, so that equal but distinct nodes share its answers.
+
 ``distinct_subterms`` is ``dedup`` of a list of roots' ``subterms``,
 walking each repeated subtree once; every candidate pool is closed under
-subterms on it.  ``rebuild``
-is the one walk for rewrites that only replace nodes: erasure here, the
-annotation translation and the suspension normal form elsewhere.
+subterms on it.  ``rebuild`` is the one walk for rewrites that only
+replace nodes: erasure here, the annotation translation and the
+suspension normal form elsewhere.
 ``Run`` is the one loop that steps a term, for every evaluator and every
 check that steps, driven by that evaluator's table of evaluation contexts: it
 resumes each search for the next redex at the contractum instead of at
@@ -141,6 +147,30 @@ class Node:
     ref: ClassVar[tuple[str, str] | None] = None
 
 
+_ABSENT, _ITSELF = object(), object()
+
+
+def kept(fn):
+    """``fn``, a function of one node or order, with each answer kept in its
+    argument's ``__dict__``: the answer dies with the node, and a lookup
+    never compares the node with an equal one.  An answer that is the node
+    itself is kept as a marker, which makes no reference cycle."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    def get(node):
+        d = node.__dict__
+        out = d.get(key, _ABSENT)
+        if out is _ABSENT:
+            out = fn(node)
+            d[key] = _ITSELF if out is node else out
+            return out
+        return node if out is _ITSELF else out
+
+    get.__name__, get.__qualname__ = fn.__name__, fn.__qualname__
+    get.__doc__ = fn.__doc__
+    return get
+
+
 @lru_cache(maxsize=None)
 def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
@@ -192,9 +222,9 @@ def free_names(node: object, ns: str) -> frozenset[str]:
 
 
 def _free(node: object, walk: bool = True) -> frozenset[tuple[str, str]] | None:
-    """``node``'s free ``(namespace, name)`` pairs, kept on the node as its
-    alpha key is.  Without ``walk``, None when the pairs of a child that
-    holds no reference are not known yet."""
+    """``node``'s free ``(namespace, name)`` pairs, kept on the node in a
+    slot of their own.  Without ``walk``, None when the pairs of a child
+    that holds no reference are not known yet."""
     if not isinstance(node, Node) or node.ref is not None:
         return _leaf_free(node)
     d = node.__dict__
@@ -273,11 +303,12 @@ def alpha_key(node: object, _env: tuple[tuple[str, str], ...] = ()) -> object:
     """
     if _env or not isinstance(node, Node):
         return _scoped_key(node, _env)
-    d = node.__dict__
-    key = d.get("_alpha_key")
-    if key is None:
-        key = d["_alpha_key"] = _scoped_key(node, ())
-    return key
+    return _own_key(node)
+
+
+@kept
+def _own_key(node: Node) -> object:
+    return _scoped_key(node, ())
 
 
 @lru_cache(maxsize=None)
@@ -838,7 +869,7 @@ def rebuild(node: Node, f) -> Node:
     return cls(*values) if changed else node
 
 
-@lru_cache(maxsize=None)
+@kept
 def node_count(node: object) -> int:
     """Number of nodes in ``node``; types and orders count as nodes."""
     if isinstance(node, EO):
@@ -895,20 +926,17 @@ def distinct_subterms(roots) -> list[Node]:
     return list(out.values())
 
 
+@kept
 def unfold(b: Node) -> Node:
     """One-step unfolding of a recursive binder: a recursive type, in any
     type grammar, or a fixed point, its body at itself.
 
-    The unfolding depends on ``b`` alone, so it is kept on the node, as
-    its alpha key is.  Where the bound name occurs, the unfolding refers
-    back to ``b``, and the two form a reference cycle: reference counting
-    cannot free it, and it waits for Python's cyclic garbage collector.
+    The unfolding depends on ``b`` alone, so it is kept on the node.  Where
+    the bound name occurs, the unfolding refers back to ``b``, and the two
+    form a reference cycle: reference counting cannot free it, and it waits
+    for Python's cyclic garbage collector.
     """
-    d = b.__dict__
-    u = d.get("_unfolding")
-    if u is None:
-        u = d["_unfolding"] = instantiate(b, b)
-    return u
+    return instantiate(b, b)
 
 
 def refold_candidates(ty: Node, pool: tuple[Node, ...] = ()) -> list[Node]:
@@ -1220,8 +1248,7 @@ class EconCtx(Ctx):
 
 
 class TgtCtx(Ctx):
-    def with_x(self, name: str, ty: TgtType) -> "TgtCtx":
-        return self._extend("x", name, ty)
+    """A core context; the core checker binds through ``target._bind``."""
 
 
 # ---------------------------------------------------------------------------
@@ -1232,30 +1259,11 @@ CHECK = "check"
 SYNTH = "synth"
 
 
-def _install_cached_hashes() -> None:
-    """Frozen dataclasses recompute their structural hash on every call;
-    memo tables hash large nodes constantly, so cache it per instance."""
-    import sys
-
-    mod = sys.modules[__name__]
-    for name in dir(mod):
-        cls = getattr(mod, name)
-        if (isinstance(cls, type) and issubclass(cls, (Node, EO))
-                and dataclasses.is_dataclass(cls)):
-            orig = cls.__hash__
-
-            def cached(self, _orig=orig):
-                d = self.__dict__
-                h = d.get("_cached_hash")
-                if h is None:
-                    h = _orig(self)
-                    d["_cached_hash"] = h
-                return h
-
-            cls.__hash__ = cached
-
-
-_install_cached_hashes()
+# Frozen dataclasses rehash at every call, and memo tables hash constantly.
+for _cls in [c for c in list(globals().values()) if isinstance(c, type)]:
+    if issubclass(_cls, (Node, EO)) and "__hash__" in vars(_cls):
+        _cls.__hash__ = kept(_cls.__hash__)
+del _cls
 
 
 @dataclass(eq=False)

@@ -27,6 +27,7 @@ from .syntax import (
     SSum,
     children,
     free_names,
+    kept,
 )
 
 _GUARDS = (IArrow, IProd, ISum, SArrow, SProd, SSum, AArrow, AProd, ASum)
@@ -45,15 +46,11 @@ def ty_wf(ctx: Ctx, ty: Node) -> bool:
             and free_names(ty, "eo") <= ctx.declared("eo"))
 
 
+@kept
 def rec_guarded(ty: Node) -> bool:
     """True iff every recursive binder in ``ty`` is structurally guarded.
-    The answer depends on ``ty`` alone and is kept on the node, as its
-    alpha key is."""
-    d = ty.__dict__
-    ok = d.get("_rec_guarded")
-    if ok is None:
-        ok = d["_rec_guarded"] = _guarded(ty, frozenset())
-    return ok
+    The answer depends on ``ty`` alone and is kept on the node."""
+    return _guarded(ty, frozenset())
 
 
 def _guarded(ty: Node, unguarded: frozenset[str]) -> bool:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from eopoly import impartial
+from eopoly import bidir, impartial
 from eopoly.errors import (
     CannotSynthesize,
     ExposeFailed,
@@ -132,7 +132,7 @@ LIST_V = IRec("b", ISum(U, ITyVar("b"), V), V)
 def test_expose_unrolls_recursive_head():
     ctx = ImpCtx().with_x("xs", VAL, LIST_V)
     r = impartial.synth(ctx, Var("xs"))
-    exposed = impartial.expose(ctx, Var("xs"), r, "sum")
+    exposed = bidir.expose(impartial.IMPARTIAL, ctx, Var("xs"), r, "sum")
     assert isinstance(exposed.ty, ISum)
     assert alpha_eq(exposed.ty, ISum(U, LIST_V, V))
     assert exposed.valueness == TOP
@@ -141,7 +141,7 @@ def test_expose_unrolls_recursive_head():
 def test_expose_already_exposed():
     ctx = ImpCtx().with_x("f", VAL, IArrow(U, U, V))
     r = impartial.synth(ctx, Var("f"))
-    exposed = impartial.expose(ctx, Var("f"), r, "arrow")
+    exposed = bidir.expose(impartial.IMPARTIAL, ctx, Var("f"), r, "arrow")
     assert exposed.ty == r.ty and exposed.valueness == VAL
 
 

@@ -1,12 +1,15 @@
-"""Every name a package module imports is used in that module, and only
-``syntax.py`` substitutes or invents names.
+"""Every name a package module imports is used in that module, only
+``syntax.py`` substitutes or invents names, and only ``syntax.py`` keeps
+answers on a node.
 
 Stdlib-``ast`` checks, since the project runs no linter.  An import that
 nothing reads is either dead or a re-export, and re-exports belong in
 ``__init__.py`` or ``__all__``, both exempt.  A rule that crosses a binder
 opens it through ``syntax.instantiate`` (with ``Ctx.fresh``, ``vacuous``
 and ``subst1``), so no other module calls ``subst`` or ``fresh_name`` or
-imports the single-name substitutions they replaced.
+imports the single-name substitutions they replaced.  An answer about a
+node lives on the node through ``syntax.kept``, so no other module reads
+or writes a node's ``__dict__``.
 """
 
 import ast
@@ -100,3 +103,24 @@ def test_the_binder_check_sees_calls_and_retired_imports():
            "y = fresh_name('a', set())\n"
            "z = instantiate(t, u)\n")
     assert binder_rule_uses(src) == [("fresh_name", 3), ("subst", 2), ("subst_eo", 1)]
+
+
+def dict_uses(source: str) -> list[int]:
+    """The line of each ``__dict__`` attribute and each ``vars`` call."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if (isinstance(n, ast.Attribute) and n.attr == "__dict__")
+                  or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "vars"))
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "syntax.py"])
+def test_answers_are_kept_on_nodes_in_syntax_only(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert dict_uses(fh.read()) == [], module
+
+
+def test_the_dict_check_sees_reads_writes_and_vars():
+    src = ("ok = ty.__dict__.get('_k')\n"
+           "node.__dict__['_k'] = 1\n"
+           "d = vars(node)\n"
+           "kept(f)\n")
+    assert dict_uses(src) == [1, 2, 3]

@@ -1,9 +1,15 @@
 """Core syntax: orders, valuenesses, erasure, substitution, alpha."""
 
+import gc
+import importlib
+import pkgutil
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
-from eopoly import syntax
+import eopoly
+from eopoly import elaborate, syntax, wf
 from eopoly.syntax import (
     Anno,
     App,
@@ -419,10 +425,43 @@ def test_a_closed_substitution_skips_what_it_cannot_change(monkeypatch):
     assert visits[2] == visits[9] <= 3, visits
 
 
-def test_free_names_live_on_nodes_not_in_a_module_table():
-    """The module's process-lifetime memo tables are the per-class plans
-    and the node-keyed tables not yet moved onto nodes; none of them holds
-    free names, so a lookup of an equal node left by an earlier request
-    cannot compare the two in full."""
-    tables = {name for name, v in vars(syntax).items() if hasattr(v, "cache_info")}
-    assert tables == {"_field_names", "_plan", "_scoped_key", "node_count"}
+def _package_modules():
+    return [importlib.import_module(f"eopoly.{m.name}")
+            for m in pkgutil.iter_modules(eopoly.__path__)]
+
+
+def test_no_package_table_but_the_plans_and_the_scoped_keys():
+    """Across the package, the process-lifetime memo tables are the
+    per-class plans and ``_scoped_key``, which waits for hash-consing;
+    every other answer about a node is kept on the node, so a lookup of
+    an equal node left by an earlier request cannot compare the two in
+    full, and nothing outlives its node."""
+    tables = {name for mod in _package_modules()
+              for name, v in vars(mod).items() if hasattr(v, "cache_info")}
+    assert tables == {"_field_names", "_plan", "_scoped_key"}
+
+
+def test_kept_answers_die_with_their_nodes():
+    """Types and a core term asked for every answer kept on a node but
+    the alpha key (which ``_scoped_key``'s table holds) are freed by
+    reference counting alone once dropped: no table holds them, and no
+    kept answer refers back to its node."""
+    gc.disable()
+    try:
+        normal = SRec("a", SSum(SUnit(), SArrow(STyVar("a"), SUnit())))
+        suspended = SProd(SSusp(V, SUnit()), normal)
+        term = MFix("u", MApp(MFixVar("u"), MUnit()))
+        for node in (normal, suspended, term):
+            hash(node)
+            free_names(node, "ty")
+            node_count(node)
+        for ty in (normal, suspended):
+            elaborate._nf(ty)
+            wf.rec_guarded(ty)
+        assert elaborate._nf(normal) is normal
+        assert elaborate._nf(suspended) == SProd(SUnit(), normal)
+        refs = [weakref.ref(n) for n in (normal, suspended, term)]
+        del normal, suspended, term, node, ty
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()

@@ -2,10 +2,13 @@
 
 import itertools
 
+import pytest
+
 from eopoly import target
 from eopoly.syntax import (
     AArrow,
     AForall,
+    AProd,
     ARec,
     ASum,
     AThunk,
@@ -89,6 +92,39 @@ def test_typecheck_type_application_redex():
     assert target.target_check(TgtCtx(), m, AArrow(AU, AU))
 
 
+ID_TY = AForall("a", AArrow(ATyVar("a"), ATyVar("a")))
+
+# Ill-typed core terms, each with its context and the type it must be
+# rejected at, written by hand apart from the checker.
+ILL_TYPED = [
+    # The right component of a pair is a function, not ().
+    ((), MPair(MUnit(), MLam("x", MVar("x"))), AProd(AU, AU)),
+    # The left component is a function, not ().
+    ((), MPair(MLam("x", MVar("x")), MUnit()), AProd(AU, AU)),
+    # A pair is not ().
+    ((), MPair(MUnit(), MUnit()), AU),
+    # No instance of the identity's type is ().
+    ((("x", "f", ID_TY),), MTyApp(MVar("f")), AU),
+    # A type application of a function that is not polymorphic.
+    ((("x", "f", AArrow(AU, AU)),), MTyApp(MVar("f")), AArrow(AU, AU)),
+    # () applied as a function.
+    ((), MApp(MUnit(), MUnit()), AU),
+    # The argument is not the function's domain.
+    ((("x", "f", AArrow(AThunk(AU), AU)),), MApp(MVar("f"), MUnit()), AU),
+    # A thunk is forced into a thunk type that is not its body's.
+    ((), MForce(MThunk(MUnit())), AThunk(AU)),
+    # A right injection at a sum whose right side is not ().
+    ((), MInj(2, MUnit()), ASum(AU, AArrow(AU, AU))),
+    # A variable no context declares.
+    ((), MVar("x"), AU),
+]
+
+
+@pytest.mark.parametrize("entries, m, ty", ILL_TYPED)
+def test_ill_typed_core_terms_are_rejected(entries, m, ty):
+    assert not target.TargetChecker().check(TgtCtx(entries), m, ty)
+
+
 def test_synthesized_function_type_decides_application(monkeypatch):
     # f's type is known, so no candidate domain is worth trying: the
     # codomain 1 is not the goal thunk type, and that settles it.
@@ -96,7 +132,7 @@ def test_synthesized_function_type_decides_application(monkeypatch):
         raise AssertionError("candidate domains tried")
 
     monkeypatch.setattr(target.TargetChecker, "candidates", no_candidates)
-    ctx = TgtCtx().with_x("f", AArrow(AU, AU))
+    ctx = TgtCtx((("x", "f", AArrow(AU, AU)),))
     m = MApp(MVar("f"), MUnit())
     assert not target.TargetChecker().check(ctx, m, AThunk(AU))
     assert target.TargetChecker().check(ctx, m, AU)
