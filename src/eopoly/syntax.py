@@ -30,6 +30,10 @@ check that steps, driven by that evaluator's table of evaluation contexts: it
 resumes each search for the next redex at the contractum instead of at
 the root, and hands each contraction to its caller with the frames around
 the contractum, which the caller plugs only when it needs the whole term.
+A run plugs its states through a table of the parents it has rebuilt, so
+a parent rebuilt around the same fields in a later state is the same
+object, and a check that keeps every state (type safety, the simulation)
+hashes, counts, keys and compares each rebuilt node once.
 Names live in four namespaces that never mix:
 
     "x"   term variables
@@ -1084,12 +1088,20 @@ class Run:
     contractum, inside the frames it holds, and shares one ``known`` table
     of values for the whole run, so a step walks nothing from the root and
     plugs nothing unless asked to.
+
+    ``term()`` plugs through the run's ``_built`` table, which maps a
+    class and the identities of its field values to the node built from
+    them.  The table holds each node it built, and each node its fields,
+    so no identity in a key is reused while the run lives; the table dies
+    with the run.  A trace (``finish`` with ``on_state``) plugs each state
+    plainly, since nothing keeps a printed state for a later one to share.
     """
 
     def __init__(self, node: Node, contexts: dict, values: tuple, contract,
                  fuel: int):
         self.node, self.frames, self.kind, self.steps = node, [], "", 0
         self._rules = contexts, values, contract, fuel
+        self._built = {}
 
     def __iter__(self) -> Iterator[str]:
         contexts, values, contract, fuel = self._rules
@@ -1108,7 +1120,19 @@ class Run:
             yield rule
 
     def term(self) -> Node:
-        return plug(self.frames, self.node)
+        """The contractum plugged into its frames: each parent rebuilt
+        around the same field objects as in an earlier state is the node
+        built then."""
+        node, built = self.node, self._built
+        for parent, fields, i in reversed(self.frames):
+            cls = type(parent)
+            kids = [node if f == fields[i] else getattr(parent, f)
+                    for f in _field_names(cls)]
+            key = (cls, *map(id, kids))
+            node = built.get(key)
+            if node is None:
+                node = built[key] = cls(*kids)
+        return node
 
     def finish(self, on_state=None) -> tuple[str, Node, int]:
         """``(kind, term, steps)`` at the end of the run.  ``on_state``,
@@ -1121,7 +1145,7 @@ class Run:
         else:
             on_state(self.node)
             for _ in self:
-                on_state(self.term())
+                on_state(plug(self.frames, self.node))
         return self.kind, self.term(), self.steps
 
 

@@ -24,7 +24,10 @@ checks, and share one fuel rule and two stops: ``fuel`` counts
 contractions, so a run that reaches a value in exactly ``fuel`` steps
 ends in that value; a repeated state (the core term, or the (core,
 source) pair) and a core term past ``GROWTH_CAP`` nodes each end the
-check early with a pass and a note.
+check early with a pass and a note.  ``Run.term()`` returns a node built
+in an earlier state wherever the state rebuilds it around the same
+fields, so the stops' ``alpha_key`` and ``node_count``, kept on each
+node, and the core checker's memo see each rebuilt node once per run.
 
 The suspension-point checks on one judgment share one :class:`Judgment`,
 which derives it once and builds its elaboration and pools on first use.

@@ -162,6 +162,8 @@ def test_check_elab_type_abstraction_does_not_capture():
 def test_check_elab_respects_structure():
     assert check_elab(Unit(), SU, MVar("x")) is None
     assert check_elab(Lam("x", Var("x")), SU, MLam("x", MVar("x"))) is None
+    # Only a source projection may fall through to the product family.
+    assert check_elab(Unit(), SU, MProj(1, MUnit())) is None
 
 
 def test_checker_reusable():
