@@ -17,15 +17,16 @@ the premise's type is synthesized from the pair itself where it can be:
 along a spine of variables and elimination artifacts each rule's
 conclusion is a function of its premise's, so ``ElabChecker._synth``
 answers with a type (the only one tried), a refutation (the pair relates
-at no type: a clean miss), or None (not a determinate spine).  Only on
+at no type: a miss), or None (not a determinate spine).  Only on
 None does the site try candidates, drawn from the concluding type's
 subterms, the context, a caller-supplied pool, and (for recursive and
 quantified heads) complete local inversions.  The pool is the set of
 types the program's own checking derivation names, closed one step under
 subterms, order instantiation and unrolling (``verify.build_pool``):
 every intermediate type of an elaboration of the program is among them.
-The search is bounded; a miss means "not found within bounds", never a
-spurious success.
+The search recurses on strict subterms of the core term, so it
+terminates without fuel; a miss means that no derivation exists over the
+candidate types, and a success is never spurious.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ from .syntax import (
     join,
     kept,
     match_instantiate,
-    node_count,
     rebuild,
     refold_candidates,
     subst1,
@@ -317,6 +317,11 @@ def _carry(t, conclude):
     return t if t is None or t is False else conclude(t)
 
 
+def _then(premise: Valueness | None, v: Valueness) -> Valueness | None:
+    """A rule's valueness ``v`` once its premises relate, else None."""
+    return None if premise is None else v
+
+
 def _assumed(ctx: EconCtx) -> tuple[EconType, ...]:
     """The types ``ctx`` assumes of its term and fixed-point variables."""
     return tuple(t for kind, _, t in ctx.entries if kind in ("x", "u"))
@@ -333,29 +338,27 @@ class ElabChecker:
     a spine of variables and elimination artifacts relates at one type at
     most, so its answer is that type, False (a refutation: the pair
     relates at no type), or None (not a determinate spine).  A type is the
-    only candidate the joint tries, a refutation is a clean miss, and only
+    only candidate the joint tries, a refutation is a miss, and only
     None falls back to the candidate types of the goal, the context and
     the pool, tried in turn by ``_first``.  One instance owns the pool and
     the memo tables, so a simulation run can re-relate many (source, core)
-    pairs cheaply.  Successes are always cached; failures only when
-    computed without hitting the depth bound (so a cached "no" is
-    definitive).  After each :meth:`check`, ``clean`` tells whether the
-    search ran to completion: a miss with ``clean`` False was cut by the
-    bound, not refuted.
+    pairs cheaply.
+
+    The check decides membership over those candidate lists, and the memo
+    keeps every answer, misses included.  Each rule recurses on a strict
+    subterm of the core term (a field, or a binder's field opened at a
+    variable; never a contractum or an unfolding), so the search ends by
+    structural recursion, without fuel.
     """
 
     def __init__(self, pool: tuple[EconType, ...] = ()):
         self.pool = tuple(dedup([_nf(p) for p in pool]))
-        self.clean = True
         self.memo: dict = {}
-        self.in_progress: set = set()
         self._cand_cache: dict = {}
         self._syn_cache: dict = {}
 
     def check(self, e: Expr, ty: EconType, m: Term) -> Valueness | None:
-        budget = 2 * (node_count(m) + node_count(ty)) + 64
-        result, self.clean = self._ce(EconCtx(), e, _nf(ty), m, budget)
-        return result
+        return self._ce(EconCtx(), e, ty, m)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -423,20 +426,18 @@ class ElabChecker:
             return None
         return [t] if t is not False and fits(t) else []
 
-    def _first(self, cands, premises, depth: int) -> tuple[Valueness | None, bool]:
+    def _first(self, cands, premises) -> Valueness | None:
         """Try each candidate type in turn: the valueness of the last
         premise at the first candidate where every premise relates, else
-        None with whether every miss was clean."""
-        clean = True
+        None."""
         for cand in cands:
             for ctx, e, ty, m in premises(cand):
-                v, c = self._ce(ctx, e, ty, m, depth)
+                v = self._ce(ctx, e, ty, m)
                 if v is None:
-                    clean &= c
                     break
             else:
-                return v, True
-        return None, clean
+                return v
+        return None
 
     @staticmethod
     def _open(ctx: EconCtx, x: str, e: Expr, m: Term, field: str = "body"):
@@ -457,98 +458,70 @@ class ElabChecker:
             return ctx
         return EconCtx(entries)
 
-    def _ce(self, ctx: EconCtx, e: Expr, ty: EconType, m: Term,
-            depth: int) -> tuple[Valueness | None, bool]:
+    def _ce(self, ctx: EconCtx, e: Expr, ty: EconType,
+            m: Term) -> Valueness | None:
         ty = _nf(ty)
         ctx = self._restrict(ctx, e, m)
         key = (ctx.entries, e, ty, m)
         if key in self.memo:
-            return self.memo[key], True
-        if key in self.in_progress:
-            return None, False
-        if depth <= 0:
-            return None, False
-        self.in_progress.add(key)
-        try:
-            result, clean = self._rules(ctx, e, ty, m, depth)
-        finally:
-            self.in_progress.discard(key)
-        if result is not None:
-            if is_value(m) and result != VAL:
-                raise ElaborationError(
-                    "internal: a core value elaborated at a non-val valueness"
-                )
-            self.memo[key] = result
-        elif clean:
-            self.memo[key] = None
-        return result, clean
+            return self.memo[key]
+        result = self._rules(ctx, e, ty, m)
+        if result == TOP and is_value(m):
+            raise ElaborationError(
+                "internal: a core value elaborated at a non-val valueness"
+            )
+        self.memo[key] = result
+        return result
 
-    def _rules(self, ctx: EconCtx, e: Expr, ty: EconType, m: Term,
-               depth: int) -> tuple[Valueness | None, bool]:
-        d = depth - 1
+    def _rules(self, ctx: EconCtx, e: Expr, ty: EconType,
+               m: Term) -> Valueness | None:
         match m:
             case MVar(_) | MFixVar(_):
                 if _matches(self._synth(ctx, e, m), ty):
-                    return (VAL if isinstance(m, MVar) else TOP), True
-                return None, True
+                    return VAL if isinstance(m, MVar) else TOP
             case MUnit():
                 if isinstance(e, Unit) and isinstance(ty, SUnit):
-                    return VAL, True
-                return None, True
+                    return VAL
             case MLam():
-                if not (isinstance(e, Lam) and isinstance(ty, SArrow)):
-                    return None, True
-                z, eb, mb = self._open(ctx, e.var, e, m)
-                inner, c = self._ce(ctx.with_x(z, ty.dom), eb, ty.cod, mb, d)
-                return (VAL if inner is not None else None), c
+                if isinstance(e, Lam) and isinstance(ty, SArrow):
+                    z, eb, mb = self._open(ctx, e.var, e, m)
+                    return _then(self._ce(ctx.with_x(z, ty.dom), eb, ty.cod, mb), VAL)
             case MTyLam(mbody):
-                if not isinstance(ty, SForall):
-                    return None, True
-                a = ctx.apart(ty.var, "ty", scope=(ty, e, *_assumed(ctx)))
-                inner, c = self._ce(ctx.with_ty(a), e, instantiate(ty, STyVar(a)),
-                                    mbody, d)
-                return (VAL if inner == VAL else None), c
+                if isinstance(ty, SForall):
+                    a = ctx.apart(ty.var, "ty", scope=(ty, e, *_assumed(ctx)))
+                    if self._ce(ctx.with_ty(a), e, instantiate(ty, STyVar(a)),
+                                mbody) == VAL:
+                        return VAL
             case MThunk(mbody):
                 if isinstance(ty, SSusp) and ty.eo == N:
-                    inner, c = self._ce(ctx, e, ty.body, mbody, d)
-                    return (VAL if inner is not None else None), c
-                return None, True
+                    return _then(self._ce(ctx, e, ty.body, mbody), VAL)
             case MFix():
-                if not isinstance(e, Fix):
-                    return None, True
-                z = ctx.fresh(e.var, "x", "u", scope=(e, m))
-                inner, c = self._ce(ctx.with_u(z, ty), instantiate(e, FixVar(z)), ty,
-                                    instantiate(m, MFixVar(z)), d)
-                return (TOP if inner is not None else None), c
+                if isinstance(e, Fix):
+                    z = ctx.fresh(e.var, "x", "u", scope=(e, m))
+                    return _then(self._ce(ctx.with_u(z, ty), instantiate(e, FixVar(z)),
+                                          ty, instantiate(m, MFixVar(z))), TOP)
             case MPair(m1, m2):
-                if isinstance(ty, SAllEo):
-                    v1, c1 = self._ce(ctx, e, _instance(ty, 1), m1, d)
-                    if v1 != VAL:
-                        return None, c1
-                    v2, c2 = self._ce(ctx, e, _instance(ty, 2), m2, d)
-                    return (VAL if v2 == VAL else None), c2
+                if (isinstance(ty, SAllEo)
+                        and self._ce(ctx, e, _instance(ty, 1), m1) == VAL
+                        and self._ce(ctx, e, _instance(ty, 2), m2) == VAL):
+                    return VAL
                 if isinstance(ty, SProd) and isinstance(e, Pair):
-                    v1, c1 = self._ce(ctx, e.left, ty.left, m1, d)
-                    if v1 is None:
-                        return None, c1
-                    v2, c2 = self._ce(ctx, e.right, ty.right, m2, d)
-                    return (join(v1, v2) if v2 is not None else None), c1 and c2
-                return None, True
+                    v1 = self._ce(ctx, e.left, ty.left, m1)
+                    v2 = None if v1 is None else self._ce(ctx, e.right, ty.right, m2)
+                    if v2 is not None:
+                        return join(v1, v2)
             case MInj(k, mbody):
                 if isinstance(ty, SSum) and isinstance(e, Inj) and e.k == k:
                     comp = ty.left if k == 1 else ty.right
-                    return self._ce(ctx, e.body, comp, mbody, d)
-                return None, True
+                    return self._ce(ctx, e.body, comp, mbody)
             case MRoll(mbody):
                 if isinstance(ty, SRec):
-                    return self._ce(ctx, e, _unrolled(ty), mbody, d)
-                return None, True
+                    return self._ce(ctx, e, _unrolled(ty), mbody)
             case MForce(mbody):
-                inner, c = self._ce(ctx, e, SSusp(N, ty), mbody, d)
-                return (TOP if inner is not None else None), c
+                return _then(self._ce(ctx, e, SSusp(N, ty), mbody), TOP)
             case MApp(m1, m2):
                 if not isinstance(e, App):
-                    return None, True
+                    return None
                 arrows = self._decided(ctx, e.fn, m1,
                                        lambda t: _matches(_cod(t), ty))
                 if arrows is None:
@@ -558,9 +531,8 @@ class ElabChecker:
                         + [SArrow(dom, ty) for dom in cands])
                 # The argument side is cheaper and shared across arrows
                 # with the same domain, so try it first.
-                v, c = self._first(arrows, lambda a: [
-                    (ctx, e.arg, a.dom, m2), (ctx, e.fn, a, m1)], d)
-                return (TOP if v is not None else None), c
+                return _then(self._first(arrows, lambda a: [
+                    (ctx, e.arg, a.dom, m2), (ctx, e.fn, a, m1)]), TOP)
             case MProj(k, mbody):
                 # The order-pair family first: its valueness is returned.
                 pairs = self._decided(ctx, e, mbody,
@@ -568,9 +540,9 @@ class ElabChecker:
                 if pairs is None:
                     pairs = dedup([vacuous(SAllEo, "eo", ty)] + [
                         c for c in self.pool if _matches(_instance(c, k), ty)])
-                v, clean = self._first(pairs, lambda a: [(ctx, e, a, mbody)], d)
+                v = self._first(pairs, lambda a: [(ctx, e, a, mbody)])
                 if v is not None or not (isinstance(e, Proj) and e.k == k):
-                    return v, clean
+                    return v
                 prods = self._decided(ctx, e.body, mbody,
                                       lambda t: _matches(_component(t, k), ty))
                 if prods is None:
@@ -579,18 +551,17 @@ class ElabChecker:
                         lambda cands: [
                             p for p in cands if _matches(_component(p, k), ty)]
                         + [SProd(ty, o) if k == 1 else SProd(o, ty) for o in cands])
-                v, c = self._first(prods, lambda p: [(ctx, e.body, p, mbody)], d)
-                return (TOP, True) if v is not None else (None, clean and c)
+                return _then(
+                    self._first(prods, lambda p: [(ctx, e.body, p, mbody)]), TOP)
             case MUnroll(mbody):
                 recs = self._decided(ctx, e, mbody,
                                      lambda t: _matches(_unrolled(t), ty))
                 if recs is None:
                     recs = refold_candidates(ty, self.pool)
-                v, c = self._first(recs, lambda r: [(ctx, e, r, mbody)], d)
-                return (TOP if v is not None else None), c
+                return _then(self._first(recs, lambda r: [(ctx, e, r, mbody)]), TOP)
             case MCase(ms):
                 if not isinstance(e, Case):
-                    return None, True
+                    return None
                 sums = self._decided(ctx, e.scrut, ms,
                                      lambda t: isinstance(t, SSum))
                 if sums is None:
@@ -598,11 +569,10 @@ class ElabChecker:
                             if isinstance(c, SSum)]
                 z1, eb1, mb1 = self._open(ctx, e.var1, e, m, "body1")
                 z2, eb2, mb2 = self._open(ctx, e.var2, e, m, "body2")
-                v, c = self._first(sums, lambda s: [
+                return _then(self._first(sums, lambda s: [
                     (ctx, e.scrut, s, ms),
                     (ctx.with_x(z1, s.left), eb1, ty, mb1),
-                    (ctx.with_x(z2, s.right), eb2, ty, mb2)], d)
-                return (TOP if v is not None else None), c
+                    (ctx.with_x(z2, s.right), eb2, ty, mb2)]), TOP)
             case MTyApp(mbody):
                 def fits(t):
                     return (isinstance(t, SForall) and
@@ -611,8 +581,8 @@ class ElabChecker:
                 if foralls is None:
                     foralls = dedup([vacuous(SForall, "ty", ty)]
                                     + [f for f in self.pool if fits(f)])
-                return self._first(foralls, lambda f: [(ctx, e, f, mbody)], d)
-        return None, True
+                return self._first(foralls, lambda f: [(ctx, e, f, mbody)])
+        return None
 
 
 def check_elab(e: Expr, ty: EconType, m: Term,
@@ -620,6 +590,6 @@ def check_elab(e: Expr, ty: EconType, m: Term,
     """One-shot membership query; see :class:`ElabChecker`.
 
     Returns a derivable valueness (core values always report val), or None
-    when no derivation was found within the search bounds.
+    when no derivation exists over the candidate types.
     """
     return ElabChecker(pool).check(e, ty, m)

@@ -329,7 +329,7 @@ def elab_soundness(j: Judgment, program: str = "?") -> CheckOutcome:
         )
     if j.checker.check(erase(j.expr), r.ty, er.term) is None:
         return CheckOutcome(
-            name, program, FAIL if j.checker.clean else SEARCH_EXHAUSTED,
+            name, program, FAIL,
             {"reason": "elaboration relation does not relate the output",
              "term": er.term},
         )
@@ -497,11 +497,12 @@ def consistency(j: Judgment, fuel: int = 10_000, search_depth: int = 8,
     """Simulate a core evaluation by source steps, re-relating at each step.
 
     The search for a matching source term is a breadth-first walk over the
-    stepping relation, depth-bounded; hitting the bound is reported as
-    search exhaustion, distinct from refutation, because the matched
-    source run may be longer than any fixed bound.  The simulation stops
-    early, passing with a note, at the first repeated (core, source) pair
-    or past the growth cap (see ``_stop``).
+    stepping relation, bounded in source steps (membership tests decide
+    and need none); hitting that bound is reported as search exhaustion,
+    distinct from refutation, because the matched source run may be
+    longer than any fixed bound.  The simulation stops early, passing
+    with a note, at the first repeated (core, source) pair or past the
+    growth cap (see ``_stop``).
     """
     r = j.typing
     m = j.elab.term
@@ -511,12 +512,8 @@ def consistency(j: Judgment, fuel: int = 10_000, search_depth: int = 8,
     e_cur = erase(j.expr)
     phi = checker.check(e_cur, r.ty, m)
     if phi is None:
-        report.verdict = FAIL if checker.clean else SEARCH_EXHAUSTED
-        report.reason = (
-            "the program does not re-relate to its own elaboration"
-            if checker.clean else
-            "the membership search hit its bound on the program's own elaboration"
-        )
+        report.verdict = FAIL
+        report.reason = "the program does not re-relate to its own elaboration"
         return report
     run = tgt_mod.run(m, fuel)
     seen = {(alpha_key(m), alpha_key(e_cur))}
@@ -576,9 +573,9 @@ def consistency(j: Judgment, fuel: int = 10_000, search_depth: int = 8,
 def _search_match(e: Expr, ty: EconType, m: Term, checker: ElabChecker,
                   depth_bound: int, byvalue_only: bool,
                   prefer_rule: str = ""):
-    """Breadth-first match search; second component reports whether a
-    bound pruned anything (False = the space was fully explored): the
-    depth bound here, or the membership search's own bound.
+    """Breadth-first match search within ``depth_bound`` source steps;
+    the second component reports whether that bound pruned anything
+    (False = the space was fully explored, so no match exists).
 
     Source steps whose reduction rule matches the core step's are tried
     first within each depth: the match is usually the mirrored redex, and
@@ -589,8 +586,8 @@ def _search_match(e: Expr, ty: EconType, m: Term, checker: ElabChecker,
     # For a computational core step the matching source term almost always
     # needs the mirrored reduction, and a failing membership test on the
     # unreduced term is the most expensive call in the harness; so probe
-    # the mirrored candidates before the zero-step candidate.
-    if prefer_rule in ("beta", "fix", "case"):
+    # the mirrored candidates, one step away, before the zero-step one.
+    if prefer_rule in ("beta", "fix", "case") and depth_bound >= 1:
         for s in src_mod.enumerate_steps(e):
             if s.rule != prefer_rule:
                 continue
@@ -599,14 +596,12 @@ def _search_match(e: Expr, ty: EconType, m: Term, checker: ElabChecker,
             v = checker.check(s.result, ty, m)
             if v is not None:
                 return (s.result, 1, v, s.flavor != src_mod.BYVALUE), pruned
-            pruned |= not checker.clean
     frontier = deque([(e, 0, False)])
     while frontier:
         cand, depth, used_byname = frontier.popleft()
         v = checker.check(cand, ty, m)
         if v is not None:
             return (cand, depth, v, used_byname), pruned
-        pruned |= not checker.clean
         if depth >= depth_bound:
             pruned = True
             continue
@@ -653,8 +648,7 @@ def cbv_endpoint(j: Judgment, fuel: int = 10_000,
     v = j.checker.check(sv.expr, r.ty, tv.term)
     if v != VAL:
         return CheckOutcome(
-            name, program,
-            SEARCH_EXHAUSTED if v is None and not j.checker.clean else FAIL,
+            name, program, FAIL,
             {"reason": "final source value does not elaborate to the core value",
              "source": sv.expr, "target": tv.term},
         )

@@ -1,21 +1,27 @@
 """Type translation, derivation-driven elaboration, relation membership."""
 
+import glob
+import os
+
 import pytest
 
-from eopoly import econ, elaborate as elab_mod, target
+from eopoly import econ, elaborate as elab_mod, target, verify
 from eopoly.elaborate import (
     ElabChecker,
     check_elab,
     elaborate,
     ty_target,
 )
+from eopoly.enum_terms import enumerate_welltyped
 from eopoly.errors import EvalOrderVarInContext
+from eopoly.program import load_program
 from eopoly.syntax import (
     AArrow,
     AProd,
     AThunk,
     AUnit,
     App,
+    CHECK,
     Anno,
     EconCtx,
     EoApp,
@@ -42,6 +48,7 @@ from eopoly.syntax import (
     SSusp,
     STyVar,
     SUnit,
+    SYNTH,
     TOP,
     TgtCtx,
     Unit,
@@ -50,10 +57,12 @@ from eopoly.syntax import (
     Var,
     alpha_eq,
     eo_var,
+    node_count,
 )
 
 SU = SUnit()
 ID_TY = SAllEo("a", SArrow(SSusp(eo_var("a"), SU), SU))
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 GOLDEN = MPair(MLam("x", MVar("x")), MLam("x", MForce(MVar("x"))))
 
 
@@ -189,4 +198,38 @@ def test_determinate_spine_decides(monkeypatch):
     mfst = MLam("p", MProj(1, MVar("p")))
     assert fits.check(fst, SArrow(SProd(SU, SU), SU), mfst) == VAL
     assert refuted.check(fst, SArrow(SU, SU), mfst) is None
-    assert refuted.clean
+    # The miss is memoized: asking again runs no rule.
+    monkeypatch.setattr(refuted, "_rules", no_candidates)
+    assert refuted.check(fst, SArrow(SU, SU), mfst) is None
+
+
+def test_membership_recurses_on_strict_subterms(monkeypatch):
+    """Every nested membership query is on a core term smaller than its
+    caller's, which is why the search needs no depth bound: on the corpus
+    (soundness and simulation) and on the bound-4 enumeration."""
+    sizes = []
+    ce = ElabChecker._ce
+
+    def checked_ce(self, ctx, e, ty, m):
+        n = node_count(m)
+        assert not sizes or n < sizes[-1], (
+            f"a membership query on {n} core nodes under one on {sizes[-1]}")
+        sizes.append(n)
+        try:
+            return ce(self, ctx, e, ty, m)
+        finally:
+            sizes.pop()
+
+    monkeypatch.setattr(ElabChecker, "_ce", checked_ce)
+    judgments = []
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        prog = load_program(path)
+        e = econ.econ_expr(prog.main) if prog.lang == "impartial" else prog.main
+        # Two judgments, so neither check answers from the other's memo.
+        judgments.append(verify.Judgment(e, None, SYNTH))
+        verify.consistency(verify.Judgment(e, None, SYNTH), fuel=200)
+    for j in enumerate_welltyped(4):
+        ty = econ.econ_type(j.ty) if j.direction == CHECK else None
+        judgments.append(verify.Judgment(econ.econ_expr(j.expr), ty, j.direction))
+    for j in judgments:
+        assert verify.elab_soundness(j).verdict == verify.PASS

@@ -76,7 +76,6 @@ from eopoly.verify import (
     run_nfree_econ,
     run_nfree_elab,
     run_type_safety,
-    target_pool,
 )
 
 U = IUnit()
@@ -525,42 +524,25 @@ def test_replay_refuses_an_order_binder_opened_at_a_free_name():
         replay(bad)
 
 
-# -- a search cut by its bound is not a refutation -----------------------------
+# -- only the source-step bound exhausts a simulation search ------------------
 
-class _TinyBudget(ElabChecker):
-    """A membership checker whose depth bound cuts every nontrivial query."""
-
-    def _ce(self, ctx, e, ty, m, depth):
-        return super()._ce(ctx, e, ty, m, min(depth, 1))
-
-
-def test_elab_soundness_budget_cut_is_search_exhausted():
-    e, _ = econ_main(os.path.join(CORPUS, "id_poly_v.eo"))
-    r = econ.econ_synth(EconCtx(), e)
-    pool = build_pool(e, [r.ty])
-    out = run_elab_soundness(e, None, SYNTH, checker=_TinyBudget(pool),
-                             tpool=target_pool(pool))
-    assert out.verdict == SEARCH_EXHAUSTED, out.detail
-    assert run_elab_soundness(e, None, SYNTH).verdict == PASS
-
-
-def test_budget_cut_is_search_exhausted(monkeypatch):
-    import eopoly.verify as verify_mod
-
-    monkeypatch.setattr(verify_mod, "ElabChecker", _TinyBudget)
-    e, _ = econ_main(os.path.join(CORPUS, "nfree_map.eo"))
-    assert run_cbv_endpoint(e, None, SYNTH).verdict == SEARCH_EXHAUSTED
-    rep = run_consistency(e, None, SYNTH, fuel=100, search_depth=8)
-    assert rep.verdict == SEARCH_EXHAUSTED
-
-
-def test_search_match_counts_budget_cut_as_pruned():
+def test_search_match_refutes_an_explored_space():
     e = Pair(Unit(), Unit())  # a source value: no steps to explore
     ty = SProd(SU, SU)
     m = MPair(MUnit(), MUnit())
     assert _search_match(e, ty, m, ElabChecker(), 8, False)[0] is not None
     assert _search_match(e, ty, MUnit(), ElabChecker(), 8, False) == (None, False)
-    assert _search_match(e, ty, m, _TinyBudget(), 8, False) == (None, True)
+
+
+@pytest.mark.parametrize("name", ["id_poly_v.eo", "bool_byname.eo"])
+def test_depth_bound_zero_allows_no_source_step(name):
+    """At search depth 0 a core step is matched by no source step: the
+    mirrored-rule probe, one step deep, is skipped too."""
+    e, _ = econ_main(os.path.join(CORPUS, name))
+    rep = run_consistency(e, None, SYNTH, fuel=2000, search_depth=0)
+    assert rep.verdict == SEARCH_EXHAUSTED, rep.outcome().line()
+    assert all(s.source_steps == 0 for s in rep.steps)
+    assert run_consistency(e, None, SYNTH, fuel=2000, search_depth=1).verdict == PASS
 
 
 def _in_pool(ty, pool):
