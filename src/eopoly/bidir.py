@@ -25,6 +25,17 @@ it to val).  Quantifier instantiation is always explicit in the
 expression (type application and order instantiation markers); synthesis
 never guesses.
 
+Unfolding needs no step budget.  Every type the rules unfold is guarded
+(``wf.rec_guarded``): ``check`` tests its type, and annotations and type
+arguments are tested where they are read; instantiation, order
+substitution, unfolding and the translation keep guardedness.  In a
+guarded ``rec a. B`` the variable ``a`` is not at ``B``'s head, so an
+unfolding takes one recursive layer off the type's head and puts none
+back.  The rec-intro chain, ``_reconcile`` and ``expose`` therefore stop
+after at most as many steps as the types they read have recursive and
+suspension layers at their heads (Amadio & Cardelli, "Subtyping Recursive
+Types", TOPLAS 15(4), 1993).
+
 Every result carries a reified :class:`Derivation` so elaboration and the
 verification harness can replay it.
 """
@@ -81,8 +92,6 @@ from .syntax import (
 )
 from .wf import eo_wf, rec_guarded, ty_wf
 
-UNROLL_LIMIT = 64
-
 _SYNTH_FORMS = (Var, FixVar, App, Proj, TyApp, EoApp, Anno)
 
 
@@ -122,23 +131,22 @@ def check(s: System, ctx: Ctx, e: Expr, ty: Node) -> TypingResult:
         raise IllFormedType(f"type is not well-formed here: {ty!r}")
     if not rec_guarded(ty):
         raise GuardednessViolation(f"unguarded recursive type: {ty!r}")
-    return _check(s, ctx, e, ty, UNROLL_LIMIT)
+    return _check(s, ctx, e, ty)
 
 
-def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
+def _check(s: System, ctx: Ctx, e: Expr, ty: Node) -> TypingResult:
     if isinstance(e, _SYNTH_FORMS):
-        return _reconcile(s, ctx, e, synth(s, ctx, e), ty, budget)
+        return _reconcile(s, ctx, e, synth(s, ctx, e), ty)
     p = s.prefix
 
     if isinstance(ty, SSusp):
-        return _wrap(s, ctx, e, ty, _check(s, ctx, e, ty.body, UNROLL_LIMIT))
+        return _wrap(s, ctx, e, ty, _check(s, ctx, e, ty.body))
 
     if isinstance(ty, s.alleo):
         a = ctx.fresh(ty.var, "eo", scope=(e, ty))
         # Annotations inside e refer to the binder by its written name.
         e_inner = subst1(e, "eo", ty.var, eo_var(a))
-        inner = _check(s, ctx.with_eo(a), e_inner, instantiate(ty, eo_var(a)),
-                       UNROLL_LIMIT)
+        inner = _check(s, ctx.with_eo(a), e_inner, instantiate(ty, eo_var(a)))
         if inner.valueness != VAL:
             raise ValueRestriction("an order-polymorphic subject must be a value")
         return _result(p + "alleo-intro", ctx, e, CHECK, ty, VAL, (inner.deriv,),
@@ -151,16 +159,14 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
             )
         a = ctx.apart(ty.var, "ty", scope=(e, ty))
         inner = _check(s, ctx.with_ty(a), instantiate(e, s.tyvar(a)),
-                       instantiate(ty, s.tyvar(a)), UNROLL_LIMIT)
+                       instantiate(ty, s.tyvar(a)))
         if inner.valueness != VAL:
             raise ValueRestriction("a polymorphic subject must be a value")
         return _result(p + "all-intro", ctx, e, CHECK, ty, VAL, (inner.deriv,),
                        {"var": a})
 
     if isinstance(ty, s.rec):
-        if budget <= 0:
-            raise ExposeFailed("recursive type unrolled too deeply")
-        inner = _check(s, ctx, e, unfold(ty), budget - 1)
+        inner = _check(s, ctx, e, unfold(ty))
         return _result(p + "rec-intro", ctx, e, CHECK, ty, inner.valueness,
                        (inner.deriv,))
 
@@ -173,29 +179,26 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
             if not isinstance(ty, s.arrow):
                 raise TypeMismatch(f"a function cannot have type {ty!r}")
             xx = ctx.fresh(x, "x", "u", scope=(e,))
-            inner = _check(s, ctx.with_arg(xx, ty), instantiate(e, Var(xx)),
-                           ty.cod, UNROLL_LIMIT)
+            inner = _check(s, ctx.with_arg(xx, ty), instantiate(e, Var(xx)), ty.cod)
             return _result(p + "arrow-intro", ctx, e, CHECK, ty, VAL,
                            (inner.deriv,), {"var": xx})
         case Pair(l, r):
             if not isinstance(ty, s.prod):
                 raise TypeMismatch(f"a pair cannot have type {ty!r}")
-            left = _check(s, ctx, l, ty.left, UNROLL_LIMIT)
-            right = _check(s, ctx, r, ty.right, UNROLL_LIMIT)
+            left = _check(s, ctx, l, ty.left)
+            right = _check(s, ctx, r, ty.right)
             return _result(p + "prod-intro", ctx, e, CHECK, ty,
                            join(left.valueness, right.valueness),
                            (left.deriv, right.deriv))
         case Inj(k, body):
             if not isinstance(ty, s.sum):
                 raise TypeMismatch(f"an injection cannot have type {ty!r}")
-            inner = _check(s, ctx, body, ty.left if k == 1 else ty.right,
-                           UNROLL_LIMIT)
+            inner = _check(s, ctx, body, ty.left if k == 1 else ty.right)
             return _result(p + "sum-intro", ctx, e, CHECK, ty, inner.valueness,
                            (inner.deriv,), {"k": k})
         case Fix(u, _):
             uu = ctx.fresh(u, "x", "u", scope=(e,))
-            inner = _check(s, ctx.with_u(uu, ty), instantiate(e, FixVar(uu)), ty,
-                           UNROLL_LIMIT)
+            inner = _check(s, ctx.with_u(uu, ty), instantiate(e, FixVar(uu)), ty)
             return _result(p + "fix", ctx, e, CHECK, ty, TOP, (inner.deriv,),
                            {"var": uu})
         case Case(scrut, x1, _, x2, _):
@@ -203,9 +206,9 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
             xx1 = ctx.fresh(x1, "x", "u", scope=(e,))
             xx2 = ctx.fresh(x2, "x", "u", scope=(e,))
             r1 = _check(s, ctx.with_case(xx1, rs.ty.left),
-                        instantiate(e, Var(xx1), "body1"), ty, UNROLL_LIMIT)
+                        instantiate(e, Var(xx1), "body1"), ty)
             r2 = _check(s, ctx.with_case(xx2, rs.ty.right),
-                        instantiate(e, Var(xx2), "body2"), ty, UNROLL_LIMIT)
+                        instantiate(e, Var(xx2), "body2"), ty)
             return _result(p + "sum-elim", ctx, e, CHECK, ty, TOP,
                            (rs.deriv, r1.deriv, r2.deriv),
                            {"var1": xx1, "var2": xx2})
@@ -214,8 +217,8 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node, budget: int) -> TypingResult:
     raise TypeMismatch(f"cannot check {e!r} against {ty!r}")
 
 
-def _reconcile(s: System, ctx: Ctx, e: Expr, r: TypingResult, want: Node,
-               budget: int) -> TypingResult:
+def _reconcile(s: System, ctx: Ctx, e: Expr, r: TypingResult,
+               want: Node) -> TypingResult:
     """Bridge a synthesized type to an expected one.
 
     Alpha-equal types succeed outright.  Otherwise, in this order: a
@@ -223,25 +226,24 @@ def _reconcile(s: System, ctx: Ctx, e: Expr, r: TypingResult, want: Node,
     a suspension on the checking side is introduced; any other suspension
     on the synthesis side is stripped; a recursive head is unrolled on the
     checking side, then on the synthesis side (which costs the valueness).
+    Each step takes a suspension or recursive layer off one side's head,
+    and both sides are guarded, so the bridge ends.
     """
     if alpha_eq(r.ty, want):
         return _result(s.prefix + "sub", ctx, e, CHECK, want, r.valueness,
                        (r.deriv,))
-    if budget <= 0:
-        raise ExposeFailed("recursive type unrolled too deeply")
     if isinstance(r.ty, SSusp) and r.ty.eo == V:
-        return _reconcile(s, ctx, e, strip(s, ctx, e, r), want, budget - 1)
+        return _reconcile(s, ctx, e, strip(s, ctx, e, r), want)
     if isinstance(want, SSusp):
-        return _wrap(s, ctx, e, want,
-                     _reconcile(s, ctx, e, r, want.body, budget - 1))
+        return _wrap(s, ctx, e, want, _reconcile(s, ctx, e, r, want.body))
     if isinstance(r.ty, SSusp):
-        return _reconcile(s, ctx, e, strip(s, ctx, e, r), want, budget - 1)
+        return _reconcile(s, ctx, e, strip(s, ctx, e, r), want)
     if isinstance(want, s.rec):
-        inner = _reconcile(s, ctx, e, r, unfold(want), budget - 1)
+        inner = _reconcile(s, ctx, e, r, unfold(want))
         return _result(s.prefix + "rec-intro", ctx, e, CHECK, want,
                        inner.valueness, (inner.deriv,))
     if isinstance(r.ty, s.rec):
-        return _reconcile(s, ctx, e, _unroll(s, ctx, e, r), want, budget - 1)
+        return _reconcile(s, ctx, e, _unroll(s, ctx, e, r), want)
     raise TypeMismatch(f"synthesized {r.ty!r} but expected {want!r}")
 
 
@@ -293,12 +295,12 @@ def synth(s: System, ctx: Ctx, e: Expr) -> TypingResult:
                 raise GuardednessViolation(
                     f"unguarded recursive type in annotation: {ty!r}"
                 )
-            inner = _check(s, ctx, body, ty, UNROLL_LIMIT)
+            inner = _check(s, ctx, body, ty)
             return _result(p + "anno", ctx, e, SYNTH, ty, inner.valueness,
                            (inner.deriv,))
         case App(fn, arg):
             rf = expose(s, ctx, fn, synth(s, ctx, fn), "arrow")
-            ra = _check(s, ctx, arg, rf.ty.dom, UNROLL_LIMIT)
+            ra = _check(s, ctx, arg, rf.ty.dom)
             return _result(p + "arrow-elim", ctx, e, SYNTH, rf.ty.cod, TOP,
                            (rf.deriv, ra.deriv))
         case Proj(k, body):
@@ -348,12 +350,11 @@ def expose(s: System, ctx: Ctx, e: Expr, r: TypingResult,
     ``want`` shows (or fail).
 
     Quantifiers are never auto-instantiated: exposure stops at the first
-    head that is neither a suspension nor recursive.
+    head that is neither a suspension nor recursive.  The synthesized type
+    is guarded, so each step takes a layer off its head and the loop ends.
     """
     cls = getattr(s, want)
-    for _ in range(UNROLL_LIMIT):
-        if isinstance(r.ty, cls):
-            return r
+    while not isinstance(r.ty, cls):
         if isinstance(r.ty, SSusp):
             r = strip(s, ctx, e, r)
         elif isinstance(r.ty, s.rec):
@@ -361,4 +362,4 @@ def expose(s: System, ctx: Ctx, e: Expr, r: TypingResult,
         else:
             err, msg = _EXPOSE_ERROR[want]
             raise err(f"{msg}: synthesized {r.ty!r}")
-    raise ExposeFailed("recursive type unrolled too deeply")
+    return r

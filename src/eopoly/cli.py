@@ -290,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_arg_parser()
     try:
         args = ap.parse_args(argv)
+        if args.command == "verify" and args.enumerate and args.file:
+            ap.error("verify takes a FILE or --enumerate BOUND, not both")
     except SystemExit as ex:
         return 2 if ex.code else 0
     try:

@@ -127,8 +127,3 @@ def econ_synth(ctx: EconCtx, e: Expr) -> TypingResult:
         r = bidir.strip(ECON, ctx, e, r)
     return r
 
-
-def _check(ctx: EconCtx, e: Expr, ty: EconType, budget: int) -> TypingResult:
-    """Check without the well-formedness test on ``ty``, from ``budget``
-    recursive unrollings."""
-    return bidir._check(ECON, ctx, e, ty, budget)

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bidir import UNROLL_LIMIT
-from .econ import _check as _econ_check_internal
+from . import bidir
+from .econ import ECON
 from .errors import ElaborationError, EvalOrderVarInContext, InstantiationNotClosed
 from .syntax import (
     AArrow,
@@ -201,7 +201,7 @@ def _elab(d: Derivation) -> ElabResult:
         for eo in (V, N):
             e_inst = subst1(child.expr, "eo", var, eo)
             ty_inst = subst1(child.ty, "eo", var, eo)
-            d_inst = _econ_check_internal(d.ctx, e_inst, ty_inst, UNROLL_LIMIT)
+            d_inst = bidir._check(ECON, d.ctx, e_inst, ty_inst)
             inner = _elab(d_inst.deriv)
             if inner.valueness != VAL:
                 raise ElaborationError(
@@ -440,11 +440,14 @@ class ElabChecker:
         return None
 
     @staticmethod
-    def _open(ctx: EconCtx, x: str, e: Expr, m: Term, field: str = "body"):
+    def _open(ctx: EconCtx, x: str, e: Expr, m: Term, field: str = "body",
+              ref: tuple[type, type] = (Var, MVar)):
         """The name the source binder ``x`` is opened at, and both binders'
-        ``field`` opened at it."""
-        z = ctx.fresh(x, "x", "u", scope=(e, m))
-        return z, instantiate(e, Var(z), field), instantiate(m, MVar(z), field)
+        ``field`` opened at it through the source and core reference
+        classes ``ref``.  The name is apart from ``m``'s free names, which
+        ``m``'s binder, of another name, must not capture."""
+        z = ctx.apart(x, "x", "u", scope=(e, m))
+        return z, instantiate(e, ref[0](z), field), instantiate(m, ref[1](z), field)
 
     @staticmethod
     def _restrict(ctx: EconCtx, e: Expr, m: Term) -> EconCtx:
@@ -497,9 +500,8 @@ class ElabChecker:
                     return _then(self._ce(ctx, e, ty.body, mbody), VAL)
             case MFix():
                 if isinstance(e, Fix):
-                    z = ctx.fresh(e.var, "x", "u", scope=(e, m))
-                    return _then(self._ce(ctx.with_u(z, ty), instantiate(e, FixVar(z)),
-                                          ty, instantiate(m, MFixVar(z))), TOP)
+                    z, eb, mb = self._open(ctx, e.var, e, m, ref=(FixVar, MFixVar))
+                    return _then(self._ce(ctx.with_u(z, ty), eb, ty, mb), TOP)
             case MPair(m1, m2):
                 if (isinstance(ty, SAllEo)
                         and self._ce(ctx, e, _instance(ty, 1), m1) == VAL
@@ -557,7 +559,7 @@ class ElabChecker:
                 recs = self._decided(ctx, e, mbody,
                                      lambda t: _matches(_unrolled(t), ty))
                 if recs is None:
-                    recs = refold_candidates(ty, self.pool)
+                    recs = refold_candidates(ty)
                 return _then(self._first(recs, lambda r: [(ctx, e, r, mbody)]), TOP)
             case MCase(ms):
                 if not isinstance(e, Case):

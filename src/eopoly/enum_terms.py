@@ -150,38 +150,29 @@ class Enumerator:
         return p
 
     def _expose(self, t: int, want: type) -> int | None:
-        """The type headed by ``want`` that at most 15 unfoldings of ``t``
-        show, or None."""
+        """The type headed by ``want`` that unfolding ``t`` shows, or None.
+        Every type met is guarded, so the unfoldings end."""
         key = (t, want)
         if key not in self._exposed:
-            found = None
-            for _ in range(16):
-                ty = self._types[t]
-                if isinstance(ty, want):
-                    found = t
-                    break
-                if not isinstance(ty, IRec):
-                    break
+            while isinstance(self._types[t], IRec):
                 t = self._unfold(t)
-            self._exposed[key] = found
+            self._exposed[key] = t if isinstance(self._types[t], want) else None
         return self._exposed[key]
 
     def _fit(self, a: int, b: int) -> bool:
         """Whether a synthesized ``a`` checks against ``b``: whether they
-        meet within 16 unfoldings, each of ``b`` while it is recursive,
-        else of ``a``."""
+        meet when ``b`` is unfolded while it is recursive, then ``a``.
+        Both are guarded, so the unfoldings end."""
         key = (a, b)
         ok = self._fits.get(key)
         if ok is None:
-            budget = 16
-            while a != b and budget > 0:
+            while a != b:
                 if isinstance(self._types[b], IRec):
                     b = self._unfold(b)
                 elif isinstance(self._types[a], IRec):
                     a = self._unfold(a)
                 else:
                     break
-                budget -= 1
             ok = self._fits[key] = a == b
         return ok
 

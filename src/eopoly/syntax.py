@@ -53,9 +53,10 @@ these five, and no other module calls ``subst`` or ``fresh_name``:
                               the context already declares it, and then one
                               apart from the context and from the free names
                               of what the binder scopes over;
-    Ctx.apart(name, kind, scope)
+    Ctx.apart(name, *kinds, scope)
                               the same for a binder opened at another's
-                              name (a type abstraction at its quantifier's),
+                              name (a type abstraction at its quantifier's,
+                              a core binder at its source binder's),
                               renamed also when that name is free in it;
     vacuous(make, ns, body)   a binder around ``body`` that binds nothing;
     subst1(node, ns, x, v)    one name replaced in a node that is not a
@@ -943,13 +944,19 @@ def unfold(b: Node) -> Node:
     return instantiate(b, b)
 
 
-def refold_candidates(ty: Node, pool: tuple[Node, ...] = ()) -> list[Node]:
-    """Recursive types whose one-step unfolding is ``ty``.
+def refold_candidates(ty: Node) -> list[Node]:
+    """Recursive types whose one-step unfolding is ``ty``, one per alpha
+    class.
 
-    Any such type occurs in ``ty`` itself (when its variable occurs), or
-    wraps ``ty`` with an unused binder; the pool adds externally known ones.
+    These are all of them.  Let ``unfold(R)`` be alpha-equal to ``ty``.
+    When ``R``'s variable occurs in its body, substitution, which avoids
+    capture, leaves ``R`` itself in ``unfold(R)``, so a subterm of ``ty``
+    at the same place is alpha-equal to ``R``.  When it does not occur,
+    ``R`` is alpha-equal to ``ty`` under an unused binder.  (An impartial
+    binder also carries an order, and the unused one here is by-value;
+    no checker refolds an impartial type.)
     """
-    cands = [t for t in subterms(ty) + list(pool)
+    cands = [t for t in subterms(ty)
              if isinstance(t, REC_TYPES) and alpha_eq(unfold(t), ty)]
     cands.append(vacuous(_rec_wrap(ty), "ty", ty))
     return dedup(cands)
@@ -1220,14 +1227,14 @@ class Ctx:
                                      for node in scope for k in kinds))
         return fresh_name(name, avoid)
 
-    def apart(self, name: str, kind: str, scope: tuple) -> str:
+    def apart(self, name: str, *kinds: str, scope: tuple) -> str:
         """``name`` for a binder opened at another binder's name, as a type
         abstraction is at its quantifier's: renamed as by :meth:`fresh`,
         and also when it is free in ``scope``, which it would capture."""
-        if any(name in free_names(node, kind) for node in scope):
+        if any((k, name) in _free(node) for node in scope for k in kinds):
             return fresh_name(name, self.names().union(
-                *(free_names(node, kind) for node in scope)))
-        return self.fresh(name, kind, scope=scope)
+                *(free_names(node, k) for node in scope for k in kinds)))
+        return self.fresh(name, *kinds, scope=scope)
 
 
 class ImpCtx(Ctx):

@@ -9,9 +9,10 @@ The typechecker works in checking mode, synthesizing where the term
 determines its own type; a synthesized type is the term's only type, so
 it decides outright.  Type-free type application cannot synthesize; the
 checker solves the instantiation by matching the quantifier body against
-the expected type.  Only at the few joints the term does not determine
-(function domains, dropped product components, refolded recursive types)
-does it try candidates from a caller-supplied pool: the target images of
+the expected type, and at an unroll it refolds the expected type
+(``syntax.refold_candidates``).  Only at the joints the term does not
+determine (function domains, dropped product components) does it try
+candidates from a caller-supplied pool: the target images of
 the types the source program's own typing derivation names
 (``verify.build_pool``, ``verify.target_pool``).  At an application
 whose function and argument both leave the domain open, each candidate
@@ -266,10 +267,8 @@ class TargetChecker:
                 t = self.synth(ctx, body)
                 if t is not None:
                     return isinstance(t, ARec) and alpha_eq(unfold(t), ty)
-                return any(
-                    self.check(ctx, body, cand)
-                    for cand in refold_candidates(ty, self.pool)
-                )
+                return any(self.check(ctx, body, cand)
+                           for cand in refold_candidates(ty))
             case MCase(scrut, x1, m1, x2, m2):
                 s = self.synth(ctx, scrut)
                 if s is not None and not isinstance(s, ASum):

@@ -1,12 +1,15 @@
 """Scoping and kinding for orders and the three type grammars.
 
 All judgments are decidable syntax-directed checks returning booleans.
-``rec_guarded`` is the termination guard for the synthesis-side unrolling
-loops of the typecheckers: under every recursive binder, each occurrence
-of the bound variable must sit beneath an arrow, product, or sum.  A
-suspension point does not count as a guard, because the economical checker
-strips suspensions silently during synthesis; nor does a thunk type, its
-image in the target grammar.
+``rec_guarded`` is the whole termination argument for unfolding, in the
+typecheckers and in the enumerator: under every recursive binder, each
+occurrence of the bound variable must sit beneath an arrow, product, or
+sum.  A suspension point does not count as a guard, because the
+economical checker strips suspensions silently during synthesis; nor does
+a thunk type, its image in the target grammar.  So in a guarded
+``rec a. B`` the variable ``a`` is not at ``B``'s head: an unfolding takes
+one recursive layer off the type's head and puts none back, and a loop
+that strips and unfolds until a connective shows ends without a budget.
 """
 
 from __future__ import annotations

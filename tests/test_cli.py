@@ -402,6 +402,12 @@ def test_negative_counts_are_usage_errors(capsys):
         assert out == "" and "non-negative integer" in err, argv
 
 
+def test_verify_takes_a_file_or_an_enumeration(capsys):
+    code, out, err = run(capsys, "verify", path("id_poly_v.eo"), "--enumerate", "1")
+    assert code == 2
+    assert out == "" and "not both" in err
+
+
 def test_zero_counts_are_accepted(capsys):
     code, out, _ = run(capsys, "run", "--fuel", "0", path("nfree_mono.eo"))
     assert code == 1 and out.startswith("out-of-fuel after 0 step(s)")

@@ -175,6 +175,16 @@ def test_check_elab_respects_structure():
     assert check_elab(Unit(), SU, MProj(1, MUnit())) is None
 
 
+def test_opening_a_core_binder_captures_no_free_name():
+    """The source binder is opened at a name apart from the core term's
+    free names, so a core binder of another name captures none of them."""
+    arrow = SArrow(SU, SU)
+    assert check_elab(Lam("x", Var("x")), arrow, MLam("y", MVar("x"))) is None
+    assert check_elab(Fix("u", FixVar("u")), SU, MFix("w", MFixVar("u"))) is None
+    assert check_elab(Lam("x", Var("x")), arrow, MLam("y", MVar("y"))) == VAL
+    assert check_elab(Fix("u", FixVar("u")), SU, MFix("w", MFixVar("w"))) == TOP
+
+
 def test_checker_reusable():
     ck = ElabChecker((SSusp(N, SU),))
     assert ck.check(Unit(), SSusp(N, SU), MThunk(MUnit())) == VAL

@@ -1,7 +1,9 @@
 """Core syntax: orders, valuenesses, erasure, substitution, alpha."""
 
 import gc
+import glob
 import importlib
+import os
 import pkgutil
 import weakref
 
@@ -9,7 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eopoly
-from eopoly import elaborate, syntax, wf
+from eopoly import econ, elaborate, syntax, wf
+from eopoly.enum_terms import default_menu
+from eopoly.program import load_program
+from eopoly.verify import Judgment, build_pool, target_pool
 from eopoly.syntax import (
     Anno,
     App,
@@ -40,6 +45,7 @@ from eopoly.syntax import (
     SSum,
     STyVar,
     SUnit,
+    SYNTH,
     TOP,
     TyLam,
     Unit,
@@ -67,6 +73,8 @@ from eopoly.syntax import (
 )
 
 from grammars import ECON, GRAMMARS, TGT
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 
 def test_valof():
@@ -334,13 +342,35 @@ def test_refold_candidates(g):
     assert alpha_eq(cands[0], nat)
     assert all(isinstance(c, REC_TYPES) and alpha_eq(unfold(c), unfold(nat))
                for c in cands)
-    # A type with no recursive subterm refolds only under an unused binder,
-    # and a pool type doing the same is that one candidate.
+    # A type with no recursive subterm refolds only under an unused binder.
     plain = g.arrow(g.unit, g.unit)
     (only,) = refold_candidates(plain)
     assert isinstance(only, REC_TYPES) and unfold(only) == plain
-    pooled = g.rec("r", plain)
-    assert refold_candidates(plain, (pooled, nat)) == [pooled]
+    # Every recursive type refolds from its own unfolding: where its
+    # variable occurs, it is a subterm of the unfolding, else it is alpha-
+    # equal to the unused binder.  Checked on every recursive type among
+    # the subterms of the candidate pools of the corpus and of the
+    # enumeration menu, in the two grammars the checkers refold (an
+    # impartial binder also carries an order, and the unused one is
+    # by-value only).
+    if g.name != "impartial":
+        recs = [t for t in _pool_types(g.name) if isinstance(t, REC_TYPES)]
+        assert recs
+        for r in recs:
+            assert any(alpha_eq(c, r) for c in refold_candidates(unfold(r))), r
+
+
+def _pool_types(grammar: str) -> list:
+    """The alpha-distinct subterms of the corpus's candidate pools and of
+    the enumeration menu's pool, as suspension-point or target types."""
+    pools = [build_pool(Unit(), [econ.econ_type(t) for t in default_menu()])]
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        prog = load_program(path)
+        e = econ.econ_expr(prog.main) if prog.lang == "impartial" else prog.main
+        pools.append(Judgment(e, None, SYNTH).pool)
+    if grammar == "target":
+        pools = [target_pool(pool) for pool in pools]
+    return dedup([t for pool in pools for root in pool for t in subterms(root)])
 
 
 @pytest.mark.parametrize("g", GRAMMARS, ids=_ids)

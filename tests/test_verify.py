@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from eopoly import econ, impartial, target
+from eopoly import bidir, econ, impartial, target
+from eopoly.cli import main
 from eopoly.elaborate import ElabChecker, elaborate, ty_target
 from eopoly.enum_terms import default_menu, enumerate_welltyped
 from eopoly.nfree import (
@@ -507,6 +508,42 @@ def test_type_abstractions_replay_in_both_systems(text):
     e = parse_program(f"#lang impartial\n{text}\n").main
     replay(impartial.synth(ImpCtx(), e).deriv)
     replay(econ.econ_synth(EconCtx(), econ.econ_expr(e)).deriv)
+
+
+def _deep_heads(k, lang):
+    """The identity at ``k`` nested recursive heads over a unit function."""
+    if lang == "impartial":
+        heads = "".join(f"rec[V] 'a{i}. " for i in range(k))
+        return f"#lang impartial\n((\\x. x) : {heads}(1 -[V]> 1))\n"
+    heads = "".join(f"rec 'a{i}. " for i in range(k))
+    return f"#lang econ\n((\\x. x) : {heads}(1 -> 1))\n"
+
+
+@pytest.mark.parametrize("k", [65, 200])
+@pytest.mark.parametrize("lang", ["impartial", "econ"])
+def test_deep_recursive_heads_need_no_budget(k, lang, tmp_path, capsys, monkeypatch):
+    """A guarded type reaches its connective after one unfolding per
+    recursive head, however many there are: the program checks in its own
+    system with ``k`` unfoldings, and in the suspension-point system after
+    the translation; both derivations replay; and the program elaborates
+    and verifies."""
+    e = parse_program(_deep_heads(k, lang)).main
+    unfolded = []
+    monkeypatch.setattr(bidir, "unfold",
+                        lambda b, real=bidir.unfold: unfolded.append(b) or real(b))
+    if lang == "impartial":
+        replay(impartial.synth(ImpCtx(), e).deriv)
+        assert len(unfolded) == k
+        unfolded.clear()
+        e = econ.econ_expr(e)
+    replay(econ.econ_synth(EconCtx(), e).deriv)
+    assert len(unfolded) == k
+    monkeypatch.undo()
+    path = tmp_path / "deep.eo"
+    path.write_text(_deep_heads(k, lang))
+    for command in ("check", "elaborate", "verify"):
+        assert main([command, str(path)]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out.endswith(" ok, 0 failed, 0 search-exhausted\n")
 
 
 def test_replay_refuses_an_order_binder_opened_at_a_free_name():
