@@ -24,7 +24,10 @@ checks, and share one fuel rule and two stops: ``fuel`` counts
 contractions, so a run that reaches a value in exactly ``fuel`` steps
 ends in that value; a repeated state (the core term, or the (core,
 source) pair) and a core term past ``GROWTH_CAP`` nodes each end the
-check early with a pass and a note.  ``Run.term()`` returns a node built
+check early with a pass and a note.  Type safety has a third stop, a
+state that embeds an earlier one in a typed evaluation context
+(``_typed_embedding``), which ends most growing producers a few steps in
+instead of at the cap.  ``Run.term()`` returns a node built
 in an earlier state wherever the state rebuilds it around the same
 fields, so the stops' ``alpha_key`` and ``node_count``, kept on each
 node, and the core checker's memo see each rebuilt node once per run.
@@ -79,6 +82,7 @@ from .syntax import (
     ImpType,
     Inj,
     Lam,
+    MVar,
     N,
     Node,
     Pair,
@@ -106,6 +110,7 @@ from .syntax import (
     instantiate,
     join,
     node_count,
+    plug,
     subst1,
     unfold,
     valof,
@@ -352,7 +357,10 @@ def _stop(seen: set, key: object, m: Term) -> str:
     from there: every future state is already checked.  A diverging
     producer grows by a constant each cycle, so past ``GROWTH_CAP`` core
     nodes the rest of the run only repeats already-checked redex families.
-    Neither stop masks a violation in the checked prefix.
+    Neither stop masks a violation in the checked prefix.  Type safety
+    tries ``_typed_embedding`` after both, which ends a producer that grows
+    at its hole; the cap is left for the simulation and for producers
+    that grow below an outer context that never changes.
     """
     if key in seen:
         return "cycle, no violation"
@@ -362,18 +370,63 @@ def _stop(seen: set, key: object, m: Term) -> str:
     return ""
 
 
+def _outline(m: Term) -> tuple:
+    """``m``'s class and size, which alpha-equal terms share."""
+    return type(m), node_count(m)
+
+
+def _typed_embedding(seen: set, outlines: set, frames: list, m: Term, ty,
+                     checker: tgt_mod.TargetChecker) -> bool:
+    """Whether the state ``m`` embeds an earlier state in a typed context:
+    a node strictly below its root on the hole path ``frames`` has its
+    ``alpha_key`` in ``seen``, the earlier states' keys, so that ``m`` is
+    S_j = C[S_i] for a non-empty context C, and C[x] checks at ``ty``
+    under ``x : ty``.  Only a node whose ``_outline`` is in ``outlines``,
+    the earlier states' outlines, can match, and the walk looks up no
+    other node's key, since a lookup hashes the whole key.  The caller has
+    checked ``m`` and every earlier state after the first at ``ty``.
+    Then the rest of the run is safe:
+
+    * C is made of evaluation frames: each field that a frame evaluates
+      before its hole holds a value, and no frame binds a name over the
+      hole.  So X -> X' gives C[X] -> C[X'] whenever X is not a value.
+    * The core run is deterministic and commutes with renaming, so from
+      S_i it repeats inside C forever: every later state is C^n[S_t] with
+      n >= 1 and i <= t < j.
+    * Each such S_t stepped, so no later state is stuck.
+    * Each S_t with t >= 1 was checked at ``ty``, and C[S_0] is S_j, which
+      was checked too.  C[x] checks at ``ty`` under ``x : ty``, so by the
+      substitution lemma (Wright & Felleisen, Inf. & Comp. 1994) and
+      induction on n, every C^n[S_t] is typed.
+
+    So stopping here hides no violation, just as the cycle stop hides
+    none.  It is a homeomorphic-embedding termination check (Leuschel,
+    SAS 1998) narrowed to embeddings whose every extension is typed.
+    """
+    node = m
+    for depth, (_, fields, i) in enumerate(frames, 1):
+        node = getattr(node, fields[i])
+        if _outline(node) in outlines and alpha_key(node) in seen:
+            x = TgtCtx().apart("x", "x", scope=(m,))
+            if checker.check(TgtCtx((("x", x, ty),)),
+                             plug(frames[:depth], MVar(x)), ty):
+                return True
+    return False
+
+
 def run_type_safety(m: Term, ty, pool, fuel: int = 10_000,
                     program: str = "?", checker=None) -> CheckOutcome:
     """Step to completion, re-checking the type after every step.
 
-    The run stops early, passing with a note, at the first repeated state
-    or past the growth cap (see ``_stop``).
+    The run stops early, passing with a note, at the first repeated state,
+    at a typed self-embedding (see ``_typed_embedding``) or past the growth
+    cap (see ``_stop``).
     """
     name = "target-type-safety"
     if checker is None:
         checker = tgt_mod.TargetChecker(pool)
     run = tgt_mod.run(m, fuel)
-    seen = {alpha_key(m)}
+    seen, outlines = {alpha_key(m)}, {_outline(m)}
     for _ in run:
         m = run.term()
         if not checker.check(TgtCtx(), m, ty):
@@ -382,6 +435,10 @@ def run_type_safety(m: Term, ty, pool, fuel: int = 10_000,
                 {"reason": "type not preserved", "term": m, "steps": run.steps},
             )
         note = _stop(seen, alpha_key(m), m)
+        outlines.add(_outline(m))
+        if not note and _typed_embedding(seen, outlines, run.frames, m, ty,
+                                         checker):
+            note = "typed embedding, no violation"
         if note:
             return CheckOutcome(name, program, PASS,
                                 {"steps": run.steps, "note": note})

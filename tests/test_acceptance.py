@@ -198,7 +198,8 @@ def test_criterion_3_elaboration_type_soundness(elaborated):
 def test_criterion_4_target_type_safety(elaborated):
     """Stepping every elaboration to completion (fuel 10^4) never goes
     stuck and preserves the target type at every step; periodic runs stop
-    at the first repeated state, growing runs at a size cap."""
+    at the first repeated state, growing runs at the first state that
+    embeds an earlier one in a typed context, or else at a size cap."""
     shared = target.TargetChecker(elaborated[0][5]) if elaborated else None
     failures = []
     for name, _, r, er, _, tpool in elaborated:

@@ -2,6 +2,7 @@
 
 import glob
 import os
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,10 @@ from eopoly.nfree import (
 from eopoly.parser import parse_type_text
 from eopoly.program import load_program, parse_program
 from eopoly.syntax import (
+    ARec,
+    ASum,
+    ATyVar,
+    AUnit,
     Anno,
     App,
     Case,
@@ -33,10 +38,15 @@ from eopoly.syntax import (
     ITyVar,
     IUnit,
     Lam,
+    MFix,
+    MFixVar,
     MForce,
+    MInj,
     MPair,
+    MRoll,
     MThunk,
     MUnit,
+    MUnroll,
     N,
     Pair,
     SAllEo,
@@ -48,6 +58,7 @@ from eopoly.syntax import (
     SYNTH,
     CHECK,
     TOP,
+    TgtCtx,
     TyApp,
     TyLam,
     Unit,
@@ -55,7 +66,9 @@ from eopoly.syntax import (
     VAL,
     Var,
     alpha_eq,
+    alpha_key,
     eo_var,
+    node_count,
     rebuild,
     subterms,
     unfold,
@@ -68,6 +81,7 @@ from eopoly.verify import (
     SEARCH_EXHAUSTED,
     VACUOUS,
     _search_match,
+    _typed_embedding,
     build_pool,
     replay,
     run_cbv_endpoint,
@@ -77,6 +91,7 @@ from eopoly.verify import (
     run_nfree_econ,
     run_nfree_elab,
     run_type_safety,
+    target_pool,
 )
 
 U = IUnit()
@@ -211,21 +226,89 @@ def test_consistency_corpus():
         assert rep.verdict == PASS, (path, rep.reason)
 
 
-def test_consistency_stops_where_type_safety_does():
-    # A periodic run stops at its first repeated (core, source) pair, and a
-    # growing producer (bound-5 judgment 396, `fix u0. ((), u0.1)`, whose
-    # unchecked run exhausts the recursion limit) past the growth cap.
-    j = enumerate_welltyped(5)[396]
-    grows = (econ.econ_expr(j.expr), econ.econ_type(j.ty), j.direction)
+def _safety(e, ty, direction):
+    j = Judgment(e, ty, direction)
+    return run_type_safety(j.elab.term, ty_target(j.typing.ty), j.tpool)
+
+
+def _econ_judgment(bound, index):
+    j = enumerate_welltyped(bound)[index]
     assert j.direction == CHECK
+    return econ.econ_expr(j.expr), econ.econ_type(j.ty), j.direction
+
+
+def test_cycles_stop_both_checks_and_only_type_safety_stops_at_an_embedding():
+    # A periodic run stops at its first repeated state in both checks.  A
+    # growing producer (bound-5 judgment 396, `fix u0. ((), u0.1)`, whose
+    # unchecked run exhausts the recursion limit) embeds its first state
+    # in a typed context, which ends type safety; the simulation has no
+    # such stop and ends past the growth cap.
     loops = (Anno(Fix("u", FixVar("u")), SU), None, SYNTH)
-    for (e, ty, direction), note in ((loops, "cycle, no violation"),
-                                     (grows, "growth-capped, no violation")):
-        out = run_consistency(e, ty, direction).outcome()
-        assert out.verdict == PASS and out.detail["note"] == note
-        jj = Judgment(e, ty, direction)
-        safety = run_type_safety(jj.elab.term, ty_target(jj.typing.ty), jj.tpool)
-        assert safety.verdict == PASS and safety.detail["note"] == note
+    grows = _econ_judgment(5, 396)
+    for judgment, sim_note, safety_note in (
+            (loops, "cycle, no violation", "cycle, no violation"),
+            (grows, "growth-capped, no violation",
+             "typed embedding, no violation")):
+        out = run_consistency(*judgment).outcome()
+        assert out.verdict == PASS and out.detail["note"] == sim_note
+        safety = _safety(*judgment)
+        assert safety.verdict == PASS and safety.detail["note"] == safety_note
+    assert _safety(*grows).detail["steps"] <= 3
+
+
+def test_type_safety_stops_only_at_a_typed_embedding():
+    """`unroll (fix u. u)` embeds the earlier state `fix u. u`, and both
+    check at `1`, but `unroll x` does not check at `1` under `x : 1`, so
+    the embedding says nothing about later states.  Under `roll inj2`, a
+    context that checks at `rec 'r. 1 + 'r`, the same embedding stops."""
+    earlier = MFix("u", MFixVar("u"))
+    seen, outlines = {alpha_key(earlier)}, {(MFix, node_count(earlier))}
+    checker = target.TargetChecker()
+    untyped = MUnroll(earlier)
+    assert checker.check(TgtCtx(), untyped, AUnit())
+    assert not _typed_embedding(seen, outlines, [(untyped, ("body",), 0)],
+                                untyped, AUnit(), checker)
+    nat = ARec("r", ASum(AUnit(), ATyVar("r")))
+    typed = MRoll(MInj(2, earlier))
+    frames = [(typed, ("body",), 0), (typed.body, ("body",), 0)]
+    assert checker.check(TgtCtx(), typed, nat)
+    assert _typed_embedding(seen, outlines, frames, typed, nat, checker)
+
+
+def test_a_producer_growing_below_a_fixed_context_is_still_capped():
+    # Bound-6 judgment 2880 (in `verify_enum`'s sample),
+    # `inj2 ((fix u0. (fix u1. (u0 : rec[V] 'r. (1 +[V] 'r)))) : ...)`,
+    # grows below an `inj2` that never changes, so no state embeds a whole
+    # earlier one and the run ends at the growth cap.
+    out = _safety(*_econ_judgment(6, 2880))
+    assert out.verdict == PASS
+    assert out.detail == {"steps": 91, "note": "growth-capped, no violation"}
+
+
+def test_type_safety_split_at_bound_five():
+    """Type safety over the distinct elaborations of the bound-5
+    enumeration, with the default-menu pool and one shared checker: how
+    many runs end at a value, a cycle, a typed embedding and the growth
+    cap.  Without the typed-embedding stop, 95 runs were capped."""
+    tpool = target_pool(build_pool(Unit(), [econ.econ_type(t)
+                                            for t in default_menu()]))
+    checker = target.TargetChecker(tpool)
+    seen, notes = set(), Counter()
+    for imp in enumerate_welltyped(5):
+        checking = imp.direction == CHECK
+        j = Judgment(econ.econ_expr(imp.expr),
+                     econ.econ_type(imp.ty) if checking else None, imp.direction)
+        key = (alpha_key(j.expr), alpha_key(j.typing.ty), alpha_key(j.elab.term))
+        if key in seen:
+            continue
+        seen.add(key)
+        out = run_type_safety(j.elab.term, ty_target(j.typing.ty), tpool,
+                              checker=checker)
+        assert out.verdict == PASS
+        notes[out.detail.get("note", "value")] += 1
+    assert notes == {"value": 1216, "cycle, no violation": 557,
+                     "typed embedding, no violation": 83,
+                     "growth-capped, no violation": 12}
 
 
 def test_checks_do_not_step_from_the_root(monkeypatch):
