@@ -120,33 +120,44 @@ __all__ = [
 # Type translation
 # ---------------------------------------------------------------------------
 
-def ty_target(ty: EconType) -> TgtType:
+def ty_target(ty: EconType, table: dict | None = None) -> TgtType:
+    """``ty``'s core type.  With ``table``, a dict that the caller owns,
+    each node object is translated once: the table maps its ``id`` to the
+    node, held so that no ``id`` is reused, and its translation."""
+    if table is not None and id(ty) in table:
+        return table[id(ty)][1]
     match ty:
         case SUnit():
-            return AUnit()
+            out = AUnit()
         case STyVar(name):
-            return ATyVar(name)
+            out = ATyVar(name)
         case SForall(var, body):
-            return AForall(var, ty_target(body))
+            out = AForall(var, ty_target(body, table))
         case SAllEo():
-            return AProd(ty_target(instantiate(ty, V)), ty_target(instantiate(ty, N)))
+            out = AProd(ty_target(instantiate(ty, V), table),
+                        ty_target(instantiate(ty, N), table))
         case SSusp(eo, body):
             if eo == V:
-                return ty_target(body)
-            if eo == N:
-                return AThunk(ty_target(body))
-            raise EvalOrderVarInContext(
-                f"cannot translate a type with a free order variable: {ty!r}"
-            )
+                out = ty_target(body, table)
+            elif eo == N:
+                out = AThunk(ty_target(body, table))
+            else:
+                raise EvalOrderVarInContext(
+                    f"cannot translate a type with a free order variable: {ty!r}"
+                )
         case SArrow(dom, cod):
-            return AArrow(ty_target(dom), ty_target(cod))
+            out = AArrow(ty_target(dom, table), ty_target(cod, table))
         case SProd(left, right):
-            return AProd(ty_target(left), ty_target(right))
+            out = AProd(ty_target(left, table), ty_target(right, table))
         case SSum(left, right):
-            return ASum(ty_target(left), ty_target(right))
+            out = ASum(ty_target(left, table), ty_target(right, table))
         case SRec(var, body):
-            return ARec(var, ty_target(body))
-    raise TypeError(f"not an economical type: {ty!r}")
+            out = ARec(var, ty_target(body, table))
+        case _:
+            raise TypeError(f"not an economical type: {ty!r}")
+    if table is not None:
+        table[id(ty)] = ty, out
+    return out
 
 
 # ---------------------------------------------------------------------------

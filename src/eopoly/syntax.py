@@ -17,8 +17,10 @@ never compares two equal nodes.  Two memos stand apart: free names sit
 in a hand-written slot, because ``subst`` probes for them without
 starting a walk, learns them for each node it walks, and with closed
 replacements returns a subtree in which no key is free unwalked; and
-``_scoped_key``, the alpha key under a scope, stays a table until nodes
-are interned, so that equal but distinct nodes share its answers.
+``_scoped_key``, the alpha key under a binder's scope, stays a table
+until nodes are interned, so that equal but distinct bodies share its
+answers.  Only keys under a binder use that table: a node's key outside
+every binder is built from its children's kept keys.
 
 ``distinct_subterms`` is ``dedup`` of a list of roots' ``subterms``,
 walking each repeated subtree once; every candidate pool is closed under
@@ -306,18 +308,23 @@ def alpha_key(node: object, _env: tuple[tuple[str, str], ...] = ()) -> object:
     A node's own key is kept on the node: looking it up in a shared table
     would compare it structurally with an equal node already stored there.
     """
-    if _env or not isinstance(node, Node):
+    if _env:
         return _scoped_key(node, _env)
-    return _own_key(node)
+    if isinstance(node, Node):
+        return _own_key(node)
+    return _key(node, ())
 
 
 @kept
 def _own_key(node: Node) -> object:
-    return _scoped_key(node, ())
+    """``node``'s key outside any binder, built from its children's keys
+    with no table lookup: a child outside the node's binders brings its
+    own kept key, and only a binder's body is keyed through
+    ``_scoped_key``."""
+    return _key(node, ())
 
 
-@lru_cache(maxsize=None)
-def _scoped_key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
+def _key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
     if isinstance(node, EO):
         if node.is_var():
             for i, (ns, x) in enumerate(reversed(_env)):
@@ -345,6 +352,9 @@ def _scoped_key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
                           if scope else _env)
         parts.append(v)
     return tuple(parts)
+
+
+_scoped_key = lru_cache(maxsize=None)(_key)
 
 
 def alpha_eq(a: object, b: object) -> bool:

@@ -254,7 +254,12 @@ def _pool(tys: list[EconType], derivs: list[Derivation]) -> tuple[EconType, ...]
 
 
 def target_pool(pool: tuple[EconType, ...]) -> tuple:
-    return tuple(ty_target(t) for t in pool if not free_names(t, "eo"))
+    """The core types of ``pool``'s types that name no order variable, in
+    pool order.  The pool is closed under subterms, so one translation
+    table for the call translates each distinct subtree object once, and
+    the translated pool shares its subtrees as the pool does."""
+    table: dict = {}
+    return tuple(ty_target(t, table) for t in pool if not free_names(t, "eo"))
 
 
 @dataclass

@@ -462,19 +462,20 @@ def _package_modules():
 
 def test_no_package_table_but_the_plans_and_the_scoped_keys():
     """Across the package, the process-lifetime memo tables are the
-    per-class plans and ``_scoped_key``, which waits for hash-consing;
-    every other answer about a node is kept on the node, so a lookup of
-    an equal node left by an earlier request cannot compare the two in
-    full, and nothing outlives its node."""
+    per-class plans and ``_scoped_key``, which keys only what lies under
+    a binder and waits for hash-consing; every other answer about a node
+    is kept on the node, so a lookup of an equal node left by an earlier
+    request cannot compare the two in full, and nothing outlives its
+    node."""
     tables = {name for mod in _package_modules()
               for name, v in vars(mod).items() if hasattr(v, "cache_info")}
     assert tables == {"_field_names", "_plan", "_scoped_key"}
 
 
 def test_kept_answers_die_with_their_nodes():
-    """Types and a core term asked for every answer kept on a node but
-    the alpha key (which ``_scoped_key``'s table holds) are freed by
-    reference counting alone once dropped: no table holds them, and no
+    """Types and a core term asked for every answer kept on a node are
+    freed by reference counting alone once dropped: no table holds them
+    (``_scoped_key``'s holds only the bodies under their binders), and no
     kept answer refers back to its node."""
     gc.disable()
     try:
@@ -485,6 +486,7 @@ def test_kept_answers_die_with_their_nodes():
             hash(node)
             free_names(node, "ty")
             node_count(node)
+            alpha_key(node)
         for ty in (normal, suspended):
             elaborate._nf(ty)
             wf.rec_guarded(ty)
@@ -495,3 +497,27 @@ def test_kept_answers_die_with_their_nodes():
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+def _binder_free(depth):
+    t = SUnit()
+    for _ in range(depth):
+        t = SProd(SSusp(V, SUnit()), SArrow(t, STyVar("a")))
+    return t
+
+
+def test_binder_free_keys_are_built_without_the_table(monkeypatch):
+    """Outside a binder, a node's key is built from its children's kept
+    keys: keying a binder-free tree puts nothing in ``_scoped_key``'s
+    table, and keying an equal but distinct tree compares no two nodes."""
+    a, b = _binder_free(30), _binder_free(30)
+    calls = []
+    for cls in {type(n) for n in subterms(a)}:
+        monkeypatch.setattr(cls, "__eq__",
+                            lambda x, y, eq=cls.__eq__: calls.append(x) or eq(x, y))
+    syntax._scoped_key.cache_clear()
+    keys = alpha_key(a), alpha_key(b)
+    assert syntax._scoped_key.cache_info().currsize == 0
+    assert calls == []
+    monkeypatch.undo()
+    assert keys[0] == keys[1] and a == b and a is not b
