@@ -3,7 +3,8 @@
 Exit codes: 0 on success or all checks passing, 1 on type or verification
 failure, 2 on usage or parse errors, 3 on input that nests too deeply to
 process.  ``--json`` switches every command to one structured record on
-stdout.
+stdout, a failed one included (verdict "error", with the exception's
+class and message); argparse usage errors print only argparse's message.
 """
 
 from __future__ import annotations
@@ -195,8 +196,8 @@ def _verify_program(args) -> list[CheckOutcome]:
         r = imp_mod.synth(ImpCtx(), prog.main)
         source = (prog.main, r.ty, r.valueness)
     return _judgment_checks(source, j, args.file) + [
-        verify_mod.run_type_safety(j.elab.term, ty_target(j.typing.ty), j.tpool,
-                                   args.fuel, args.file),
+        verify_mod.run_type_safety(j.elab.term, ty_target(j.typing.ty),
+                                   lambda: j.tpool, args.fuel, args.file),
         verify_mod.consistency(j, args.fuel, args.depth, args.file).outcome(),
         verify_mod.cbv_endpoint(j, args.fuel, args.file),
     ]
@@ -330,17 +331,24 @@ def _main(argv: list[str] | None) -> int:
     try:
         return args.fn(args)
     except ParseError as ex:
-        print(f"parse error: {ex}", file=sys.stderr)
-        return 2
+        return _failed(args, ex, "parse error", 2)
     except FileNotFoundError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
+        return _failed(args, ex, "error", 2)
     except EopolyError as ex:
-        print(f"error: {ex.__class__.__name__}: {ex}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: input nests too deeply", file=sys.stderr)
-        return 3
+        return _failed(args, ex, f"error: {ex.__class__.__name__}", 1)
+    except RecursionError as ex:
+        return _failed(args, ex, "error", 3, "input nests too deeply")
+
+
+def _failed(args, ex: Exception, prefix: str, code: int,
+            message: str | None = None) -> int:
+    """Report a command that failed with ``ex``: ``prefix`` and the message
+    (``ex``'s own by default) on stderr and, with ``--json``, an error
+    record on stdout; return the exit code."""
+    message = str(ex) if message is None else message
+    print(f"{prefix}: {message}", file=sys.stderr)
+    _emit(args, "error", {"error": ex.__class__.__name__, "message": message}, [])
+    return code
 
 
 if __name__ == "__main__":

@@ -24,14 +24,22 @@ quantified heads) complete local inversions.  The pool is the set of
 types the program's own checking derivation names, closed one step under
 subterms, order instantiation and unrolling (``verify.build_pool``):
 every intermediate type of an elaboration of the program is among them.
-The search recurses on strict subterms of the core term, so it
-terminates without fuel; a miss means that no derivation exists over the
-candidate types, and a success is never spurious.
+The pool may be handed over unbuilt, as a function of no arguments: the
+checker calls it at the first joint that tries candidates, so never when
+the terms decide every joint, and walks its subterms once.  Each goal's candidate
+list then walks only the goal and the context's types, and a joint's
+fallback list of arrows or products is built only as far as the search
+reads it.  The search recurses on strict subterms of the core term, so
+it terminates without fuel; a miss means that no derivation exists over
+the candidate types, and a success is never spurious.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Callable, Iterator
 
 from . import bidir
 from .econ import ECON
@@ -83,6 +91,7 @@ from .syntax import (
     SSusp,
     STyVar,
     SUnit,
+    SubtermWalk,
     Term,
     TgtType,
     TOP,
@@ -93,7 +102,6 @@ from .syntax import (
     Var,
     alpha_key,
     dedup,
-    distinct_subterms,
     free_names,
     instantiate,
     join,
@@ -342,6 +350,48 @@ def _matches(t, goal: EconType) -> bool:
     return t is not False and alpha_key(t) == alpha_key(goal)
 
 
+def _arrows(cands: list, ty: EconType, k: int) -> Iterator[EconType]:
+    """An application's candidate function types at the goal ``ty``: the
+    candidates that are arrows into ``ty``, then an arrow from each
+    candidate into ``ty``.  (``k`` is unused.)"""
+    return chain((a for a in cands if _matches(_cod(a), ty)),
+                 (SArrow(dom, ty) for dom in cands))
+
+
+def _products(cands: list, ty: EconType, k: int) -> Iterator[EconType]:
+    """The candidate product types for projection ``k`` at the goal
+    ``ty``: the candidates whose ``k``-th component is ``ty``, then a
+    product of ``ty`` with each candidate on the other side."""
+    return chain((p for p in cands if _matches(_component(p, k), ty)),
+                 (SProd(ty, o) if k == 1 else SProd(o, ty) for o in cands))
+
+
+class _Listed:
+    """``dedup`` of the iterator ``nodes``, built as far as it is read.
+    Every iteration yields the nodes listed so far, then lists more from
+    ``nodes``, so readers, nested ones included, all see the same nodes
+    in the same order."""
+
+    def __init__(self, nodes: Iterator):
+        self._nodes, self._keys, self._listed = nodes, set(), []
+
+    def __iter__(self) -> Iterator:
+        i = 0
+        while i < len(self._listed) or self._more():
+            yield self._listed[i]
+            i += 1
+
+    def _more(self) -> bool:
+        """List one more node, if ``nodes`` holds a new one."""
+        for n in self._nodes:
+            k = alpha_key(n)
+            if k not in self._keys:
+                self._keys.add(k)
+                self._listed.append(n)
+                return True
+        return False
+
+
 class ElabChecker:
     """Reusable membership checker for the elaboration relation.
 
@@ -353,7 +403,9 @@ class ElabChecker:
     None falls back to the candidate types of the goal, the context and
     the pool, tried in turn by ``_first``.  One instance owns the pool and
     the memo tables, so a simulation run can re-relate many (source, core)
-    pairs cheaply.
+    pairs cheaply.  The pool, its normal forms and its subterm walk are
+    built at the first fallback that reads them (``pool``, ``_walked``), so
+    a checker whose every joint is decided builds none of them.
 
     The check decides membership over those candidate lists, and the memo
     keeps every answer, misses included.  Each rule recurses on a strict
@@ -362,8 +414,8 @@ class ElabChecker:
     structural recursion, without fuel.
     """
 
-    def __init__(self, pool: tuple[EconType, ...] = ()):
-        self.pool = tuple(dedup([_nf(p) for p in pool]))
+    def __init__(self, pool: tuple[EconType, ...] | Callable[[], tuple] = ()):
+        self._given = pool
         self.memo: dict = {}
         self._cand_cache: dict = {}
         self._syn_cache: dict = {}
@@ -373,23 +425,39 @@ class ElabChecker:
 
     # -- plumbing ---------------------------------------------------------
 
+    @cached_property
+    def pool(self) -> tuple[EconType, ...]:
+        """The caller's pool (a function of no arguments is called here,
+        at the first joint that reads it) in suspension normal form,
+        without alpha-equivalent repeats."""
+        pool = self._given() if callable(self._given) else self._given
+        return tuple(dedup([_nf(p) for p in pool]))
+
+    @cached_property
+    def _walked(self) -> SubtermWalk:
+        return SubtermWalk(self.pool)
+
     def _candidates(self, ty: EconType, ctx: EconCtx) -> list[EconType]:
+        """``distinct_subterms((*pool, SUnit(), ty, *assumed))``, where the
+        pool's walk is done once per checker and each goal walks only its
+        own types."""
         key = (alpha_key(ty), ctx.entries)
         hit = self._cand_cache.get(key)
         if hit is None:
-            hit = distinct_subterms((*self.pool, SUnit(), ty, *_assumed(ctx)))
+            hit = self._walked.then((SUnit(), ty, *_assumed(ctx)))
             self._cand_cache[key] = hit
         return hit
 
-    def _fallback(self, key: tuple, ty: EconType, ctx: EconCtx,
-                  build) -> list[EconType]:
-        """``dedup`` of ``build`` applied to ``_candidates(ty, ctx)``: a
-        joint's fallback list, built once per ``key``.  The key holds the
-        goal node itself, so each list is the one its first visit built,
-        node for node."""
+    def _fallback(self, build, ty: EconType, ctx: EconCtx, k: int = 0) -> _Listed:
+        """``dedup`` of ``build(_candidates(ty, ctx), ty, k)``: a joint's
+        fallback list, kept per build, ``k``, goal and context, and built
+        only as far as it is read.  The key holds the goal node itself, so
+        each visit reads the list its first visit began, node for node."""
+        key = (build, k, ty, ctx.entries)
         hit = self._cand_cache.get(key)
         if hit is None:
-            hit = self._cand_cache[key] = dedup(build(self._candidates(ty, ctx)))
+            hit = _Listed(build(self._candidates(ty, ctx), ty, k))
+            self._cand_cache[key] = hit
         return hit
 
     def _synth(self, ctx: EconCtx, e: Expr,
@@ -538,10 +606,7 @@ class ElabChecker:
                 arrows = self._decided(ctx, e.fn, m1,
                                        lambda t: _matches(_cod(t), ty))
                 if arrows is None:
-                    arrows = self._fallback(
-                        ("app", ty, ctx.entries), ty, ctx,
-                        lambda cands: [a for a in cands if _matches(_cod(a), ty)]
-                        + [SArrow(dom, ty) for dom in cands])
+                    arrows = self._fallback(_arrows, ty, ctx)
                 # The argument side is cheaper and shared across arrows
                 # with the same domain, so try it first.
                 return _then(self._first(arrows, lambda a: [
@@ -559,11 +624,7 @@ class ElabChecker:
                 prods = self._decided(ctx, e.body, mbody,
                                       lambda t: _matches(_component(t, k), ty))
                 if prods is None:
-                    prods = self._fallback(
-                        ("proj", k, ty, ctx.entries), ty, ctx,
-                        lambda cands: [
-                            p for p in cands if _matches(_component(p, k), ty)]
-                        + [SProd(ty, o) if k == 1 else SProd(o, ty) for o in cands])
+                    prods = self._fallback(_products, ty, ctx, k)
                 return _then(
                     self._first(prods, lambda p: [(ctx, e.body, p, mbody)]), TOP)
             case MUnroll(mbody):

@@ -11,22 +11,24 @@ structural helpers every grammar shares (``unfold``, ``match_instantiate``,
 types and fixed points alike.
 
 ``kept`` is the one way an answer about a node alone lives on the node
-(its hash, alpha key, unfolding and size here; its guardedness and its
-suspension normal form elsewhere), so it dies with the node and a lookup
-never compares two equal nodes.  Two memos stand apart: free names sit
-in a hand-written slot, because ``subst`` probes for them without
-starting a walk, learns them for each node it walks, and with closed
-replacements returns a subtree in which no key is free unwalked; and
-``_scoped_key``, the alpha key under a binder's scope, stays a table
-until nodes are interned, so that equal but distinct bodies share its
-answers.  Only keys under a binder use that table: a node's key outside
-every binder is built from its children's kept keys.
+(its hash, alpha key, unfolding and size here; its guardedness, its
+suspension normal form and whether it is a value elsewhere), so it dies
+with the node and a lookup never compares two equal nodes.  Two memos
+stand apart: free names sit in a hand-written slot, because ``subst``
+probes for them without starting a walk, learns them for each node it
+walks, and with closed replacements returns a subtree in which no key is
+free unwalked; and ``_scoped_key``, the alpha key under a binder's
+scope, stays a table until nodes are interned, so that equal but
+distinct bodies share its answers.  Only keys under a binder use that
+table: a node's key outside every binder is built from its children's
+kept keys.
 
 ``distinct_subterms`` is ``dedup`` of a list of roots' ``subterms``,
 walking each repeated subtree once; every candidate pool is closed under
-subterms on it.  ``rebuild`` is the one walk for rewrites that only
-replace nodes: erasure here, the annotation translation and the
-suspension normal form elsewhere.
+subterms on it, and a ``SubtermWalk`` keeps one list's walk so that
+lists which extend it walk only what they add.  ``rebuild`` is the one
+walk for rewrites that only replace nodes: erasure here, the annotation
+translation and the suspension normal form elsewhere.
 ``Run`` is the one loop that steps a term, for every evaluator and every
 check that steps, driven by that evaluator's table of evaluation contexts: it
 resumes each search for the next redex at the contractum instead of at
@@ -925,20 +927,47 @@ def distinct_subterms(roots) -> list[Node]:
     A subtree structurally equal to one already walked is skipped whole:
     its first occurrence listed every subterm it has.  Alpha-equivalence
     would not do, since the two may differ in their open subterms."""
-    seen: set = set()
-    out: dict = {}
+    return SubtermWalk(roots).listed
+
+
+class SubtermWalk:
+    """``distinct_subterms`` of ``roots``, walked once and kept, so that
+    listing them followed by further roots' walks none of them again.
+
+    ``then(more)`` is ``distinct_subterms((*roots, *more))``: the walk of
+    ``more`` skips each subtree and each key that the walk of ``roots``
+    met, as one walk of both lists would, and keeps its own finds apart,
+    so it costs ``more`` alone."""
+
+    def __init__(self, roots):
+        self.seen: set = set()
+        self.keys: dict = {}
+        _walk(roots, self.seen, self.keys)
+        self.listed = list(self.keys.values())
+
+    def then(self, more) -> list[Node]:
+        keys: dict = {}
+        _walk(more, set(), keys, self)
+        return self.listed + list(keys.values())
+
+
+def _walk(roots, seen: set, keys: dict, before: SubtermWalk | None = None):
+    """Add each subterm of ``roots`` to ``keys`` under its alpha key,
+    first occurrences kept, skipping a subtree met before: in ``seen``, or
+    in ``before``'s walk, whose keys are not added again."""
     todo = list(reversed(roots))
     while todo:
         n = todo.pop()
-        if n in seen:
+        if n in seen or before is not None and n in before.seen:
             continue
         seen.add(n)
-        out.setdefault(alpha_key(n), n)
+        k = alpha_key(n)
+        if before is None or k not in before.keys:
+            keys.setdefault(k, n)
         for f in reversed(_field_names(type(n))):
             v = getattr(n, f)
             if isinstance(v, Node):
                 todo.append(v)
-    return list(out.values())
 
 
 @kept

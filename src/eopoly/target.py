@@ -14,7 +14,9 @@ the expected type, and at an unroll it refolds the expected type
 determine (function domains, dropped product components) does it try
 candidates from a caller-supplied pool: the target images of
 the types the source program's own typing derivation names
-(``verify.build_pool``, ``verify.target_pool``).  At an application
+(``verify.build_pool``, ``verify.target_pool``).  A pool handed over as a
+function of no arguments is built at the first such joint, and never on
+a term that leaves none open.  At an application
 whose function and argument both leave the domain open, each candidate
 domain is tried on the argument first, as ``ElabChecker`` does: the
 argument is usually the smaller side, and a function that is a λ would
@@ -29,7 +31,8 @@ constructors that form a value once those fields hold values, and
 stepper is substitution-based and deterministic: ``run`` is the term's
 ``syntax.Run``, whose walk finds the unique redex and its context and
 whose ``_contract`` reduces it; a value is a term in which the walk finds
-no redex.  ``step`` is a run's first contraction and ``evaluate`` a whole
+no redex, which ``is_value`` answers from the fields alone and keeps on
+the node.  ``step`` is a run's first contraction and ``evaluate`` a whole
 run, which does not step from the root each time but resumes the walk at
 each contractum, in the context it already holds.
 """
@@ -37,6 +40,8 @@ each contractum, in the context it already holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from .syntax import (
     AArrow,
@@ -69,10 +74,9 @@ from .syntax import (
     TgtType,
     alpha_eq,
     alpha_key,
-    dedup,
     instantiate,
+    kept,
     match_instantiate,
-    no_redex,
     refold_candidates,
     subterms,
     unfold,
@@ -95,12 +99,25 @@ VALUES = (MUnit, MVar, MLam, MTyLam, MThunk, MPair, MInj, MRoll)
 VALUABLES = VALUES + (MProj, MTyApp, MUnroll)
 
 
+@kept
 def is_value(m: Term) -> bool:
-    return no_redex(m, CONTEXTS, VALUES)
+    """``m`` holds no redex: its class is in ``VALUES`` and each field that
+    ``CONTEXTS`` evaluates holds a value.  Kept on the node."""
+    return isinstance(m, VALUES) and _evaluated(m, is_value)
 
 
+@kept
 def is_valuable(m: Term) -> bool:
-    return no_redex(m, CONTEXTS, VALUABLES)
+    """``is_value`` over ``VALUABLES``."""
+    return isinstance(m, VALUABLES) and _evaluated(m, is_valuable)
+
+
+def _evaluated(m: Term, holds) -> bool:
+    """Each field of ``m`` that ``CONTEXTS`` evaluates ``holds``."""
+    for f in CONTEXTS.get(type(m), ()):
+        if not holds(getattr(m, f)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +128,40 @@ class TargetChecker:
     """Memoizing checker for core terms against a fixed candidate pool.
 
     Preservation checks re-type nearly identical terms step after step;
-    the memo makes a whole trace roughly linear in total size.
+    the memo makes a whole trace roughly linear in total size.  The pool
+    may be given unbuilt, as a function of no arguments: it is called at
+    the first joint that tries candidates, and the pool is keyed once, so
+    each goal's candidate list then keys only the goal's subterms.
     """
 
-    def __init__(self, pool: tuple[TgtType, ...] = ()):
-        self.pool = tuple(pool)
+    def __init__(self, pool: tuple[TgtType, ...] | Callable[[], tuple] = ()):
+        self._given = pool
         self._chk: dict = {}
         self._syn: dict = {}
         self._cands: dict = {}
 
+    @cached_property
+    def pool(self) -> tuple[TgtType, ...]:
+        return tuple(self._given() if callable(self._given) else self._given)
+
+    @cached_property
+    def _pool_keys(self) -> dict:
+        keys: dict = {}
+        for t in self.pool:
+            keys.setdefault(alpha_key(t), t)
+        return keys
+
     def candidates(self, ty: TgtType) -> list[TgtType]:
+        """``dedup(pool + subterms(ty) + [AUnit()])``."""
         key = alpha_key(ty)
         hit = self._cands.get(key)
         if hit is None:
-            hit = dedup(list(self.pool) + subterms(ty) + [AUnit()])
-            self._cands[key] = hit
+            pool, new = self._pool_keys, {}
+            for t in subterms(ty) + [AUnit()]:
+                k = alpha_key(t)
+                if k not in pool:
+                    new.setdefault(k, t)
+            hit = self._cands[key] = [*pool.values(), *new.values()]
         return hit
 
     def synth(self, ctx: TgtCtx, m: Term) -> TgtType | None:
@@ -313,7 +349,7 @@ def _bind(ctx: TgtCtx, kind: str, name: str, ty: TgtType) -> TgtCtx:
 
 
 def target_check(ctx: TgtCtx, m: Term, ty: TgtType,
-                 pool: tuple[TgtType, ...] = ()) -> bool:
+                 pool: tuple[TgtType, ...] | Callable[[], tuple] = ()) -> bool:
     return TargetChecker(pool).check(ctx, m, ty)
 
 

@@ -33,7 +33,9 @@ fields, so the stops' ``alpha_key`` and ``node_count``, kept on each
 node, and the core checker's memo see each rebuilt node once per run.
 
 The suspension-point checks on one judgment share one :class:`Judgment`,
-which derives it once and builds its elaboration and pools on first use.
+which derives it once and builds its elaboration and pools on first use:
+a pool when a search first tries candidates, so never for a program
+whose every search the terms decide.
 The translation checks have bodies (``econ_preservation``,
 ``nfree_econ``) that read an impartial typing already derived; each
 ``run_*`` entry derives the typing, then runs its body.
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 from . import econ as econ_mod
@@ -266,8 +268,10 @@ def target_pool(pool: tuple[EconType, ...]) -> tuple:
 class Judgment:
     """The closed suspension-point judgment of ``expr``, checked against
     ``ty`` or synthesized, by ``direction``.  Its typing, elaboration, pool
-    and checkers are built on first use; a caller sharing one pool across
-    judgments assigns ``checker`` and ``tpool``."""
+    and checkers are built on first use, and the checkers get the pools
+    unbuilt, as functions, so that a pool is built only when a search first
+    tries candidates; a caller sharing one pool across judgments assigns
+    ``checker`` and ``tpool``."""
 
     expr: Expr
     ty: EconType | None
@@ -284,13 +288,21 @@ class Judgment:
         return elaborate(self.typing.deriv)
 
     @cached_property
-    def pool(self) -> tuple[EconType, ...]:
+    def _pool_of(self) -> Callable[[], tuple[EconType, ...]]:
+        """``pool``'s build, made at its first call and kept.  It holds the
+        typing, not the judgment, so the checker that holds it makes no
+        reference cycle: the judgment dies with its last reference instead
+        of waiting for the cyclic collector."""
         r = self.typing
-        return _pool([r.ty], [r.deriv])
+        return cache(lambda: _pool([r.ty], [r.deriv]))
+
+    @property
+    def pool(self) -> tuple[EconType, ...]:
+        return self._pool_of()
 
     @cached_property
     def checker(self) -> ElabChecker:
-        return ElabChecker(self.pool)
+        return ElabChecker(self._pool_of)
 
     @cached_property
     def tpool(self) -> tuple:
@@ -331,7 +343,8 @@ def elab_soundness(j: Judgment, program: str = "?") -> CheckOutcome:
     if er.valueness == VAL and not tgt_mod.is_valuable(er.term):
         return CheckOutcome(name, program, FAIL,
                             {"reason": "a val judgment elaborated to a non-valuable"})
-    if not tgt_mod.target_check(TgtCtx(), er.term, ty_target(r.ty), j.tpool):
+    if not tgt_mod.target_check(TgtCtx(), er.term, ty_target(r.ty),
+                                lambda: j.tpool):
         return CheckOutcome(
             name, program, FAIL,
             {"reason": "core term does not check at the translated type",
@@ -425,7 +438,8 @@ def run_type_safety(m: Term, ty, pool, fuel: int = 10_000,
 
     The run stops early, passing with a note, at the first repeated state,
     at a typed self-embedding (see ``_typed_embedding``) or past the growth
-    cap (see ``_stop``).
+    cap (see ``_stop``).  ``pool`` is the core checker's pool, or a
+    function of no arguments that builds it (see ``target.TargetChecker``).
     """
     name = "target-type-safety"
     if checker is None:

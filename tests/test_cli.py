@@ -199,7 +199,15 @@ def test_verify_program(capsys):
     assert "FAIL" not in out
 
 
+# The corpus files whose membership or core searches never try a
+# candidate type, so that ``verify`` builds no pool for them.
+NO_POOL = {"map_econ.eo", "map_impartial.eo", "stream_even.eo",
+           "stream_odd.eo", "tree_map.eo"}
+
+
 def test_verify_builds_one_pool_per_file(capsys, monkeypatch):
+    """A file's pool is built once, at the first search that tries
+    candidates, and not at all for a file whose searches never do."""
     from eopoly import verify
 
     calls = []
@@ -213,7 +221,31 @@ def test_verify_builds_one_pool_per_file(capsys, monkeypatch):
     for f in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
         calls.clear()
         run(capsys, "verify", f)
-        assert len(calls) == 1, f
+        assert len(calls) == int(os.path.basename(f) not in NO_POOL), f
+
+
+def test_verify_builds_no_pool_that_no_search_reads(tmp_path, capsys, monkeypatch):
+    """On nested pairs and on nested recursive heads every search is
+    decided by the terms alone, so ``verify`` never builds a pool."""
+    from eopoly import verify
+
+    def refuse(*a):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(verify, "_pool", refuse)
+    monkeypatch.setattr(verify, "target_pool", refuse)
+    e, t = "()", "1"
+    for _ in range(200):
+        e, t = f"((), {e})", f"1 *[V] ({t})"
+    heads = "(1 -[V]> 1)"
+    for i in reversed(range(50)):
+        heads = f"rec[V] 'a{i}. {heads}"
+    for name, text in (("pairs", f"({e} : {t})"), ("heads", f"((\\x. x) : {heads})")):
+        f = tmp_path / f"{name}.eo"
+        f.write_text(f"#lang impartial\n{text}\n")
+        code, out, err = run(capsys, "verify", str(f))
+        assert code == 0, (name, err)
+        assert out.splitlines()[-1] == "7 checks: 7 ok, 0 failed, 0 search-exhausted"
 
 
 def outermost_counter(counts):
@@ -236,9 +268,10 @@ def outermost_counter(counts):
 
 def test_verify_derives_each_judgment_once(capsys, monkeypatch):
     """``verify FILE`` synthesizes and elaborates the program once and builds
-    one pool, off the synthesis derivation; the only checking derivation is
-    the translation check's, on an impartial file.  Calls made inside
-    another counted call are not counted."""
+    at most one pool, off the synthesis derivation, and none for a file
+    whose searches try no candidate; the only checking derivation is the
+    translation check's, on an impartial file.  Calls made inside another
+    counted call are not counted."""
     from eopoly import econ, verify
     from eopoly.program import load_program
 
@@ -254,7 +287,8 @@ def test_verify_derives_each_judgment_once(capsys, monkeypatch):
         impartial_file = load_program(f).lang == "impartial"
         assert counts.get("econ_synth") == 1, (f, counts)
         assert counts.get("elaborate") == 1, (f, counts)
-        assert counts.get("_pool") == 1, (f, counts)
+        assert counts.get("_pool", 0) == int(os.path.basename(f) not in NO_POOL), (
+            f, counts)
         assert counts.get("econ_check", 0) == int(impartial_file), (f, counts)
 
 
@@ -376,6 +410,44 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "check", "no_such_file.eo")
     assert code == 2
+
+
+def _error_record(out, command, file, error):
+    record = json.loads(out)
+    assert record["command"] == command and record["input"] == file
+    assert record["verdict"] == "error"
+    assert record["payload"]["error"] == error
+    return record["payload"]["message"]
+
+
+def test_json_reports_a_type_error_on_stdout(tmp_path, capsys):
+    """Exit 1 with ``--json``: the stderr line stays, and stdout holds one
+    error record."""
+    bad = tmp_path / "bad.eo"
+    bad.write_text("#lang impartial\n(() : 1 -[V]> 1)\n")
+    code, out, err = run(capsys, "--json", "verify", str(bad))
+    assert code == 1
+    assert err.startswith("error: TypeMismatch: ")
+    message = _error_record(out, "verify", str(bad), "TypeMismatch")
+    assert err == f"error: TypeMismatch: {message}\n"
+
+
+def test_json_reports_parse_and_file_errors_on_stdout(tmp_path, capsys):
+    """Exit 2 with ``--json``: an empty file and a missing one each give
+    their stderr line and one error record; a usage error prints nothing
+    on stdout."""
+    empty = tmp_path / "empty.eo"
+    empty.write_text("")
+    code, out, err = run(capsys, "--json", "check", str(empty))
+    assert code == 2
+    message = _error_record(out, "check", str(empty), "ParseError")
+    assert err == f"parse error: {message}\n"
+    code, out, err = run(capsys, "--json", "check", "no_such_file.eo")
+    assert code == 2
+    message = _error_record(out, "check", "no_such_file.eo", "FileNotFoundError")
+    assert err == f"error: {message}\n"
+    code, out, err = run(capsys, "--json", "run", "--fuel", "-1", str(empty))
+    assert (code, out) == (2, "") and "non-negative integer" in err
 
 
 def test_deep_input_exit_code(tmp_path, capsys):

@@ -196,14 +196,15 @@ def test_determinate_spine_decides(monkeypatch):
     # A projection from a variable synthesizes its product type, so no
     # candidate list is built: a fitting type is the only one tried, and
     # a variable of the wrong shape refutes outright.  Every fallback list
-    # goes through ``dedup``, ``distinct_subterms`` or ``refold_candidates``.
+    # goes through ``dedup``, ``SubtermWalk`` (the goal's candidates),
+    # ``_Listed`` (the lists built as far as they are read) or
+    # ``refold_candidates``.
     def no_candidates(*a):
         raise AssertionError("candidate types built at a determinate spine")
 
     fits, refuted = ElabChecker(), ElabChecker()
-    monkeypatch.setattr(elab_mod, "dedup", no_candidates)
-    monkeypatch.setattr(elab_mod, "distinct_subterms", no_candidates)
-    monkeypatch.setattr(elab_mod, "refold_candidates", no_candidates)
+    for name in ("dedup", "SubtermWalk", "_Listed", "refold_candidates"):
+        monkeypatch.setattr(elab_mod, name, no_candidates)
     fst = Lam("p", Proj(1, Var("p")))
     mfst = MLam("p", MProj(1, MVar("p")))
     assert fits.check(fst, SArrow(SProd(SU, SU), SU), mfst) == VAL

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eopoly import econ, target
-from eopoly.elaborate import ElabChecker, ty_target
+from eopoly.elaborate import ElabChecker, _arrows, _products, ty_target
 from eopoly.enum_terms import default_menu, enumerate_welltyped
 from eopoly.program import load_program
 from eopoly.syntax import (
     Anno,
+    AUnit,
+    EconCtx,
     IProd,
     IUnit,
     N,
@@ -32,6 +34,7 @@ from eopoly.syntax import (
     STyVar,
     SUnit,
     SAllEo,
+    SubtermWalk,
     SYNTH,
     TgtCtx,
     V,
@@ -131,6 +134,79 @@ def test_elab_candidates_are_the_listed_then_deduped_closure(monkeypatch):
         assert _same(got, want), ty
 
 
+def _old_elab_candidates(pool, ty, ctx):
+    """The goal's candidate list as it was built, walking the pool again."""
+    assumed = [t for kind, _, t in ctx.entries if kind in ("x", "u")]
+    return distinct_subterms((*pool, SUnit(), ty, *assumed))
+
+
+def _old_fallback(cands, ty, kind, k):
+    """A fallback list as it was built, whole: the candidates that fit the
+    goal, then one new arrow or product per candidate, deduplicated."""
+    if kind == "app":
+        return dedup([a for a in cands if isinstance(a, SArrow)
+                      and alpha_eq(a.cod, ty)] + [SArrow(d, ty) for d in cands])
+    return dedup([p for p in cands if isinstance(p, SProd)
+                  and alpha_eq(p.left if k == 1 else p.right, ty)]
+                 + [SProd(ty, o) if k == 1 else SProd(o, ty) for o in cands])
+
+
+def _same_keys(got, want):
+    return len(got) == len(want) and all(
+        type(a) is type(b) and alpha_eq(a, b) for a, b in zip(got, want))
+
+
+def _candidate_pools():
+    pools = [(name, j.pool) for name, j in _corpus_judgments()]
+    pools.append(("menu", build_pool(Unit(), [econ.econ_type(t)
+                                               for t in default_menu()])))
+    return pools
+
+
+def test_candidate_lists_are_the_old_lists():
+    """On every corpus pool and the default menu's pool, at every pool type
+    as the goal, with no assumption and with one: each goal's candidates,
+    from the pool walked once, are the list that walked the pool again,
+    object for object; each fallback list, read to its end, is the whole
+    list as it was built, entry for entry; and the core checker's
+    candidates are ``dedup`` of the pool, the goal's subterms and unit."""
+    goals = 0
+    for name, pool in _candidate_pools():
+        checker = ElabChecker(pool)
+        for ty in checker.pool:
+            for ctx in (EconCtx(), EconCtx().with_x("x", checker.pool[0])):
+                cands = checker._candidates(ty, ctx)
+                assert _same(cands, _old_elab_candidates(checker.pool, ty, ctx)), name
+                for build, kind, k in ((_arrows, "app", 0), (_products, "proj", 1),
+                                       (_products, "proj", 2)):
+                    got = list(checker._fallback(build, ty, ctx, k))
+                    assert _same_keys(got, _old_fallback(cands, ty, kind, k)), name
+                goals += 1
+        tpool = target_pool(pool)
+        tchecker = target.TargetChecker(tpool)
+        for ty in tpool:
+            want = dedup(list(tpool) + subterms(ty) + [AUnit()])
+            assert _same(tchecker.candidates(ty), want), name
+    assert goals > 800, goals
+
+
+def test_fallback_lists_are_built_as_far_as_they_are_read():
+    """A fallback list read to its first entry builds no more of it, and
+    every later reading, nested in another or after it, sees the same
+    objects in the same order."""
+    pool = build_pool(Unit(), [econ.econ_type(t) for t in default_menu()])
+    checker = ElabChecker(pool)
+    ty = checker.pool[0]
+    listed = checker._fallback(_arrows, ty, EconCtx())
+    first = next(iter(listed))
+    assert len(listed._listed) == 1
+    outer = iter(listed)
+    assert next(outer) is first
+    inner = list(checker._fallback(_arrows, ty, EconCtx()))
+    assert inner[0] is first and len(inner) > 2
+    assert [first, *outer] == inner
+
+
 # -- hypothesis: lists that repeat subtrees and rename binders ----------------
 
 _names = st.sampled_from(["a", "b", "c"])
@@ -189,6 +265,18 @@ _A = SForall("a", SArrow(STyVar("a"), STyVar("b")))
 @given(_root_lists())
 def test_distinct_subterms_is_the_listed_then_deduped_closure(roots):
     assert _same(distinct_subterms(roots), _listed_then_deduped(roots))
+
+
+@settings(max_examples=300, deadline=None)
+@example([_A], [SForall("c", SArrow(STyVar("c"), STyVar("b")))])
+@given(_root_lists(), _root_lists())
+def test_a_kept_walk_extended_is_one_walk(first, more):
+    """A walk kept and then extended by more roots lists what one walk of
+    both lists lists, object for object, though the second list repeats
+    subtrees of the first or renames its binders."""
+    more = more + first[:1] + [_copy(t) for t in first[1:2]] + [
+        _renamed(t) for t in first[-1:]]
+    assert _same(SubtermWalk(first).then(more), distinct_subterms(first + more))
 
 
 # -- the core checker's application search ------------------------------------

@@ -1,10 +1,14 @@
 """Core language: values and valuables, typing, deterministic stepping."""
 
+import glob
 import itertools
+import os
 
 import pytest
 
-from eopoly import target
+from eopoly import econ, target
+from eopoly.enum_terms import enumerate_welltyped
+from eopoly.program import load_program
 from eopoly.syntax import (
     AArrow,
     AForall,
@@ -30,8 +34,14 @@ from eopoly.syntax import (
     MUnit,
     MUnroll,
     MVar,
+    SYNTH,
     TgtCtx,
+    no_redex,
+    subterms,
 )
+from eopoly.verify import Judgment
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 AU = AUnit()
 OMEGA = MFix("u", MFixVar("u"))
@@ -247,3 +257,37 @@ def test_valuability_preserved_by_stepping():
             r = target.step(m)
             if r.kind == "step":
                 assert target.is_valuable(r.term), m
+
+
+def _runs():
+    """Each corpus file's core run at fuel 300, then each bound-5
+    judgment's at fuel 50."""
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        prog = load_program(path)
+        e = econ.econ_expr(prog.main) if prog.lang == "impartial" else prog.main
+        yield target.run(Judgment(e, None, SYNTH).elab.term, 300)
+    for imp in enumerate_welltyped(5):
+        j = Judgment(econ.econ_expr(imp.expr), econ.econ_type(imp.ty), imp.direction)
+        yield target.run(j.elab.term, 50)
+
+
+def test_kept_predicates_agree_with_the_redex_walk():
+    """``is_value`` and ``is_valuable``, kept on each node, say what the
+    evaluation-context walk ``no_redex`` says, on every subterm of every
+    state of the runs above: the root of each state is asked first, as
+    the checkers ask, and each subterm object once."""
+    asked = {}
+    for run in _runs():
+        states = [run.node]
+        states += [run.term() for _ in run]
+        for state in states:
+            target.is_value(state)
+            target.is_valuable(state)
+            for m in subterms(state):
+                if id(m) not in asked:
+                    asked[id(m)] = m
+                    assert target.is_value(m) == no_redex(
+                        m, target.CONTEXTS, target.VALUES), m
+                    assert target.is_valuable(m) == no_redex(
+                        m, target.CONTEXTS, target.VALUABLES), m
+    assert len(asked) > 10_000, len(asked)
