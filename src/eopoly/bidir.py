@@ -87,6 +87,7 @@ from .syntax import (
     eo_var,
     instantiate,
     join,
+    record,
     subst1,
     unfold,
 )
@@ -95,7 +96,7 @@ from .wf import eo_wf, rec_guarded, ty_wf
 _SYNTH_FORMS = (Var, FixVar, App, Proj, TyApp, EoApp, Anno)
 
 
-@dataclass(frozen=True)
+@record
 class System:
     """A source type system: the prefix of its rule names and the classes
     of its connectives, named as ``expose`` asks for them."""

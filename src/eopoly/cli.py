@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success or all checks passing, 1 on type or verification
-failure, 2 on usage or parse errors, 3 on input that nests too deeply to
+failure, 2 on usage or parse errors and on a file that cannot be read
+(missing, a directory, not UTF-8), 3 on input that nests too deeply to
 process.  ``--json`` switches every command to one structured record on
 stdout, a failed one included (verdict "error", with the exception's
 class and message); argparse usage errors print only argparse's message.
@@ -332,8 +333,11 @@ def _main(argv: list[str] | None) -> int:
         return args.fn(args)
     except ParseError as ex:
         return _failed(args, ex, "parse error", 2)
-    except FileNotFoundError as ex:
+    except OSError as ex:
         return _failed(args, ex, "error", 2)
+    except UnicodeDecodeError as ex:
+        return _failed(args, ex, "error", 2,
+                       f"{args.file} is not UTF-8: {ex.reason} at byte {ex.start}")
     except EopolyError as ex:
         return _failed(args, ex, f"error: {ex.__class__.__name__}", 1)
     except RecursionError as ex:

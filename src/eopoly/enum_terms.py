@@ -19,7 +19,6 @@ live on the ``Enumerator`` and die with it: nothing outlives one
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import impartial
 from .errors import GuardednessViolation, IllFormedType, TypecheckError
@@ -52,6 +51,7 @@ from .syntax import (
     alpha_key,
     eo_var,
     instantiate,
+    record,
     unfold,
 )
 from .wf import rec_guarded, ty_wf
@@ -70,7 +70,7 @@ def default_menu() -> tuple[ImpType, ...]:
     return tuple(menu)
 
 
-@dataclass(frozen=True)
+@record
 class Judgment:
     expr: Expr
     ty: ImpType

@@ -89,6 +89,7 @@ from .syntax import (
     Var,
     eo_var,
     instantiate,
+    record,
 )
 
 _KEYWORDS = {
@@ -165,7 +166,7 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
-@dataclass(frozen=True)
+@record
 class _Grammar:
     """The constructors a term grammar builds its shared forms with."""
 
@@ -219,7 +220,7 @@ class Parser:
         self.pos = 0
         self.system = _SYSTEMS[lang]
         # Impartial connectives carry an order; econ types suspend instead.
-        self.ordered = "eo" in self.system.arrow.__dataclass_fields__
+        self.ordered = "eo" in self.system.arrow.__match_args__
         self.abbrevs: dict[str, Abbrev] = abbrevs if abbrevs is not None else {}
         self.grammar = _SOURCE
         # The term names in scope, innermost last, each marked whether a

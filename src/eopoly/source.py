@@ -37,6 +37,7 @@ from .syntax import (
     instantiate,
     no_redex,
     plug,
+    record,
     unfold,
 )
 
@@ -63,7 +64,7 @@ def is_source_value(e: Expr) -> bool:
     return no_redex(e, BYVALUE_CONTEXTS, VALUES)
 
 
-@dataclass(frozen=True)
+@record
 class SourceStep:
     path: tuple[str, ...]
     flavor: str  # "byvalue" | "byname"
@@ -118,7 +119,7 @@ def enumerate_steps(e: Expr) -> list[SourceStep]:
         node = getattr(node, fields[0])
 
 
-@dataclass(frozen=True)
+@record
 class SourceStepResult:
     kind: str  # "value" | "stuck" | "step"
     expr: Expr | None = None

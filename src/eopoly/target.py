@@ -77,6 +77,7 @@ from .syntax import (
     instantiate,
     kept,
     match_instantiate,
+    record,
     refold_candidates,
     subterms,
     unfold,
@@ -357,7 +358,7 @@ def target_check(ctx: TgtCtx, m: Term, ty: TgtType,
 # Operational semantics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class StepResult:
     kind: str  # "value" | "stuck" | "step"
     term: Term | None = None

@@ -2,21 +2,22 @@
 
 Before the package compiled each class's ``scopes``/``ref`` declaration
 into a per-class plan, these functions rebuilt per-node dictionaries from
-the declaration on every visit and rebuilt changed nodes with
-``dataclasses.replace``.  They are slow but follow the declaration
-plainly, so ``tests/test_binding.py`` runs them as the oracle for
-``free_names``, ``subst``, ``alpha_key``, ``subterms`` and ``node_count``.
-Kept as they were, with two exceptions: the per-node memo of
-``alpha_key`` is stored under its own attribute, so the two engines never
-read each other's keys; and a binder renamed to avoid capture refers to
-itself with the class of the reference it would have captured, so a type
-binder inside an expression is renamed in the captured variable's type
-grammar.  Do not tidy them.
+the declaration on every visit and rebuilt each changed node whole.  They
+are slow but follow the declaration plainly, so ``tests/test_binding.py``
+runs them as the oracle for ``free_names``, ``subst``, ``alpha_key``,
+``subterms`` and ``node_count``.  Kept as they were, with three
+exceptions: the per-node memo of ``alpha_key`` is stored under its own
+attribute, so the two engines never read each other's keys; a binder
+renamed to avoid capture refers to itself with the class of the reference
+it would have captured, so a type binder inside an expression is renamed
+in the captured variable's type grammar; and a changed node is rebuilt
+positionally over its class's ``__match_args__``, where it once went
+through ``dataclasses.replace``, since nodes are ``syntax.record``s and
+not dataclasses.  Do not tidy them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 
 from eopoly.syntax import EO, Node, children, fresh_name
@@ -156,7 +157,8 @@ def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
                 updates[fname] = new_value
     if not updates:
         return node
-    return dataclasses.replace(node, **updates)
+    return type(node)(*[updates.get(f, getattr(node, f))
+                        for f in type(node).__match_args__])
 
 
 @lru_cache(maxsize=None)

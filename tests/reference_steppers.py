@@ -10,8 +10,6 @@ oracle for ``target.step``, ``source.cbv_step`` and
 
 from __future__ import annotations
 
-import dataclasses
-
 from eopoly.source import BYNAME, BYVALUE, SourceStep, SourceStepResult
 from eopoly.syntax import (
     App,
@@ -230,9 +228,8 @@ def _byname_holes(e: Expr, path: tuple[str, ...]):
 def _plug(e: Expr, path: tuple[str, ...], replacement: Expr) -> Expr:
     if not path:
         return replacement
-    field = path[0]
-    child = getattr(e, field)
-    return dataclasses.replace(e, **{field: _plug(child, path[1:], replacement)})
+    return type(e)(*[_plug(getattr(e, f), path[1:], replacement) if f == path[0]
+                     else getattr(e, f) for f in type(e).__match_args__])
 
 
 def enumerate_steps(e: Expr) -> list[SourceStep]:

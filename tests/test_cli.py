@@ -450,6 +450,23 @@ def test_json_reports_parse_and_file_errors_on_stdout(tmp_path, capsys):
     assert (code, out) == (2, "") and "non-negative integer" in err
 
 
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys):
+    """A directory and a file that is not UTF-8 each exit 2 with one
+    ``error:`` line and no traceback, and with ``--json`` also one error
+    record on stdout."""
+    latin = tmp_path / "latin.eo"
+    latin.write_bytes(b"#lang impartial\n(() : 1) \xe9\n")
+    for file, error in ((str(tmp_path), "IsADirectoryError"),
+                        (str(latin), "UnicodeDecodeError")):
+        code, out, err = run(capsys, "check", file)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = run(capsys, "--json", "check", file)
+        assert code == 2
+        message = _error_record(out, "check", file, error)
+        assert err == f"error: {message}\n"
+
+
 def test_deep_input_exit_code(tmp_path, capsys):
     lst = "inj1 ()"
     for _ in range(30_000):

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, only
-``syntax.py`` substitutes or invents names, and only ``syntax.py`` keeps
-answers on a node.
+``syntax.py`` substitutes or invents names, only ``syntax.py`` keeps
+answers on a node, and no module makes a frozen dataclass.
 
 Stdlib-``ast`` checks, since the project runs no linter.  An import that
 nothing reads is either dead or a re-export, and re-exports belong in
@@ -9,7 +9,9 @@ opens it through ``syntax.instantiate`` (with ``Ctx.fresh``, ``vacuous``
 and ``subst1``), so no other module calls ``subst`` or ``fresh_name`` or
 imports the single-name substitutions they replaced.  An answer about a
 node lives on the node through ``syntax.kept``, so no other module reads
-or writes a node's ``__dict__``.
+or writes a node's ``__dict__``.  A frozen record is a ``syntax.record``,
+which builds its class without ``dataclass``'s per-class code generation,
+so no module decorates a class with ``dataclass(frozen=True)``.
 """
 
 import ast
@@ -124,3 +126,38 @@ def test_the_dict_check_sees_reads_writes_and_vars():
            "d = vars(node)\n"
            "kept(f)\n")
     assert dict_uses(src) == [1, 2, 3]
+
+
+def frozen_dataclasses(source: str) -> list[int]:
+    """The line of each class decorator that calls ``dataclass`` with a
+    ``frozen`` argument other than a false constant."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for d in node.decorator_list:
+            if not isinstance(d, ast.Call):
+                continue
+            name = getattr(d.func, "id", None) or getattr(d.func, "attr", None)
+            if name == "dataclass" and any(
+                    k.arg == "frozen" and not (isinstance(k.value, ast.Constant)
+                                               and not k.value.value)
+                    for k in d.keywords):
+                out.append(d.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_frozen_records_are_made_by_record(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert frozen_dataclasses(fh.read()) == [], module
+
+
+def test_the_frozen_check_sees_both_spellings_and_spares_the_rest():
+    src = ("@dataclass(frozen=True)\nclass A: pass\n"
+           "@dataclasses.dataclass(eq=False, frozen=True)\nclass B: pass\n"
+           "@dataclass\nclass C: pass\n"
+           "@dataclass(frozen=False)\nclass D: pass\n"
+           "@record\nclass E: pass\n"
+           "x = dataclass(frozen=True)\n")
+    assert frozen_dataclasses(src) == [1, 3]

@@ -7,7 +7,6 @@ order, since the searches try candidates in pool order and keep the
 first that fits.  The reference here is the pattern it replaced.
 """
 
-import dataclasses
 import glob
 import os
 import sys
@@ -229,7 +228,7 @@ def _types():
 
 def _rebuilt(t, f):
     return type(t)(*[f(v) if isinstance(v, Node) else v
-                     for v in (getattr(t, fd.name) for fd in dataclasses.fields(t))])
+                     for v in (getattr(t, name) for name in type(t).__match_args__)])
 
 
 def _copy(t):

@@ -1,10 +1,14 @@
 """Core syntax: orders, valuenesses, erasure, substitution, alpha."""
 
+import dataclasses
 import gc
 import glob
 import importlib
+import inspect
+import itertools
 import os
 import pkgutil
+import typing
 import weakref
 
 import pytest
@@ -469,7 +473,76 @@ def test_no_package_table_but_the_plans_and_the_scoped_keys():
     node."""
     tables = {name for mod in _package_modules()
               for name, v in vars(mod).items() if hasattr(v, "cache_info")}
-    assert tables == {"_field_names", "_plan", "_scoped_key"}
+    assert tables == {"_plan", "_scoped_key"}
+
+
+def _records():
+    """Every class the package makes with ``syntax.record``."""
+    return [v for mod in _package_modules() for v in vars(mod).values()
+            if isinstance(v, type) and v.__module__ == mod.__name__
+            and vars(v).get("__setattr__") is syntax._frozen_setattr]
+
+
+def _twin(cls):
+    """``cls`` as ``dataclass(frozen=True)`` would make it from its resolved
+    type hints (which drops the ``ClassVar`` ones) and its class
+    attributes, with ``EO``'s own ``__repr__`` kept."""
+    fields = [(f, t, dataclasses.field(default=vars(cls)[f])) if f in vars(cls)
+              else (f, t) for f, t in typing.get_type_hints(cls).items()]
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, frozen=True,
+        namespace={"__repr__": syntax.EO.__repr__} if cls is syntax.EO else None)
+
+
+_SAMPLE = ("a", Unit(), 1, V, ("x", 2))
+
+
+def _samples(n):
+    """Field values for a record of ``n`` fields, and each with one field
+    changed."""
+    base = [_SAMPLE[i % len(_SAMPLE)] for i in range(n)]
+    return [base] + [base[:i] + ["b"] + base[i + 1:] for i in range(n)]
+
+
+def test_records_behave_as_the_frozen_dataclasses_they_replace():
+    """Each record agrees with its frozen-dataclass twin on its signature,
+    ``__match_args__``, and the ``repr``, hash and equalities of sample
+    instances; instances of two records with equal fields differ; a
+    record refuses assignment and deletion; and a kept answer lands in the
+    node's ``__dict__``."""
+    records = _records()
+    assert len(records) == 63  # 57 in syntax.py, 6 elsewhere
+    for cls in records:
+        twin = _twin(cls)
+        assert cls.__match_args__ == twin.__match_args__, cls
+        assert ([(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+                == [(p.name, p.default) for p in inspect.signature(twin).parameters.values()])
+        required = _samples(sum(f.default is dataclasses.MISSING
+                                for f in dataclasses.fields(twin)))[0]
+        assert repr(cls(*required)) == repr(twin(*required)), cls
+        samples = _samples(len(cls.__match_args__))
+        for vals in samples:
+            got, want = cls(*vals), twin(*vals)
+            assert (repr(got), hash(got)) == (repr(want), hash(want)), cls
+            for name in cls.__match_args__ or ("x",):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(got, name, 0)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(got, name)
+        for a, b in itertools.product(samples, repeat=2):
+            assert (cls(*a) == cls(*b), cls(*a) != cls(*b)) == \
+                (twin(*a) == twin(*b), twin(*a) != twin(*b)), (cls, a, b)
+    for a, b in itertools.permutations(records, 2):
+        if a.__match_args__ == b.__match_args__:
+            vals = _samples(len(a.__match_args__))[0]
+            assert a(*vals) != b(*vals) and not a(*vals) == b(*vals), (a, b)
+    assert Var("x") != FixVar("x") and Var("x") == Var("x")
+    assert (repr(V), repr(eo_var("a"))) == ("V", "a")
+    assert syntax.TgtCtx() == syntax.TgtCtx() != syntax.Ctx()
+    t = IArrow(IUnit(), IUnit(), V)
+    assert syntax.node_count(t) == 4 and hash(t) == hash((t.dom, t.cod, t.eo))
+    assert vars(t)["eopoly.syntax.node_count"] == 4
+    assert vars(t)["eopoly.syntax.IArrow.__hash__"] == hash(t)
 
 
 def test_kept_answers_die_with_their_nodes():
