@@ -110,10 +110,10 @@ def cmd_elaborate(args) -> int:
     return 0
 
 
-def _report_run(args, evaluate, start, show) -> int:
-    """Run ``evaluate`` from ``start`` and emit the outcome, showing each
-    state with ``show``: printed as it comes, or with ``--json`` kept for
-    the record."""
+def _report_run(args, run, start, show) -> int:
+    """Run ``start`` with ``run`` (a ``syntax.Run`` maker) and emit the
+    outcome, showing each state with ``show``: printed as it comes, or
+    with ``--json`` kept for the record."""
     trace: list[str] = []
     count = itertools.count()
 
@@ -123,25 +123,25 @@ def _report_run(args, evaluate, start, show) -> int:
         else:
             print(f"  [{next(count)}] {show(x)}")
 
-    result = evaluate(start, args.fuel, on_state if args.trace else None)
-    final = show(result.term if isinstance(result, tgt_mod.EvalResult) else result.expr)
-    payload = {"result": final, "kind": result.kind, "steps": result.steps}
+    kind, term, steps = run(start, args.fuel).finish(
+        on_state if args.trace else None)
+    final = show(term)
+    payload = {"result": final, "kind": kind, "steps": steps}
     if trace:
         payload["trace"] = trace
-    _emit(args, result.kind, payload,
-          [f"{result.kind} after {result.steps} step(s): {final}"])
-    return 0 if result.kind == "value" else 1
+    _emit(args, kind, payload, [f"{kind} after {steps} step(s): {final}"])
+    return 0 if kind == "value" else 1
 
 
 def cmd_run(args) -> int:
     prog = load_program(args.file)
-    return _report_run(args, tgt_mod.evaluate, _to_econ(prog).elab.term, pretty_term)
+    return _report_run(args, tgt_mod.run, _to_econ(prog).elab.term, pretty_term)
 
 
 def cmd_src_run(args) -> int:
     prog = load_program(args.file)
     _typecheck(prog)
-    return _report_run(args, src_mod.cbv_evaluate, erase(prog.main), pretty_expr)
+    return _report_run(args, src_mod.cbv_run, erase(prog.main), pretty_expr)
 
 
 def cmd_steps(args) -> int:

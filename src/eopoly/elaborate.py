@@ -24,12 +24,13 @@ quantified heads) complete local inversions.  The pool is the set of
 types the program's own checking derivation names, closed one step under
 subterms, order instantiation and unrolling (``verify.build_pool``):
 every intermediate type of an elaboration of the program is among them.
-The pool may be handed over unbuilt, as a function of no arguments: the
-checker calls it at the first joint that tries candidates, so never when
-the terms decide every joint, and walks its subterms once.  Each goal's candidate
-list then walks only the goal and the context's types, and a joint's
-fallback list of arrows or products is built only as far as the search
-reads it.  The search recurses on strict subterms of the core term, so
+The checker holds the pool as a ``syntax.Listed``: it may be handed over
+unbuilt, as a function of no arguments, which the first joint that tries
+candidates calls, so never when the terms decide every joint.  The pool
+is closed under subterms, so each goal's candidate list walks only the
+goal and the context's types, and a joint's fallback list of arrows or
+products is a ``Listed`` of them, built only as far as the search reads
+it.  The search recurses on strict subterms of the core term, so
 it terminates without fuel; a miss means that no derivation exists over
 the candidate types, and a success is never spurious.
 """
@@ -37,7 +38,6 @@ the candidate types, and a success is never spurious.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterator
 
@@ -63,6 +63,7 @@ from .syntax import (
     FixVar,
     Inj,
     Lam,
+    Listed,
     MApp,
     MCase,
     MFix,
@@ -91,7 +92,6 @@ from .syntax import (
     SSusp,
     STyVar,
     SUnit,
-    SubtermWalk,
     Term,
     TgtType,
     TOP,
@@ -366,32 +366,6 @@ def _products(cands: list, ty: EconType, k: int) -> Iterator[EconType]:
                  (SProd(ty, o) if k == 1 else SProd(o, ty) for o in cands))
 
 
-class _Listed:
-    """``dedup`` of the iterator ``nodes``, built as far as it is read.
-    Every iteration yields the nodes listed so far, then lists more from
-    ``nodes``, so readers, nested ones included, all see the same nodes
-    in the same order."""
-
-    def __init__(self, nodes: Iterator):
-        self._nodes, self._keys, self._listed = nodes, set(), []
-
-    def __iter__(self) -> Iterator:
-        i = 0
-        while i < len(self._listed) or self._more():
-            yield self._listed[i]
-            i += 1
-
-    def _more(self) -> bool:
-        """List one more node, if ``nodes`` holds a new one."""
-        for n in self._nodes:
-            k = alpha_key(n)
-            if k not in self._keys:
-                self._keys.add(k)
-                self._listed.append(n)
-                return True
-        return False
-
-
 class ElabChecker:
     """Reusable membership checker for the elaboration relation.
 
@@ -403,9 +377,9 @@ class ElabChecker:
     None falls back to the candidate types of the goal, the context and
     the pool, tried in turn by ``_first``.  One instance owns the pool and
     the memo tables, so a simulation run can re-relate many (source, core)
-    pairs cheaply.  The pool, its normal forms and its subterm walk are
-    built at the first fallback that reads them (``pool``, ``_walked``), so
-    a checker whose every joint is decided builds none of them.
+    pairs cheaply.  The pool is a ``Listed`` of the caller's types in
+    suspension normal form, built at the first fallback that reads it, so
+    a checker whose every joint is decided builds none of it.
 
     The check decides membership over those candidate lists, and the memo
     keeps every answer, misses included.  Each rule recurses on a strict
@@ -415,7 +389,7 @@ class ElabChecker:
     """
 
     def __init__(self, pool: tuple[EconType, ...] | Callable[[], tuple] = ()):
-        self._given = pool
+        self._pool = Listed(pool, _nf)
         self.memo: dict = {}
         self._cand_cache: dict = {}
         self._syn_cache: dict = {}
@@ -425,30 +399,23 @@ class ElabChecker:
 
     # -- plumbing ---------------------------------------------------------
 
-    @cached_property
+    @property
     def pool(self) -> tuple[EconType, ...]:
-        """The caller's pool (a function of no arguments is called here,
-        at the first joint that reads it) in suspension normal form,
-        without alpha-equivalent repeats."""
-        pool = self._given() if callable(self._given) else self._given
-        return tuple(dedup([_nf(p) for p in pool]))
-
-    @cached_property
-    def _walked(self) -> SubtermWalk:
-        return SubtermWalk(self.pool)
+        """The caller's pool in suspension normal form, without
+        alpha-equivalent repeats."""
+        return tuple(self._pool)
 
     def _candidates(self, ty: EconType, ctx: EconCtx) -> list[EconType]:
-        """``distinct_subterms((*pool, SUnit(), ty, *assumed))``, where the
-        pool's walk is done once per checker and each goal walks only its
-        own types."""
+        """``distinct_subterms((*pool, SUnit(), ty, *assumed))``: the pool
+        is closed under subterms, so each goal walks only its own types."""
         key = (alpha_key(ty), ctx.entries)
         hit = self._cand_cache.get(key)
         if hit is None:
-            hit = self._walked.then((SUnit(), ty, *_assumed(ctx)))
+            hit = self._pool.then((SUnit(), ty, *_assumed(ctx)))
             self._cand_cache[key] = hit
         return hit
 
-    def _fallback(self, build, ty: EconType, ctx: EconCtx, k: int = 0) -> _Listed:
+    def _fallback(self, build, ty: EconType, ctx: EconCtx, k: int = 0) -> Listed:
         """``dedup`` of ``build(_candidates(ty, ctx), ty, k)``: a joint's
         fallback list, kept per build, ``k``, goal and context, and built
         only as far as it is read.  The key holds the goal node itself, so
@@ -456,7 +423,7 @@ class ElabChecker:
         key = (build, k, ty, ctx.entries)
         hit = self._cand_cache.get(key)
         if hit is None:
-            hit = _Listed(build(self._candidates(ty, ctx), ty, k))
+            hit = Listed(build(self._candidates(ty, ctx), ty, k))
             self._cand_cache[key] = hit
         return hit
 
@@ -617,7 +584,7 @@ class ElabChecker:
                                       lambda t: _matches(_instance(t, k), ty))
                 if pairs is None:
                     pairs = dedup([vacuous(SAllEo, "eo", ty)] + [
-                        c for c in self.pool if _matches(_instance(c, k), ty)])
+                        c for c in self._pool if _matches(_instance(c, k), ty)])
                 v = self._first(pairs, lambda a: [(ctx, e, a, mbody)])
                 if v is not None or not (isinstance(e, Proj) and e.k == k):
                     return v
@@ -654,7 +621,7 @@ class ElabChecker:
                 foralls = self._decided(ctx, e, mbody, fits)
                 if foralls is None:
                     foralls = dedup([vacuous(SForall, "ty", ty)]
-                                    + [f for f in self.pool if fits(f)])
+                                    + [f for f in self._pool if fits(f)])
                 return self._first(foralls, lambda f: [(ctx, e, f, mbody)])
         return None
 

@@ -43,7 +43,6 @@ binder is a ``fix``, a term variable otherwise or when nothing binds it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import takewhile
 from typing import Callable
 
@@ -194,7 +193,7 @@ _CORE = _Grammar(
 )
 
 
-@dataclass
+@record
 class Abbrev:
     """A type abbreviation.  ``body`` is the abbreviated type under one
     quantifier per parameter, the first parameter's outermost, so a use

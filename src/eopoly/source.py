@@ -21,7 +21,6 @@ then the by-name steps along the chain of by-name contexts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .syntax import (
     App,
@@ -134,7 +133,7 @@ def cbv_step(e: Expr) -> SourceStepResult:
     return SourceStepResult(r.kind)
 
 
-@dataclass
+@record
 class SourceEvalResult:
     kind: str  # "value" | "stuck" | "out-of-fuel"
     expr: Expr

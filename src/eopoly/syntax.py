@@ -23,12 +23,16 @@ distinct bodies share its answers.  Only keys under a binder use that
 table: a node's key outside every binder is built from its children's
 kept keys.
 
-``distinct_subterms`` is ``dedup`` of a list of roots' ``subterms``,
-walking each repeated subtree once; every candidate pool is closed under
-subterms on it, and a ``SubtermWalk`` keeps one list's walk so that
-lists which extend it walk only what they add.  ``rebuild`` is the one
-walk for rewrites that only replace nodes: erasure here, the annotation
-translation and the suspension normal form elsewhere.
+``Listed`` is the one candidate list of both membership searches: the
+alpha-distinct nodes of an iterable, or of a function that builds one at
+the first read, listed only as far as they are read.  Its ``then`` adds
+the alpha-distinct subterms of more roots, walking each repeated subtree
+once, and ``distinct_subterms`` is ``then`` on the empty list.  A pool
+is never walked: each goal's candidates are the pool, then a walk of the
+goal's roots alone, which is the walk of both as long as the pool is
+closed under subterms, as every suspension-point pool is.  ``rebuild``
+is the one walk for rewrites that only replace nodes: erasure here, the
+annotation translation and the suspension normal form elsewhere.
 ``Run`` is the one loop that steps a term, for every evaluator and every
 check that steps, driven by that evaluator's table of evaluation contexts: it
 resumes each search for the next redex at the contractum instead of at
@@ -973,52 +977,79 @@ def dedup(nodes: list[Node]) -> list[Node]:
 
 
 def distinct_subterms(roots) -> list[Node]:
-    """``dedup`` of every root's ``subterms``, in the same order.
-
-    A subtree structurally equal to one already walked is skipped whole:
-    its first occurrence listed every subterm it has.  Alpha-equivalence
-    would not do, since the two may differ in their open subterms."""
-    return SubtermWalk(roots).listed
+    """``dedup`` of every root's ``subterms``, in the same order."""
+    return Listed(()).then(roots)
 
 
-class SubtermWalk:
-    """``distinct_subterms`` of ``roots``, walked once and kept, so that
-    listing them followed by further roots' walks none of them again.
+class Listed:
+    """The alpha-distinct nodes of ``nodes`` (or, with ``each``, of the
+    nodes ``each(n)``), first occurrences kept, listed only as far as
+    they are read.  ``nodes`` is an iterable, or a function of no
+    arguments that the first read calls, so a pool that no search reads
+    is never built.  Every iteration yields the nodes listed so far, then
+    lists more, so readers, nested ones included, all see the same nodes
+    in the same order."""
 
-    ``then(more)`` is ``distinct_subterms((*roots, *more))``: the walk of
-    ``more`` skips each subtree and each key that the walk of ``roots``
-    met, as one walk of both lists would, and keeps its own finds apart,
-    so it costs ``more`` alone."""
+    def __init__(self, nodes, each=None):
+        self._given, self._each = nodes, each
+        self._nodes: Iterator | None = None
+        self._ended = False
+        self._keys: set = set()
+        self._listed: list[Node] = []
 
-    def __init__(self, roots):
-        self.seen: set = set()
-        self.keys: dict = {}
-        _walk(roots, self.seen, self.keys)
-        self.listed = list(self.keys.values())
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self._listed) if self._ended else self._reading()
 
-    def then(self, more) -> list[Node]:
+    def _reading(self) -> Iterator[Node]:
+        i = 0
+        while i < len(self._listed) or self._more(i + 1):
+            yield self._listed[i]
+            i += 1
+
+    def _more(self, upto: int | None) -> bool:
+        """List new nodes until ``upto`` are listed, or every one when
+        ``upto`` is None; whether ``upto`` are."""
+        if self._nodes is None:
+            given = self._given() if callable(self._given) else self._given
+            self._nodes = iter(given if self._each is None
+                               else map(self._each, given))
+        keys, listed = self._keys, self._listed
+        for n in self._nodes:
+            k = alpha_key(n)
+            if k not in keys:
+                keys.add(k)
+                listed.append(n)
+                if len(listed) == upto:
+                    return True
+        self._ended = True
+        return False
+
+    def then(self, roots) -> list[Node]:
+        """The whole list, then the alpha-distinct subterms of ``roots``
+        that it lacks, in pre-order.
+
+        A subtree structurally equal to one already walked is skipped
+        whole: its first occurrence listed every subterm it has.
+        Alpha-equivalence would not do, since the two may differ in their
+        open subterms.  A subtree that the list holds is walked all the
+        same, since the list need not hold its subterms."""
+        self._more(None)
+        seen: set = set()
         keys: dict = {}
-        _walk(more, set(), keys, self)
-        return self.listed + list(keys.values())
-
-
-def _walk(roots, seen: set, keys: dict, before: SubtermWalk | None = None):
-    """Add each subterm of ``roots`` to ``keys`` under its alpha key,
-    first occurrences kept, skipping a subtree met before: in ``seen``, or
-    in ``before``'s walk, whose keys are not added again."""
-    todo = list(reversed(roots))
-    while todo:
-        n = todo.pop()
-        if n in seen or before is not None and n in before.seen:
-            continue
-        seen.add(n)
-        k = alpha_key(n)
-        if before is None or k not in before.keys:
-            keys.setdefault(k, n)
-        for f in reversed(type(n).__match_args__):
-            v = getattr(n, f)
-            if isinstance(v, Node):
-                todo.append(v)
+        todo = list(reversed(roots))
+        while todo:
+            n = todo.pop()
+            if n in seen:
+                continue
+            seen.add(n)
+            k = alpha_key(n)
+            if k not in self._keys:
+                keys.setdefault(k, n)
+            for f in reversed(type(n).__match_args__):
+                v = getattr(n, f)
+                if isinstance(v, Node):
+                    todo.append(v)
+        return self._listed + list(keys.values())
 
 
 @kept

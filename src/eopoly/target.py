@@ -14,9 +14,10 @@ the expected type, and at an unroll it refolds the expected type
 determine (function domains, dropped product components) does it try
 candidates from a caller-supplied pool: the target images of
 the types the source program's own typing derivation names
-(``verify.build_pool``, ``verify.target_pool``).  A pool handed over as a
-function of no arguments is built at the first such joint, and never on
-a term that leaves none open.  At an application
+(``verify.build_pool``, ``verify.target_pool``), held as a
+``syntax.Listed``.  A pool handed over as a function of no arguments is
+built at the first such joint, and never on a term that leaves none
+open.  At an application
 whose function and argument both leave the domain open, each candidate
 domain is tried on the argument first, as ``ElabChecker`` does: the
 argument is usually the smaller side, and a function that is a λ would
@@ -39,8 +40,6 @@ each contractum, in the context it already holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from .syntax import (
@@ -52,6 +51,7 @@ from .syntax import (
     AThunk,
     ATyVar,
     AUnit,
+    Listed,
     MApp,
     MCase,
     MFix,
@@ -79,7 +79,6 @@ from .syntax import (
     match_instantiate,
     record,
     refold_candidates,
-    subterms,
     unfold,
     vacuous,
 )
@@ -130,39 +129,23 @@ class TargetChecker:
 
     Preservation checks re-type nearly identical terms step after step;
     the memo makes a whole trace roughly linear in total size.  The pool
-    may be given unbuilt, as a function of no arguments: it is called at
-    the first joint that tries candidates, and the pool is keyed once, so
-    each goal's candidate list then keys only the goal's subterms.
+    is a ``Listed``, given built or as a function of no arguments that the
+    first joint trying candidates calls.  It is keyed once and not walked,
+    so each goal's candidate list keys only the goal's subterms.
     """
 
     def __init__(self, pool: tuple[TgtType, ...] | Callable[[], tuple] = ()):
-        self._given = pool
+        self._pool = Listed(pool)
         self._chk: dict = {}
         self._syn: dict = {}
         self._cands: dict = {}
-
-    @cached_property
-    def pool(self) -> tuple[TgtType, ...]:
-        return tuple(self._given() if callable(self._given) else self._given)
-
-    @cached_property
-    def _pool_keys(self) -> dict:
-        keys: dict = {}
-        for t in self.pool:
-            keys.setdefault(alpha_key(t), t)
-        return keys
 
     def candidates(self, ty: TgtType) -> list[TgtType]:
         """``dedup(pool + subterms(ty) + [AUnit()])``."""
         key = alpha_key(ty)
         hit = self._cands.get(key)
         if hit is None:
-            pool, new = self._pool_keys, {}
-            for t in subterms(ty) + [AUnit()]:
-                k = alpha_key(t)
-                if k not in pool:
-                    new.setdefault(k, t)
-            hit = self._cands[key] = [*pool.values(), *new.values()]
+            hit = self._cands[key] = self._pool.then((ty, AUnit()))
         return hit
 
     def synth(self, ctx: TgtCtx, m: Term) -> TgtType | None:
@@ -333,7 +316,7 @@ class TargetChecker:
                     # the body checking at a quantifier that binds nothing
                     # around the goal witnesses some valid quantified type.
                     return self.check(ctx, body, vacuous(AForall, "ty", ty))
-                for cand in self.pool:
+                for cand in self._pool:
                     if isinstance(cand, AForall):
                         sol = match_instantiate(cand, ty)
                         if sol == "any" or (sol is not None and ty_wf(ctx, sol)):
@@ -399,7 +382,7 @@ def step(m: Term) -> StepResult:
     return StepResult(r.kind)
 
 
-@dataclass
+@record
 class EvalResult:
     kind: str  # "value" | "stuck" | "out-of-fuel"
     term: Term

@@ -113,6 +113,7 @@ from .syntax import (
     join,
     node_count,
     plug,
+    record,
     subst1,
     unfold,
     valof,
@@ -315,7 +316,9 @@ def run_elab_soundness(
 ) -> CheckOutcome:
     j = Judgment(e, ty, direction)
     if checker is not None:
-        j.checker, j.tpool = checker, tpool
+        j.checker = checker
+    if tpool is not None:
+        j.tpool = tpool
     return elab_soundness(j, program)
 
 
@@ -524,7 +527,7 @@ def nfree_elab(j: Judgment, program: str = "?") -> CheckOutcome:
 # Step-by-step simulation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class SimStep:
     index: int
     target_rule: str

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, only
-``syntax.py`` substitutes or invents names, only ``syntax.py`` keeps
-answers on a node, and no module makes a frozen dataclass.
+``syntax.py`` substitutes or invents names, keeps answers on a node or
+reads a pool that may come unbuilt, and no module makes a frozen
+dataclass.
 
 Stdlib-``ast`` checks, since the project runs no linter.  An import that
 nothing reads is either dead or a re-export, and re-exports belong in
@@ -9,9 +10,12 @@ opens it through ``syntax.instantiate`` (with ``Ctx.fresh``, ``vacuous``
 and ``subst1``), so no other module calls ``subst`` or ``fresh_name`` or
 imports the single-name substitutions they replaced.  An answer about a
 node lives on the node through ``syntax.kept``, so no other module reads
-or writes a node's ``__dict__``.  A frozen record is a ``syntax.record``,
-which builds its class without ``dataclass``'s per-class code generation,
-so no module decorates a class with ``dataclass(frozen=True)``.
+or writes a node's ``__dict__``.  A candidate pool may come as a tuple
+or as a function that builds it, and ``syntax.Listed`` alone tells the
+two apart, so no other module calls ``callable``.  A frozen record is a
+``syntax.record``, which builds its class without ``dataclass``'s
+per-class code generation, so no module decorates a class with
+``dataclass(frozen=True)``.
 """
 
 import ast
@@ -126,6 +130,27 @@ def test_the_dict_check_sees_reads_writes_and_vars():
            "d = vars(node)\n"
            "kept(f)\n")
     assert dict_uses(src) == [1, 2, 3]
+
+
+def callable_uses(source: str) -> list[int]:
+    """The line of each ``callable`` call."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", None) == "callable")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "syntax.py"])
+def test_unbuilt_pools_are_read_in_syntax_only(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert callable_uses(fh.read()) == [], module
+
+
+def test_the_callable_check_sees_calls_and_spares_the_name():
+    src = ("a = callable(pool)\n"
+           "b = pool() if callable(pool) else pool\n"
+           "c = obj.callable\n"
+           "d = [callable]\n")
+    assert callable_uses(src) == [1, 2]
 
 
 def frozen_dataclasses(source: str) -> list[int]:

@@ -14,8 +14,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eopoly import econ, target
-from eopoly.elaborate import ElabChecker, _arrows, _products, ty_target
+from eopoly import econ, syntax, target
+from eopoly.elaborate import ElabChecker, _arrows, _nf, _products, ty_target
 from eopoly.enum_terms import default_menu, enumerate_welltyped
 from eopoly.program import load_program
 from eopoly.syntax import (
@@ -24,6 +24,7 @@ from eopoly.syntax import (
     EconCtx,
     IProd,
     IUnit,
+    Listed,
     N,
     Pair,
     SArrow,
@@ -33,7 +34,6 @@ from eopoly.syntax import (
     STyVar,
     SUnit,
     SAllEo,
-    SubtermWalk,
     SYNTH,
     TgtCtx,
     V,
@@ -107,6 +107,46 @@ def test_pools_are_the_listed_then_deduped_closure():
         assert list(_pool([r.ty], [r.deriv])) == want, name
         seen += 1
     assert seen == 16 + 2339
+
+
+def test_pools_are_closed_under_subterms():
+    """``Listed.then`` walks only the goal's roots, which is exact because
+    every pool the checkers read is closed under subterms: on every corpus
+    pool, the default menu's pool and every bound-5 judgment's pool,
+    ``distinct_subterms`` of the pool lists the pool itself, object for
+    object, and so it does of the pool's suspension normal forms after
+    ``dedup``, the pool ``ElabChecker`` holds."""
+    pools = [pool for _, pool in _candidate_pools()]
+    pools += [j.pool for _, j in _bound5_judgments()]
+    for pool in pools:
+        assert _same(distinct_subterms(pool), pool), pool
+        nfs = dedup([_nf(t) for t in pool])
+        assert _same(distinct_subterms(nfs), nfs), pool
+        assert _same(ElabChecker(pool).pool, nfs), pool
+    assert len(pools) == 16 + 1 + 2339
+
+
+def test_a_shared_subtree_is_walked_once(monkeypatch):
+    """``t0 = ()`` and ``t(i+1) = t(i) * t(i)``: ``t16`` has 131 071 nodes
+    in a tree walk but 17 distinct subterms, and ``then`` asks for the key
+    of each of them once (the keys are kept on the nodes beforehand, so
+    building them is not counted)."""
+    t = SUnit()
+    chain = [t]
+    for _ in range(16):
+        t = SProd(t, t)
+        chain.append(t)
+    key = syntax.alpha_key
+    key(t)
+    calls = []
+
+    def counted(node, *a):
+        calls.append(node)
+        return key(node, *a)
+
+    monkeypatch.setattr(syntax, "alpha_key", counted)
+    assert _same(Listed(()).then((t,)), chain[::-1])
+    assert len(calls) == 17
 
 
 def test_elab_candidates_are_the_listed_then_deduped_closure(monkeypatch):
@@ -270,12 +310,13 @@ def test_distinct_subterms_is_the_listed_then_deduped_closure(roots):
 @example([_A], [SForall("c", SArrow(STyVar("c"), STyVar("b")))])
 @given(_root_lists(), _root_lists())
 def test_a_kept_walk_extended_is_one_walk(first, more):
-    """A walk kept and then extended by more roots lists what one walk of
-    both lists lists, object for object, though the second list repeats
-    subtrees of the first or renames its binders."""
+    """A list closed under subterms, extended by more roots, lists what
+    one walk of both lists lists, object for object, though the second
+    list repeats subtrees of the first or renames its binders."""
     more = more + first[:1] + [_copy(t) for t in first[1:2]] + [
         _renamed(t) for t in first[-1:]]
-    assert _same(SubtermWalk(first).then(more), distinct_subterms(first + more))
+    assert _same(Listed(distinct_subterms(first)).then(more),
+                 distinct_subterms(first + more))
 
 
 # -- the core checker's application search ------------------------------------

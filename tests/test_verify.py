@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from eopoly import bidir, econ, impartial, target
+from eopoly import bidir, econ, impartial, target, verify
 from eopoly.cli import main
 from eopoly.elaborate import ElabChecker, elaborate, ty_target
 from eopoly.enum_terms import default_menu, enumerate_welltyped
@@ -177,6 +177,30 @@ def test_elab_soundness_runner():
                              SAllEo("a", SArrow(SSusp(eo_var("a"), SU), SU)),
                              CHECK)
     assert out.verdict == PASS
+
+
+def test_elab_soundness_shares_what_it_is_given(monkeypatch):
+    """Given only a checker, or only a core pool, the check uses the one it
+    is given and builds the other itself, with the verdict of the call
+    given both; on every corpus file, with each file's own pool."""
+    def refuse(*a):
+        raise AssertionError("built what the caller gave")
+
+    for path in corpus_files(exclude_gaps=False):
+        e, _ = econ_main(path)
+        pool = Judgment(e, None, SYNTH).pool
+        tpool = target_pool(pool)
+        both = run_elab_soundness(e, None, SYNTH, path,
+                                  checker=ElabChecker(pool), tpool=tpool)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "ElabChecker", refuse)
+            only_checker = run_elab_soundness(e, None, SYNTH, path,
+                                              checker=ElabChecker(pool))
+        with monkeypatch.context() as m:
+            m.setattr(verify, "target_pool", refuse)
+            only_tpool = run_elab_soundness(e, None, SYNTH, path, tpool=tpool)
+        assert both.verdict == PASS, path
+        assert only_checker == both == only_tpool, path
 
 
 def test_nfree_elab_runner():
