@@ -36,13 +36,11 @@ after at most as many steps as the types they read have recursive and
 suspension layers at their heads (Amadio & Cardelli, "Subtyping Recursive
 Types", TOPLAS 15(4), 1993).
 
-Every result carries a reified :class:`Derivation` so elaboration and the
-verification harness can replay it.
+Every result is a reified :class:`Derivation`, the root of the rules that
+typed it, so elaboration and the verification harness can replay it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     CannotSynthesize,
@@ -81,7 +79,6 @@ from .syntax import (
     TyApp,
     TyLam,
     Unit,
-    Valueness,
     Var,
     alpha_eq,
     eo_var,
@@ -112,22 +109,7 @@ class System:
     rec: type
 
 
-@dataclass
-class TypingResult:
-    ty: Node
-    valueness: Valueness
-    deriv: Derivation
-
-
-def _result(rule: str, ctx: Ctx, e: Expr, direction: str, ty: Node,
-            v: Valueness, premises: tuple = (), info: dict | None = None
-            ) -> TypingResult:
-    """The typing concluded by ``rule`` from the derivations ``premises``."""
-    return TypingResult(ty, v, Derivation(rule, ctx, e, direction, ty, v,
-                                          premises, info))
-
-
-def check(s: System, ctx: Ctx, e: Expr, ty: Node) -> TypingResult:
+def check(s: System, ctx: Ctx, e: Expr, ty: Node) -> Derivation:
     if not ty_wf(ctx, ty):
         raise IllFormedType(f"type is not well-formed here: {ty!r}")
     if not rec_guarded(ty):
@@ -135,7 +117,7 @@ def check(s: System, ctx: Ctx, e: Expr, ty: Node) -> TypingResult:
     return _check(s, ctx, e, ty)
 
 
-def _check(s: System, ctx: Ctx, e: Expr, ty: Node) -> TypingResult:
+def _check(s: System, ctx: Ctx, e: Expr, ty: Node) -> Derivation:
     if isinstance(e, _SYNTH_FORMS):
         return _reconcile(s, ctx, e, synth(s, ctx, e), ty)
     p = s.prefix
@@ -150,8 +132,8 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node) -> TypingResult:
         inner = _check(s, ctx.with_eo(a), e_inner, instantiate(ty, eo_var(a)))
         if inner.valueness != VAL:
             raise ValueRestriction("an order-polymorphic subject must be a value")
-        return _result(p + "alleo-intro", ctx, e, CHECK, ty, VAL, (inner.deriv,),
-                       {"var": a})
+        return Derivation(p + "alleo-intro", ctx, e, CHECK, ty, VAL, (inner,),
+                           {"var": a})
 
     if isinstance(ty, s.forall):
         if not isinstance(e, TyLam):
@@ -163,45 +145,45 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node) -> TypingResult:
                        instantiate(ty, s.tyvar(a)))
         if inner.valueness != VAL:
             raise ValueRestriction("a polymorphic subject must be a value")
-        return _result(p + "all-intro", ctx, e, CHECK, ty, VAL, (inner.deriv,),
-                       {"var": a})
+        return Derivation(p + "all-intro", ctx, e, CHECK, ty, VAL, (inner,),
+                           {"var": a})
 
     if isinstance(ty, s.rec):
         inner = _check(s, ctx, e, unfold(ty))
-        return _result(p + "rec-intro", ctx, e, CHECK, ty, inner.valueness,
-                       (inner.deriv,))
+        return Derivation(p + "rec-intro", ctx, e, CHECK, ty, inner.valueness,
+                           (inner,))
 
     match e:
         case Unit():
             if not isinstance(ty, s.unit):
                 raise TypeMismatch(f"unit value cannot have type {ty!r}")
-            return _result(p + "unit-intro", ctx, e, CHECK, ty, VAL)
+            return Derivation(p + "unit-intro", ctx, e, CHECK, ty, VAL)
         case Lam(x, _):
             if not isinstance(ty, s.arrow):
                 raise TypeMismatch(f"a function cannot have type {ty!r}")
             xx = ctx.fresh(x, "x", "u", scope=(e,))
             inner = _check(s, ctx.with_arg(xx, ty), instantiate(e, Var(xx)), ty.cod)
-            return _result(p + "arrow-intro", ctx, e, CHECK, ty, VAL,
-                           (inner.deriv,), {"var": xx})
+            return Derivation(p + "arrow-intro", ctx, e, CHECK, ty, VAL,
+                               (inner,), {"var": xx})
         case Pair(l, r):
             if not isinstance(ty, s.prod):
                 raise TypeMismatch(f"a pair cannot have type {ty!r}")
             left = _check(s, ctx, l, ty.left)
             right = _check(s, ctx, r, ty.right)
-            return _result(p + "prod-intro", ctx, e, CHECK, ty,
-                           join(left.valueness, right.valueness),
-                           (left.deriv, right.deriv))
+            return Derivation(p + "prod-intro", ctx, e, CHECK, ty,
+                               join(left.valueness, right.valueness),
+                               (left, right))
         case Inj(k, body):
             if not isinstance(ty, s.sum):
                 raise TypeMismatch(f"an injection cannot have type {ty!r}")
             inner = _check(s, ctx, body, ty.left if k == 1 else ty.right)
-            return _result(p + "sum-intro", ctx, e, CHECK, ty, inner.valueness,
-                           (inner.deriv,), {"k": k})
+            return Derivation(p + "sum-intro", ctx, e, CHECK, ty, inner.valueness,
+                               (inner,), {"k": k})
         case Fix(u, _):
             uu = ctx.fresh(u, "x", "u", scope=(e,))
             inner = _check(s, ctx.with_u(uu, ty), instantiate(e, FixVar(uu)), ty)
-            return _result(p + "fix", ctx, e, CHECK, ty, TOP, (inner.deriv,),
-                           {"var": uu})
+            return Derivation(p + "fix", ctx, e, CHECK, ty, TOP, (inner,),
+                               {"var": uu})
         case Case(scrut, x1, _, x2, _):
             rs = expose(s, ctx, scrut, synth(s, ctx, scrut), "sum")
             xx1 = ctx.fresh(x1, "x", "u", scope=(e,))
@@ -210,16 +192,15 @@ def _check(s: System, ctx: Ctx, e: Expr, ty: Node) -> TypingResult:
                         instantiate(e, Var(xx1), "body1"), ty)
             r2 = _check(s, ctx.with_case(xx2, rs.ty.right),
                         instantiate(e, Var(xx2), "body2"), ty)
-            return _result(p + "sum-elim", ctx, e, CHECK, ty, TOP,
-                           (rs.deriv, r1.deriv, r2.deriv),
-                           {"var1": xx1, "var2": xx2})
+            return Derivation(p + "sum-elim", ctx, e, CHECK, ty, TOP,
+                               (rs, r1, r2), {"var1": xx1, "var2": xx2})
         case TyLam(_, _):
             raise TypeMismatch(f"a type abstraction cannot have type {ty!r}")
     raise TypeMismatch(f"cannot check {e!r} against {ty!r}")
 
 
-def _reconcile(s: System, ctx: Ctx, e: Expr, r: TypingResult,
-               want: Node) -> TypingResult:
+def _reconcile(s: System, ctx: Ctx, e: Expr, r: Derivation,
+               want: Node) -> Derivation:
     """Bridge a synthesized type to an expected one.
 
     Alpha-equal types succeed outright.  Otherwise, in this order: a
@@ -231,8 +212,8 @@ def _reconcile(s: System, ctx: Ctx, e: Expr, r: TypingResult,
     and both sides are guarded, so the bridge ends.
     """
     if alpha_eq(r.ty, want):
-        return _result(s.prefix + "sub", ctx, e, CHECK, want, r.valueness,
-                       (r.deriv,))
+        return Derivation(s.prefix + "sub", ctx, e, CHECK, want, r.valueness,
+                           (r,))
     if isinstance(r.ty, SSusp) and r.ty.eo == V:
         return _reconcile(s, ctx, e, strip(s, ctx, e, r), want)
     if isinstance(want, SSusp):
@@ -241,40 +222,40 @@ def _reconcile(s: System, ctx: Ctx, e: Expr, r: TypingResult,
         return _reconcile(s, ctx, e, strip(s, ctx, e, r), want)
     if isinstance(want, s.rec):
         inner = _reconcile(s, ctx, e, r, unfold(want))
-        return _result(s.prefix + "rec-intro", ctx, e, CHECK, want,
-                       inner.valueness, (inner.deriv,))
+        return Derivation(s.prefix + "rec-intro", ctx, e, CHECK, want,
+                           inner.valueness, (inner,))
     if isinstance(r.ty, s.rec):
         return _reconcile(s, ctx, e, _unroll(s, ctx, e, r), want)
     raise TypeMismatch(f"synthesized {r.ty!r} but expected {want!r}")
 
 
 def _wrap(s: System, ctx: Ctx, e: Expr, ty: SSusp,
-          inner: TypingResult) -> TypingResult:
+          inner: Derivation) -> Derivation:
     """Introduce the suspension ``ty``; a by-name one makes a value."""
     v = VAL if ty.eo == N else inner.valueness
-    return _result(s.prefix + "susp-intro", ctx, e, CHECK, ty, v,
-                   (inner.deriv,), {"eo": ty.eo})
+    return Derivation(s.prefix + "susp-intro", ctx, e, CHECK, ty, v,
+                       (inner,), {"eo": ty.eo})
 
 
-def strip(s: System, ctx: Ctx, e: Expr, r: TypingResult) -> TypingResult:
+def strip(s: System, ctx: Ctx, e: Expr, r: Derivation) -> Derivation:
     """Strip the suspension ``r`` synthesizes.  A by-value one keeps the
     valueness; any other downgrades it, as its eliminator is no value."""
     eo, ty = r.ty.eo, r.ty.body
     if eo == V:
-        return _result(s.prefix + "susp-elim-v", ctx, e, SYNTH, ty,
-                       r.valueness, (r.deriv,), {"eo": V})
-    return _result(s.prefix + "susp-elim-eo", ctx, e, SYNTH, ty, TOP,
-                   (r.deriv,), {"eo": eo})
+        return Derivation(s.prefix + "susp-elim-v", ctx, e, SYNTH, ty,
+                           r.valueness, (r,), {"eo": V})
+    return Derivation(s.prefix + "susp-elim-eo", ctx, e, SYNTH, ty, TOP,
+                       (r,), {"eo": eo})
 
 
-def _unroll(s: System, ctx: Ctx, e: Expr, r: TypingResult) -> TypingResult:
+def _unroll(s: System, ctx: Ctx, e: Expr, r: Derivation) -> Derivation:
     """Unroll the recursive type ``r`` synthesizes, at the cost of its
     valueness."""
     ty = unfold(r.ty)
-    return _result(s.prefix + "rec-elim", ctx, e, SYNTH, ty, TOP, (r.deriv,))
+    return Derivation(s.prefix + "rec-elim", ctx, e, SYNTH, ty, TOP, (r,))
 
 
-def synth(s: System, ctx: Ctx, e: Expr) -> TypingResult:
+def synth(s: System, ctx: Ctx, e: Expr) -> Derivation:
     p = s.prefix
     match e:
         case Var(x):
@@ -282,13 +263,13 @@ def synth(s: System, ctx: Ctx, e: Expr) -> TypingResult:
                 v, ty = ctx.assumption("x", x)
             except KeyError:
                 raise UnboundVariable(f"unbound variable {x}") from None
-            return _result(p + "var", ctx, e, SYNTH, ty, v)
+            return Derivation(p + "var", ctx, e, SYNTH, ty, v)
         case FixVar(u):
             try:
                 _, ty = ctx.assumption("u", u)
             except KeyError:
                 raise UnboundVariable(f"unbound fixed-point variable {u}") from None
-            return _result(p + "fixvar", ctx, e, SYNTH, ty, TOP)
+            return Derivation(p + "fixvar", ctx, e, SYNTH, ty, TOP)
         case Anno(body, ty):
             if not ty_wf(ctx, ty):
                 raise IllFormedType(f"annotation is not well-formed: {ty!r}")
@@ -297,18 +278,18 @@ def synth(s: System, ctx: Ctx, e: Expr) -> TypingResult:
                     f"unguarded recursive type in annotation: {ty!r}"
                 )
             inner = _check(s, ctx, body, ty)
-            return _result(p + "anno", ctx, e, SYNTH, ty, inner.valueness,
-                           (inner.deriv,))
+            return Derivation(p + "anno", ctx, e, SYNTH, ty, inner.valueness,
+                               (inner,))
         case App(fn, arg):
             rf = expose(s, ctx, fn, synth(s, ctx, fn), "arrow")
             ra = _check(s, ctx, arg, rf.ty.dom)
-            return _result(p + "arrow-elim", ctx, e, SYNTH, rf.ty.cod, TOP,
-                           (rf.deriv, ra.deriv))
+            return Derivation(p + "arrow-elim", ctx, e, SYNTH, rf.ty.cod, TOP,
+                               (rf, ra))
         case Proj(k, body):
             rb = expose(s, ctx, body, synth(s, ctx, body), "prod")
             ty = rb.ty.left if k == 1 else rb.ty.right
-            return _result(p + "prod-elim", ctx, e, SYNTH, ty, TOP, (rb.deriv,),
-                           {"k": k})
+            return Derivation(p + "prod-elim", ctx, e, SYNTH, ty, TOP, (rb,),
+                               {"k": k})
         case TyApp(body, arg_ty):
             if not ty_wf(ctx, arg_ty):
                 raise IllFormedType(f"type argument is not well-formed: {arg_ty!r}")
@@ -318,15 +299,15 @@ def synth(s: System, ctx: Ctx, e: Expr) -> TypingResult:
                 )
             rb = expose(s, ctx, body, synth(s, ctx, body), "forall")
             ty = instantiate(rb.ty, arg_ty)
-            return _result(p + "all-elim", ctx, e, SYNTH, ty, rb.valueness,
-                           (rb.deriv,), {"ty_arg": arg_ty})
+            return Derivation(p + "all-elim", ctx, e, SYNTH, ty, rb.valueness,
+                               (rb,), {"ty_arg": arg_ty})
         case EoApp(body, eo):
             if not eo_wf(ctx, eo):
                 raise IllFormedType(f"evaluation order not in scope: {eo!r}")
             rb = expose(s, ctx, body, synth(s, ctx, body), "alleo")
             ty = instantiate(rb.ty, eo)
-            return _result(p + "alleo-elim", ctx, e, SYNTH, ty, rb.valueness,
-                           (rb.deriv,), {"eo": eo})
+            return Derivation(p + "alleo-elim", ctx, e, SYNTH, ty, rb.valueness,
+                               (rb,), {"eo": eo})
         case Case(_, _, _, _, _):
             raise CannotSynthesize("a case expression only checks; annotate it")
         case Unit() | Lam(_, _) | Pair(_, _) | Inj(_, _) | TyLam(_, _) | Fix(_, _):
@@ -345,8 +326,8 @@ _EXPOSE_ERROR = {
 }
 
 
-def expose(s: System, ctx: Ctx, e: Expr, r: TypingResult,
-           want: str) -> TypingResult:
+def expose(s: System, ctx: Ctx, e: Expr, r: Derivation,
+           want: str) -> Derivation:
     """Strip suspensions and unroll recursive heads until the connective
     ``want`` shows (or fail).
 

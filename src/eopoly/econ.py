@@ -19,11 +19,11 @@ its result starts with.
 from __future__ import annotations
 
 from . import bidir
-from .bidir import TypingResult
 from .syntax import (
     N,
     V,
     VAL,
+    Derivation,
     EconCtx,
     EconType,
     Expr,
@@ -112,11 +112,11 @@ ECON = bidir.System("r-", SUnit, STyVar, SForall, SAllEo, SArrow, SProd, SSum,
                     SRec)
 
 
-def econ_check(ctx: EconCtx, e: Expr, ty: EconType) -> TypingResult:
+def econ_check(ctx: EconCtx, e: Expr, ty: EconType) -> Derivation:
     return bidir.check(ECON, ctx, e, ty)
 
 
-def econ_synth(ctx: EconCtx, e: Expr) -> TypingResult:
+def econ_synth(ctx: EconCtx, e: Expr) -> Derivation:
     """Synthesize, then shed top-level by-value suspensions.
 
     The strip is free (valueness preserved) and gives callers the type

@@ -220,8 +220,7 @@ def _elab(d: Derivation) -> ElabResult:
         for eo in (V, N):
             e_inst = subst1(child.expr, "eo", var, eo)
             ty_inst = subst1(child.ty, "eo", var, eo)
-            d_inst = bidir._check(ECON, d.ctx, e_inst, ty_inst)
-            inner = _elab(d_inst.deriv)
+            inner = _elab(bidir._check(ECON, d.ctx, e_inst, ty_inst))
             if inner.valueness != VAL:
                 raise ElaborationError(
                     "order-polymorphic subject elaborated to a non-value"
@@ -398,12 +397,6 @@ class ElabChecker:
         return self._ce(EconCtx(), e, ty, m)
 
     # -- plumbing ---------------------------------------------------------
-
-    @property
-    def pool(self) -> tuple[EconType, ...]:
-        """The caller's pool in suspension normal form, without
-        alpha-equivalent repeats."""
-        return tuple(self._pool)
 
     def _candidates(self, ty: EconType, ctx: EconCtx) -> list[EconType]:
         """``distinct_subterms((*pool, SUnit(), ty, *assumed))``: the pool

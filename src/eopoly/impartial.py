@@ -8,15 +8,15 @@ Where the impartial system differs (see :class:`ImpCtx`), a function's
 binder is declared at the valueness of its arrow's order, a case binder
 at val, and a variable synthesizes the valueness it was declared at.
 
-Every result carries a reified :class:`Derivation` so elaboration and the
-verification harness can replay it.
+Every result is a reified :class:`Derivation`, the root of the rules that
+typed it, so elaboration and the verification harness can replay it.
 """
 
 from __future__ import annotations
 
 from . import bidir
-from .bidir import TypingResult
 from .syntax import (
+    Derivation,
     Expr,
     IAllEo,
     IArrow,
@@ -34,9 +34,9 @@ IMPARTIAL = bidir.System("i-", IUnit, ITyVar, IForall, IAllEo, IArrow, IProd,
                          ISum, IRec)
 
 
-def check(ctx: ImpCtx, e: Expr, ty: ImpType) -> TypingResult:
+def check(ctx: ImpCtx, e: Expr, ty: ImpType) -> Derivation:
     return bidir.check(IMPARTIAL, ctx, e, ty)
 
 
-def synth(ctx: ImpCtx, e: Expr) -> TypingResult:
+def synth(ctx: ImpCtx, e: Expr) -> Derivation:
     return bidir.synth(IMPARTIAL, ctx, e)

@@ -8,35 +8,30 @@ synthesizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ParseError
-from .parser import Abbrev, Parser, split_header
-from .syntax import Anno, Expr
+from .parser import Parser, split_header
+from .syntax import Anno, Expr, record
 
 
-@dataclass
+@record
 class ProgramFile:
     lang: str  # "impartial" | "econ"
-    abbrevs: list[Abbrev] = field(default_factory=list)
-    main: Expr | None = None
+    main: Expr
 
 
 def parse_program(text: str) -> ProgramFile:
     lang, rest = split_header(text)
     p = Parser(rest, lang)
-    prog = ProgramFile(lang)
     while p.accept("ident", "type"):
         ab = p.parse_decl()
         if ab.name in p.abbrevs:
             raise ParseError(f"duplicate abbreviation {ab.name!r}")
         p.abbrevs[ab.name] = ab
-        prog.abbrevs.append(ab)
-    prog.main = p.parse_expr()
+    main = p.parse_expr()
     p.expect_eof()
-    if not isinstance(prog.main, Anno):
+    if not isinstance(main, Anno):
         raise ParseError("the main expression needs a top-level annotation")
-    return prog
+    return ProgramFile(lang, main)
 
 
 def load_program(path: str) -> ProgramFile:

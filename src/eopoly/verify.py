@@ -233,7 +233,7 @@ def build_pool(e: Expr, tys: list[EconType]) -> tuple[EconType, ...]:
     derivs = []
     for t in tys:
         try:
-            derivs.append(econ_mod.econ_check(EconCtx(), e, t).deriv)
+            derivs.append(econ_mod.econ_check(EconCtx(), e, t))
         except TypecheckError:
             continue
     return _pool(tys, derivs)
@@ -286,7 +286,7 @@ class Judgment:
 
     @cached_property
     def elab(self):
-        return elaborate(self.typing.deriv)
+        return elaborate(self.typing)
 
     @cached_property
     def _pool_of(self) -> Callable[[], tuple[EconType, ...]]:
@@ -295,7 +295,7 @@ class Judgment:
         reference cycle: the judgment dies with its last reference instead
         of waiting for the cyclic collector."""
         r = self.typing
-        return cache(lambda: _pool([r.ty], [r.deriv]))
+        return cache(lambda: _pool([r.ty], [r]))
 
     @property
     def pool(self) -> tuple[EconType, ...]:

@@ -161,7 +161,7 @@ def elaborated(enum7, shared_checker, corpus_programs):
             r = econ.econ_check(EconCtx(), ee, econ.econ_type(j.ty))
         else:
             r = econ.econ_synth(EconCtx(), ee)
-        er = elaborate(r.deriv)
+        er = elaborate(r)
         key = (alpha_key(ee), alpha_key(r.ty), alpha_key(er.term))
         if key in seen:
             continue
@@ -169,7 +169,7 @@ def elaborated(enum7, shared_checker, corpus_programs):
         records.append((f"enum-{i}", ee, r, er, checker, tpool))
     for name, prog, e in corpus_programs:
         r = econ.econ_synth(EconCtx(), e)
-        er = elaborate(r.deriv)
+        er = elaborate(r)
         pool = build_pool(e, [r.ty])
         records.append((name, e, r, er, ElabChecker(pool), target_pool(pool)))
     return records
@@ -265,7 +265,7 @@ def test_criterion_7_nfree_preservation(enum7):
             r = econ.econ_check(EconCtx(), ee, ety)
         else:
             r = econ.econ_synth(EconCtx(), ee)
-        er = elaborate(r.deriv)
+        er = elaborate(r)
         if not n_free_target(er.term) or er.valueness != r.valueness:
             failures += 1
     report(7, failures == 0 and applicable > 0,
@@ -279,7 +279,7 @@ def test_criterion_8_golden_elaboration():
 
     ty = parse_type_text("all %a. (susp[%a] 1) -> 1", lang="econ")
     r = econ.econ_check(EconCtx(), Lam("x", Var("x")), ty)
-    er = elaborate(r.deriv)
+    er = elaborate(r)
     golden = MPair(MLam("x", MVar("x")), MLam("x", MForce(MVar("x"))))
     ok = alpha_eq(er.term, golden) and target.target_check(
         TgtCtx(), er.term, ty_target(ty)
@@ -311,7 +311,7 @@ def test_criterion_10_divergence_order_witness():
     prog = load_program(os.path.join(CORPUS, "byname_discard.eo"))
     e = econ.econ_expr(prog.main)
     r = econ.econ_synth(EconCtx(), e)
-    er = elaborate(r.deriv)
+    er = elaborate(r)
     tv = target.evaluate(er.term, 10)
     uses_thunk = "MThunk" in repr(er.term)
     sv = source.cbv_evaluate(erase(e), FUEL)

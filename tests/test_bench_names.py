@@ -3,12 +3,17 @@
 The tracer patches functions by ``(module, attribute)`` and the workloads
 call package attributes directly, so a rename in ``src/`` that forgets
 ``perfbench/`` would only show when the benchmark runs.  The files are
-read, never imported or run.
+read, never imported or run; what the workloads read off a typing is
+asked of the package's checkers directly.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from eopoly import econ, impartial
+from eopoly.program import load_program
+from eopoly.syntax import TOP, VAL, Derivation, EconCtx, ImpCtx, Node
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -61,3 +66,16 @@ def test_benchmark_package_attributes_resolve():
     assert ("eopoly.verify", "build_pool") in uses
     missing = sorted(u for u in uses if not _resolves(*u))
     assert not missing, missing
+
+
+def test_a_typing_answers_what_the_benchmark_reads():
+    """The workloads read a typing's ``ty``, ``valueness`` and ``deriv``.
+    A typing is the root node of its derivation, and ``deriv`` answers
+    that node itself, so removing the alias breaks the benchmark."""
+    prog = load_program(str(PERFBENCH.parent / "corpus" / "map_impartial.eo"))
+    assert prog.lang == "impartial"
+    for r in (impartial.synth(ImpCtx(), prog.main),
+              econ.econ_synth(EconCtx(), econ.econ_expr(prog.main))):
+        assert isinstance(r, Derivation) and isinstance(r.ty, Node)
+        assert r.valueness in (VAL, TOP)
+        assert r.deriv is r

@@ -150,7 +150,7 @@ def _corpus_nodes(path):
     else:
         e = prog.main
     r = econ.econ_synth(EconCtx(), e)
-    yield from (e, erase(prog.main), r.ty, ty_target(r.ty), elaborate(r.deriv).term)
+    yield from (e, erase(prog.main), r.ty, ty_target(r.ty), elaborate(r).term)
 
 
 @pytest.mark.parametrize(
@@ -170,7 +170,7 @@ def test_enumerated_judgments_agree():
             r = econ.econ_check(EconCtx(), ee, econ.econ_type(j.ty))
         else:
             r = econ.econ_synth(EconCtx(), ee)
-        for node in (j.expr, j.ty, ee, r.ty, elaborate(r.deriv).term):
+        for node in (j.expr, j.ty, ee, r.ty, elaborate(r).term):
             same_engine(node)
 
 

@@ -83,7 +83,7 @@ def test_ty_target_value_suspensions_vanish():
 
 def test_golden_order_polymorphic_identity():
     r = econ.econ_check(EconCtx(), Lam("x", Var("x")), ID_TY)
-    er = elaborate(r.deriv)
+    er = elaborate(r)
     assert er.valueness == VAL
     assert alpha_eq(er.term, GOLDEN)
     assert target.target_check(TgtCtx(), er.term, ty_target(ID_TY))
@@ -91,13 +91,13 @@ def test_golden_order_polymorphic_identity():
 
 def test_elaborate_unit_under_by_name_suspension():
     r = econ.econ_check(EconCtx(), Unit(), SSusp(N, SU))
-    er = elaborate(r.deriv)
+    er = elaborate(r)
     assert er.valueness == VAL and er.term == MThunk(MUnit())
 
 
 def test_elaborate_unit():
     r = econ.econ_check(EconCtx(), Unit(), SU)
-    er = elaborate(r.deriv)
+    er = elaborate(r)
     assert er.valueness == VAL and er.term == MUnit()
 
 
@@ -105,7 +105,7 @@ def test_elaborate_rejects_open_order_context():
     r = econ.econ_check(EconCtx().with_eo("a"), Unit(),
                         SSusp(eo_var("a"), SU))
     with pytest.raises(EvalOrderVarInContext):
-        elaborate(r.deriv)
+        elaborate(r)
 
 
 def test_elaborate_instantiation_projects():
@@ -113,7 +113,7 @@ def test_elaborate_instantiation_projects():
         App(EoApp(Anno(Lam("x", Var("x")), ID_TY), N), Unit()), SU
     )
     r = econ.econ_synth(EconCtx(), prog)
-    er = elaborate(r.deriv)
+    er = elaborate(r)
     assert isinstance(er.term, MApp)
     assert isinstance(er.term.fn, MProj) and er.term.fn.k == 2
     assert er.term.arg == MThunk(MUnit())

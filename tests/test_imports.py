@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, only
 ``syntax.py`` substitutes or invents names, keeps answers on a node or
 reads a pool that may come unbuilt, and no module makes a frozen
-dataclass.
+dataclass or reads a ``deriv`` attribute.
 
 Stdlib-``ast`` checks, since the project runs no linter.  An import that
 nothing reads is either dead or a re-export, and re-exports belong in
@@ -12,7 +12,9 @@ imports the single-name substitutions they replaced.  An answer about a
 node lives on the node through ``syntax.kept``, so no other module reads
 or writes a node's ``__dict__``.  A candidate pool may come as a tuple
 or as a function that builds it, and ``syntax.Listed`` alone tells the
-two apart, so no other module calls ``callable``.  A frozen record is a
+two apart, so no other module calls ``callable``.  A checker's typing is
+the root of its derivation, so no module reads a ``deriv`` off it: that
+alias is kept for the benchmark alone.  A frozen record is a
 ``syntax.record``, which builds its class without ``dataclass``'s
 per-class code generation, so no module decorates a class with
 ``dataclass(frozen=True)``.
@@ -151,6 +153,27 @@ def test_the_callable_check_sees_calls_and_spares_the_name():
            "c = obj.callable\n"
            "d = [callable]\n")
     assert callable_uses(src) == [1, 2]
+
+
+def deriv_reads(source: str) -> list[int]:
+    """The line of each ``deriv`` attribute."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr == "deriv")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_a_typing_is_read_as_its_derivation(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert deriv_reads(fh.read()) == [], module
+
+
+def test_the_deriv_check_sees_reads_and_writes_and_spares_the_name():
+    src = ("a = r.deriv\n"
+           "b = synth(ctx, e).deriv.children\n"
+           "r.deriv = d\n"
+           "deriv = r\n"
+           "def deriv(self): return self\n")
+    assert deriv_reads(src) == [1, 2, 3]
 
 
 def frozen_dataclasses(source: str) -> list[int]:

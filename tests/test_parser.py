@@ -408,7 +408,7 @@ def test_elaborated_corpus_terms_round_trip():
     for path in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
         prog = load_program(path)
         e = econ_expr(prog.main) if prog.lang == "impartial" else prog.main
-        m = elaborate(econ_synth(EconCtx(), e).deriv).term
+        m = elaborate(econ_synth(EconCtx(), e)).term
         assert parse_term_text(pretty_term(m)) == m, path
 
 

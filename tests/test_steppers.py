@@ -125,7 +125,7 @@ CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS, "*.eo")))
 def program_run(prog):
     """The elaborated core term and the erased source of a program."""
     e = econ.econ_expr(prog.main) if prog.lang == "impartial" else prog.main
-    return elaborate(econ.econ_synth(EconCtx(), e).deriv).term, erase(prog.main)
+    return elaborate(econ.econ_synth(EconCtx(), e)).term, erase(prog.main)
 
 
 def corpus_run(path):
@@ -145,7 +145,7 @@ def enumerated_runs():
             r = econ.econ_check(EconCtx(), ee, econ.econ_type(j.ty))
         else:
             r = econ.econ_synth(EconCtx(), ee)
-        out.append((elaborate(r.deriv).term, erase(j.expr)))
+        out.append((elaborate(r).term, erase(j.expr)))
     return out
 
 

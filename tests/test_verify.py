@@ -434,7 +434,7 @@ def test_inversion_spot_checks():
         ee = econ.econ_expr(j.expr)
         ety = econ.econ_type(j.ty)
         r = econ.econ_check(EconCtx(), ee, ety)
-        er = elaborate(r.deriv)
+        er = elaborate(r)
         pool = build_pool(ee, [r.ty])
         ck = ElabChecker(pool)
         e0, m, s = erase(ee), er.term, _nf(r.ty)
@@ -473,16 +473,16 @@ def _all_derivations(bound):
     for f in corpus_files(exclude_gaps=False):
         e, prog = econ_main(f)
         if prog.lang == "impartial":
-            yield impartial.synth(ImpCtx(), prog.main).deriv
-        yield econ.econ_synth(EconCtx(), e).deriv
+            yield impartial.synth(ImpCtx(), prog.main)
+        yield econ.econ_synth(EconCtx(), e)
     for j in enumerate_welltyped(bound):
         ee = econ.econ_expr(j.expr)
         if j.direction == "check":
-            yield impartial.check(ImpCtx(), j.expr, j.ty).deriv
-            yield econ.econ_check(EconCtx(), ee, econ.econ_type(j.ty)).deriv
+            yield impartial.check(ImpCtx(), j.expr, j.ty)
+            yield econ.econ_check(EconCtx(), ee, econ.econ_type(j.ty))
         else:
-            yield impartial.synth(ImpCtx(), j.expr).deriv
-            yield econ.econ_synth(EconCtx(), ee).deriv
+            yield impartial.synth(ImpCtx(), j.expr)
+            yield econ.econ_synth(EconCtx(), ee)
 
 
 def test_replay_all_enumerated_derivations():
@@ -535,7 +535,7 @@ def test_replay_detects_every_replaced_premise():
 
 def test_replay_rejects_malformed_nodes():
     lam = Anno(Lam("x", Var("x")), IArrow(U, U, V))
-    d = impartial.synth(ImpCtx(), App(lam, Unit())).deriv
+    d = impartial.synth(ImpCtx(), App(lam, Unit()))
     replay(d)
     # A dropped premise.
     dropped = Derivation(d.rule, d.ctx, d.expr, d.direction, d.ty, d.valueness,
@@ -544,11 +544,11 @@ def test_replay_rejects_malformed_nodes():
     unbound = Derivation("i-var", ImpCtx(), Var("y"), SYNTH, U, VAL)
     # The argument's premise from the suspension-point system.
     arg = d.children[1]
-    other = econ.econ_check(EconCtx(), Unit(), econ.econ_type(arg.ty)).deriv
+    other = econ.econ_check(EconCtx(), Unit(), econ.econ_type(arg.ty))
     mixed = _with_child(d, 1, other)
     # A type argument not in scope.
     poly = Anno(TyLam("a", Unit()), IForall("a", U))
-    inst = impartial.synth(ImpCtx(), TyApp(poly, U)).deriv
+    inst = impartial.synth(ImpCtx(), TyApp(poly, U))
     ill_formed = Derivation(inst.rule, inst.ctx, TyApp(poly, ITyVar("zz")),
                             SYNTH, U, VAL, inst.children, {"ty_arg": ITyVar("zz")})
     for bad in (dropped, unbound, mixed, ill_formed):
@@ -595,7 +595,7 @@ _CAPTURES = {
 @pytest.mark.parametrize("rule", sorted(_CAPTURES))
 def test_replay_refuses_a_binder_opened_at_a_free_name(rule):
     term, old, new = _CAPTURES[rule]
-    d = impartial.synth(ImpCtx(), term).deriv
+    d = impartial.synth(ImpCtx(), term)
     replay(d)
     with pytest.raises(ReplayError, match=f"i-{rule.split(',')[0]}: the binder is opened"):
         replay(_swapped(d, old, new))
@@ -613,8 +613,8 @@ def test_type_abstractions_replay_in_both_systems(text):
     """Type abstractions opened at their quantifiers' names, with and
     without a renaming on the way: both checkers' derivations replay."""
     e = parse_program(f"#lang impartial\n{text}\n").main
-    replay(impartial.synth(ImpCtx(), e).deriv)
-    replay(econ.econ_synth(EconCtx(), econ.econ_expr(e)).deriv)
+    replay(impartial.synth(ImpCtx(), e))
+    replay(econ.econ_synth(EconCtx(), econ.econ_expr(e)))
 
 
 def _deep_heads(k, lang):
@@ -639,11 +639,11 @@ def test_deep_recursive_heads_need_no_budget(k, lang, tmp_path, capsys, monkeypa
     monkeypatch.setattr(bidir, "unfold",
                         lambda b, real=bidir.unfold: unfolded.append(b) or real(b))
     if lang == "impartial":
-        replay(impartial.synth(ImpCtx(), e).deriv)
+        replay(impartial.synth(ImpCtx(), e))
         assert len(unfolded) == k
         unfolded.clear()
         e = econ.econ_expr(e)
-    replay(econ.econ_synth(EconCtx(), e).deriv)
+    replay(econ.econ_synth(EconCtx(), e))
     assert len(unfolded) == k
     monkeypatch.undo()
     path = tmp_path / "deep.eo"
@@ -658,7 +658,7 @@ def test_replay_refuses_an_order_binder_opened_at_a_free_name():
     # binder renamed to 'a, the recorded 'b is a free order of the subject.
     arrow = IArrow(U, U, eo_var("b"))
     e = Lam("x", App(Anno(Lam("y", Var("y")), arrow), Var("x")))
-    d = impartial.check(ImpCtx(), e, IAllEo("b", arrow)).deriv
+    d = impartial.check(ImpCtx(), e, IAllEo("b", arrow))
     assert d.rule == "i-alleo-intro" and d.info["var"] == "b"
     replay(d)
     renamed = IAllEo("a", IArrow(U, U, eo_var("a")))
@@ -752,7 +752,7 @@ def test_type_safety_takes_at_most_fuel_steps():
     # The core run of nfree_mono.eo reaches a value in two steps.
     e, _ = econ_main(os.path.join(CORPUS, "nfree_mono.eo"))
     r = econ.econ_synth(EconCtx(), e)
-    m, ty = elaborate(r.deriv).term, ty_target(r.ty)
+    m, ty = elaborate(r).term, ty_target(r.ty)
     assert target.evaluate(m, 10).steps == 2
     for fuel in (0, 1):
         out = run_type_safety(m, ty, (), fuel)
