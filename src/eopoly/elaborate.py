@@ -28,11 +28,12 @@ The checker holds the pool as a ``syntax.Listed``: it may be handed over
 unbuilt, as a function of no arguments, which the first joint that tries
 candidates calls, so never when the terms decide every joint.  The pool
 is closed under subterms, so each goal's candidate list walks only the
-goal and the context's types, and a joint's fallback list of arrows or
-products is a ``Listed`` of them, built only as far as the search reads
-it.  The search recurses on strict subterms of the core term, so
-it terminates without fuel; a miss means that no derivation exists over
-the candidate types, and a success is never spurious.
+goal and the context's types, and a joint's fallback list (of arrows,
+products, order pairs, quantifiers or refoldings) is a ``Listed``, built
+only as far as the search reads it.  The search recurses on strict
+subterms of the core term, so it terminates without fuel; a miss means
+that no derivation exists over the candidate types, and a success is
+never spurious.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ from .syntax import (
     Valueness,
     Var,
     alpha_key,
-    dedup,
     free_names,
     instantiate,
     join,
@@ -409,10 +409,11 @@ class ElabChecker:
         return hit
 
     def _fallback(self, build, ty: EconType, ctx: EconCtx, k: int = 0) -> Listed:
-        """``dedup`` of ``build(_candidates(ty, ctx), ty, k)``: a joint's
-        fallback list, kept per build, ``k``, goal and context, and built
-        only as far as it is read.  The key holds the goal node itself, so
-        each visit reads the list its first visit began, node for node."""
+        """The alpha-distinct types of ``build(_candidates(ty, ctx), ty,
+        k)``: a joint's fallback list, kept per build, ``k``, goal and
+        context, and built only as far as it is read.  The key holds the
+        goal node itself, so each visit reads the list its first visit
+        began, node for node."""
         key = (build, k, ty, ctx.entries)
         hit = self._cand_cache.get(key)
         if hit is None:
@@ -576,8 +577,9 @@ class ElabChecker:
                 pairs = self._decided(ctx, e, mbody,
                                       lambda t: _matches(_instance(t, k), ty))
                 if pairs is None:
-                    pairs = dedup([vacuous(SAllEo, "eo", ty)] + [
-                        c for c in self._pool if _matches(_instance(c, k), ty)])
+                    pairs = Listed(chain(
+                        (vacuous(SAllEo, "eo", ty),),
+                        (c for c in self._pool if _matches(_instance(c, k), ty))))
                 v = self._first(pairs, lambda a: [(ctx, e, a, mbody)])
                 if v is not None or not (isinstance(e, Proj) and e.k == k):
                     return v
@@ -613,8 +615,8 @@ class ElabChecker:
                             match_instantiate(t, ty) is not None)
                 foralls = self._decided(ctx, e, mbody, fits)
                 if foralls is None:
-                    foralls = dedup([vacuous(SForall, "ty", ty)]
-                                    + [f for f in self._pool if fits(f)])
+                    foralls = Listed(chain((vacuous(SForall, "ty", ty),),
+                                           (f for f in self._pool if fits(f))))
                 return self._first(foralls, lambda f: [(ctx, e, f, mbody)])
         return None
 

@@ -3,8 +3,15 @@
 The generator inverts the checking rules over a small fixed type menu,
 then validates every candidate with the real typechecker, so the checker
 remains the oracle: the inversion only proposes.  Sizes count expression
-constructors; annotation types are free.  Output is deduplicated up to
-alpha-equivalence.
+constructors; annotation types are free.
+
+The generator lists each judgment once up to alpha-equivalence, so no
+pass drops repeats.  The menu is alpha-distinct once numbered: a type
+alpha-equal to an earlier one is left out.  Binder names are fixed by
+context depth, so two candidates alpha-equal are equal.  The productions
+at one (context, type, size) have distinct heads or distinct children.
+A recursive goal lists only its unfolding's list.  And a synthesized
+type cannot fit both ``all %a. T`` and its instance.
 
 Each menu type must be closed and guarded (``IllFormedType``,
 ``GuardednessViolation``), so that unrolling a recursive goal ends.
@@ -92,11 +99,6 @@ class Enumerator:
 
     def __init__(self, menu: tuple[ImpType, ...] | None = None):
         menu = menu if menu is not None else default_menu()
-        for ty in menu:
-            if not ty_wf(ImpCtx(), ty):
-                raise IllFormedType(f"menu type is not closed: {ty!r}")
-            if not rec_guarded(ty):
-                raise GuardednessViolation(f"unguarded recursive menu type: {ty!r}")
         self._types: list[ImpType] = []
         self._numbers: dict = {}  # alpha_key -> type number
         self._ctxs: list[tuple[tuple[str, str, int | None], ...]] = [()]
@@ -108,7 +110,14 @@ class Enumerator:
         self._parts: dict = {}
         self._unfolded: dict = {}
         self._instances: dict = {}
-        self._menu = [(ty, self._number(ty)) for ty in menu]
+        for ty in menu:
+            if not ty_wf(ImpCtx(), ty):
+                raise IllFormedType(f"menu type is not closed: {ty!r}")
+            if not rec_guarded(ty):
+                raise GuardednessViolation(f"unguarded recursive menu type: {ty!r}")
+            self._number(ty)
+        # The menu's alpha classes are numbered first, each by its first type.
+        self._menu = [(ty, t) for t, ty in enumerate(self._types)]
 
     def _number(self, ty: ImpType) -> int:
         key = alpha_key(ty)
@@ -299,15 +308,10 @@ def enumerate_welltyped(
     bound: int, menu: tuple[ImpType, ...] | None = None
 ) -> list[Judgment]:
     """Checked judgments over the menu plus closed synthesizing judgments,
-    validated by the typechecker and deduplicated up to alpha-equivalence."""
+    validated by the typechecker; the generator lists none twice."""
     empty = ImpCtx()
-    seen: set = set()
     out: list[Judgment] = []
     for direction, e, ty in Enumerator(menu).candidates(bound):
-        key = (direction, alpha_key(e), alpha_key(ty))
-        if key in seen:
-            continue
-        seen.add(key)
         try:
             r = impartial.synth(empty, e) if ty is None else impartial.check(empty, e, ty)
         except TypecheckError:

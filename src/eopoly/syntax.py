@@ -23,12 +23,13 @@ distinct bodies share its answers.  Only keys under a binder use that
 table: a node's key outside every binder is built from its children's
 kept keys.
 
-``Listed`` is the one candidate list of both membership searches: the
-alpha-distinct nodes of an iterable, or of a function that builds one at
-the first read, listed only as far as they are read.  Its ``then`` adds
-the alpha-distinct subterms of more roots, walking each repeated subtree
-once, and ``distinct_subterms`` is ``then`` on the empty list.  A pool
-is never walked: each goal's candidates are the pool, then a walk of the
+``Listed`` is the package's one list up to alpha-equivalence, and the
+candidate list of both membership searches: the alpha-distinct nodes of
+an iterable, or of a function that builds one at the first read, listed
+only as far as they are read.  Its ``then`` adds the alpha-distinct
+subterms of more roots, walking each repeated subtree once, and
+``distinct_subterms`` is ``then`` on the empty list.  A pool is never
+walked: each goal's candidates are the pool, then a walk of the
 goal's roots alone, which is the walk of both as long as the pool is
 closed under subterms, as every suspension-point pool is.  ``rebuild``
 is the one walk for rewrites that only replace nodes: erasure here, the
@@ -83,6 +84,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from typing import ClassVar, Iterator
 
 
@@ -968,16 +970,8 @@ def subterms(node: Node) -> list[Node]:
     return out
 
 
-def dedup(nodes: list[Node]) -> list[Node]:
-    """``nodes`` without alpha-equivalent repeats, first occurrences kept."""
-    out: dict = {}
-    for n in nodes:
-        out.setdefault(alpha_key(n), n)
-    return list(out.values())
-
-
 def distinct_subterms(roots) -> list[Node]:
-    """``dedup`` of every root's ``subterms``, in the same order."""
+    """The alpha-distinct subterms of the roots, in pre-order, first kept."""
     return Listed(()).then(roots)
 
 
@@ -1065,9 +1059,9 @@ def unfold(b: Node) -> Node:
     return instantiate(b, b)
 
 
-def refold_candidates(ty: Node) -> list[Node]:
+def refold_candidates(ty: Node) -> Listed:
     """Recursive types whose one-step unfolding is ``ty``, one per alpha
-    class.
+    class, listed as far as they are read.
 
     These are all of them.  Let ``unfold(R)`` be alpha-equal to ``ty``.
     When ``R``'s variable occurs in its body, substitution, which avoids
@@ -1077,10 +1071,9 @@ def refold_candidates(ty: Node) -> list[Node]:
     binder also carries an order, and the unused one here is by-value;
     no checker refolds an impartial type.)
     """
-    cands = [t for t in subterms(ty)
-             if isinstance(t, REC_TYPES) and alpha_eq(unfold(t), ty)]
-    cands.append(vacuous(_rec_wrap(ty), "ty", ty))
-    return dedup(cands)
+    cands = (t for t in subterms(ty)
+             if isinstance(t, REC_TYPES) and alpha_eq(unfold(t), ty))
+    return Listed(chain(cands, (vacuous(_rec_wrap(ty), "ty", ty),)))
 
 
 def _same_ref(ns: str, x: str, y: str, env: tuple) -> bool:

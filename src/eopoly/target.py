@@ -141,7 +141,7 @@ class TargetChecker:
         self._cands: dict = {}
 
     def candidates(self, ty: TgtType) -> list[TgtType]:
-        """``dedup(pool + subterms(ty) + [AUnit()])``."""
+        """The pool, then what it lacks of ``ty``'s subterms and unit."""
         key = alpha_key(ty)
         hit = self._cands.get(key)
         if hit is None:

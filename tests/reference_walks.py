@@ -1,7 +1,9 @@
 """The rebuild walks and term printers as they were written before the
 generic ``syntax.rebuild`` and the shared printer: one ``match`` clause
 per constructor.  Kept verbatim as the oracle that ``test_walks.py``
-compares the package's versions against.
+compares the package's versions against.  ``dedup``, the list without
+alpha-equivalent repeats that ``syntax.Listed`` replaced, is the oracle
+of the pool tests.
 """
 
 from __future__ import annotations
@@ -59,9 +61,18 @@ from eopoly.syntax import (
     TyLam,
     Unit,
     Var,
+    alpha_key,
     children,
     subterms,
 )
+
+
+def dedup(nodes: list[Node]) -> list[Node]:
+    """``nodes`` without alpha-equivalent repeats, first occurrences kept."""
+    out: dict = {}
+    for n in nodes:
+        out.setdefault(alpha_key(n), n)
+    return list(out.values())
 
 
 def erase(e: Expr) -> Expr:

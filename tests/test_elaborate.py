@@ -197,16 +197,16 @@ def test_determinate_spine_decides(monkeypatch):
     # A projection from a variable synthesizes its product type, so no
     # candidate list is built: a fitting type is the only one tried, and
     # a variable of the wrong shape refutes outright.  Every fallback list
-    # goes through ``dedup``, a new ``Listed`` (the lists built as far as
-    # they are read), the checker's own pool, which a fresh checker lists
-    # through ``Listed._more`` at its first read (the goal's candidates
-    # too), or ``refold_candidates``.
+    # goes through a new ``Listed`` (the lists built as far as they are
+    # read), the checker's own pool, which a fresh checker lists through
+    # ``Listed._more`` at its first read (the goal's candidates too), or
+    # ``refold_candidates``.
     def no_candidates(*a):
         raise AssertionError("candidate types built at a determinate spine")
 
     fits, refuted = ElabChecker(), ElabChecker()
     monkeypatch.setattr(Listed, "_more", no_candidates)
-    for name in ("dedup", "Listed", "refold_candidates"):
+    for name in ("Listed", "refold_candidates"):
         monkeypatch.setattr(elab_mod, name, no_candidates)
     fst = Lam("p", Proj(1, Var("p")))
     mfst = MLam("p", MProj(1, MVar("p")))

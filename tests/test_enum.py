@@ -46,6 +46,8 @@ QUANTIFIED_MENU = (
     IArrow(IAllEo("a", IProd(U, IArrow(U, U, A), A)), U, V),
     IAllEo("a", IArrow(IRec("r", ISum(U, ITyVar("r"), A), A), U, A)),
 )
+# The default menu with its by-value recursive type again, renamed.
+REPEATED_MENU = default_menu() + (IRec("q", ISum(U, ITyVar("q"), V), V),)
 
 
 def test_menu_shape():
@@ -123,9 +125,16 @@ def test_enumeration_matches_reference(menu):
 
 
 def test_no_candidate_listed_twice():
-    listed = [(d, alpha_key(e), alpha_key(ty))
-              for d, e, ty in Enumerator().candidates(6)]
-    assert len(listed) == len(set(listed)) == 9023
+    """The generator lists each judgment once up to alpha-equivalence, on
+    every menu, so the enumeration drops none as a repeat: a menu type
+    alpha-equal to an earlier one is listed once."""
+    for menu, bound, count in ((None, 6, 9023), (REPEATED_MENU, 5, 2475),
+                               (NESTED_MENU, 6, 1197), (QUANTIFIED_MENU, 6, 1344)):
+        listed = [(d, alpha_key(e), alpha_key(ty))
+                  for d, e, ty in Enumerator(menu).candidates(bound)]
+        assert len(listed) == len(set(listed)) == count, (menu, bound)
+    assert (_listing(enumerate_welltyped(5, REPEATED_MENU))
+            == _listing(ref.enumerate_welltyped(5, REPEATED_MENU)))
 
 
 def test_unguarded_menu_type_is_refused():

@@ -4,7 +4,8 @@
 every root's ``subterms``, at every site that closes a pool under
 subterms.  It must return that list itself: the same objects in the same
 order, since the searches try candidates in pool order and keep the
-first that fits.  The reference here is the pattern it replaced.
+first that fits.  The reference here is the pattern it replaced, with
+``reference_walks.dedup``, an oracle apart from ``syntax.Listed``.
 """
 
 import glob
@@ -40,7 +41,6 @@ from eopoly.syntax import (
     Node,
     Unit,
     alpha_eq,
-    dedup,
     distinct_subterms,
     free_names,
     instantiate,
@@ -48,6 +48,7 @@ from eopoly.syntax import (
     unfold,
 )
 from eopoly.verify import Judgment, _pool, build_pool, elab_soundness, target_pool
+from reference_walks import dedup
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 

@@ -33,6 +33,7 @@ from eopoly.syntax import (
     ImpCtx,
     Inj,
     Lam,
+    Listed,
     MApp,
     MFix,
     MFixVar,
@@ -59,7 +60,6 @@ from eopoly.syntax import (
     REC_TYPES,
     alpha_eq,
     alpha_key,
-    dedup,
     eo_var,
     erase,
     free_names,
@@ -77,6 +77,7 @@ from eopoly.syntax import (
 )
 
 from grammars import ECON, GRAMMARS, TGT
+from reference_walks import dedup
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -342,7 +343,7 @@ def test_a_recursive_binder_unfolds_once(b):
 @pytest.mark.parametrize("g", GRAMMARS, ids=_ids)
 def test_refold_candidates(g):
     nat = g.rec("t", g.sum(g.unit, g.var("t")))
-    cands = refold_candidates(unfold(nat))
+    cands = list(refold_candidates(unfold(nat)))
     assert alpha_eq(cands[0], nat)
     assert all(isinstance(c, REC_TYPES) and alpha_eq(unfold(c), unfold(nat))
                for c in cands)
@@ -382,7 +383,8 @@ def test_subterms_dedup_node_count(g):
     ty = g.arrow(g.forall("a", g.var("a")), g.forall("b", g.var("b")))
     subs = subterms(ty)
     assert subs[0] == ty and len(subs) == 5
-    assert dedup(subs) == [ty, g.forall("a", g.var("a")), g.var("a"), g.var("b")]
+    assert list(Listed(subs)) == dedup(subs) == [
+        ty, g.forall("a", g.var("a")), g.var("a"), g.var("b")]
     assert node_count(ty) == len(subs) + (g is GRAMMARS[0])  # the order
 
 
