@@ -113,7 +113,7 @@ from .syntax import (
     unfold,
     vacuous,
 )
-from .target import is_value
+from .target import _carry, is_value
 
 __all__ = [
     "ElabChecker",
@@ -128,44 +128,39 @@ __all__ = [
 # Type translation
 # ---------------------------------------------------------------------------
 
-def ty_target(ty: EconType, table: dict | None = None) -> TgtType:
-    """``ty``'s core type.  With ``table``, a dict that the caller owns,
-    each node object is translated once: the table maps its ``id`` to the
-    node, held so that no ``id`` is reused, and its translation."""
-    if table is not None and id(ty) in table:
-        return table[id(ty)][1]
+@kept
+def ty_target(ty: EconType) -> TgtType:
+    """``ty``'s core type.  Kept on the node, so each node object is
+    translated once, and the translations of types that share a subtree
+    object share its translation."""
     match ty:
         case SUnit():
-            out = AUnit()
+            return AUnit()
         case STyVar(name):
-            out = ATyVar(name)
+            return ATyVar(name)
         case SForall(var, body):
-            out = AForall(var, ty_target(body, table))
+            return AForall(var, ty_target(body))
         case SAllEo():
-            out = AProd(ty_target(instantiate(ty, V), table),
-                        ty_target(instantiate(ty, N), table))
+            return AProd(ty_target(instantiate(ty, V)),
+                         ty_target(instantiate(ty, N)))
         case SSusp(eo, body):
             if eo == V:
-                out = ty_target(body, table)
-            elif eo == N:
-                out = AThunk(ty_target(body, table))
-            else:
-                raise EvalOrderVarInContext(
-                    f"cannot translate a type with a free order variable: {ty!r}"
-                )
+                return ty_target(body)
+            if eo == N:
+                return AThunk(ty_target(body))
+            raise EvalOrderVarInContext(
+                f"cannot translate a type with a free order variable: {ty!r}"
+            )
         case SArrow(dom, cod):
-            out = AArrow(ty_target(dom, table), ty_target(cod, table))
+            return AArrow(ty_target(dom), ty_target(cod))
         case SProd(left, right):
-            out = AProd(ty_target(left, table), ty_target(right, table))
+            return AProd(ty_target(left), ty_target(right))
         case SSum(left, right):
-            out = ASum(ty_target(left, table), ty_target(right, table))
+            return ASum(ty_target(left), ty_target(right))
         case SRec(var, body):
-            out = ARec(var, ty_target(body, table))
+            return ARec(var, ty_target(body))
         case _:
             raise TypeError(f"not an economical type: {ty!r}")
-    if table is not None:
-        table[id(ty)] = ty, out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +323,6 @@ def _instance(t: EconType, k: int) -> EconType | bool:
 
 def _component(t: EconType, k: int) -> EconType | bool:
     return (t.left if k == 1 else t.right) if isinstance(t, SProd) else False
-
-
-def _carry(t, conclude):
-    """A spine's answer from its premise's: None and False pass through."""
-    return t if t is None or t is False else conclude(t)
 
 
 def _then(premise: Valueness | None, v: Valueness) -> Valueness | None:

@@ -6,23 +6,26 @@ quantifier introduction is restricted to *valuable* bodies: values, or
 projection/injection/roll/unroll/type-operation chains over valuables.
 
 The typechecker works in checking mode, synthesizing where the term
-determines its own type; a synthesized type is the term's only type, so
-it decides outright.  Type-free type application cannot synthesize; the
-checker solves the instantiation by matching the quantifier body against
-the expected type, and at an unroll it refolds the expected type
-(``syntax.refold_candidates``).  Only at the joints the term does not
-determine (function domains, dropped product components) does it try
-candidates from a caller-supplied pool: the target images of
-the types the source program's own typing derivation names
-(``verify.build_pool``, ``verify.target_pool``), held as a
-``syntax.Listed``.  A pool handed over as a function of no arguments is
-built at the first such joint, and never on a term that leaves none
-open.  At an application
-whose function and argument both leave the domain open, each candidate
-domain is tried on the argument first, as ``ElabChecker`` does: the
-argument is usually the smaller side, and a function that is a λ would
-re-check its whole body at every domain the argument refutes.  Both
-checks are pure and memoized, so the order changes no verdict.
+determines its own type.  Synthesis answers as the elaboration's
+membership search does: the one type a term has, False when it has none
+(a refutation, passed up an elimination spine), or None where the term
+leaves its type open.  A synthesized type is the term's only type, so it
+decides a check by one ``alpha_eq``, and a refutation refutes it.
+Type-free type application cannot synthesize; the checker solves the
+instantiation by matching the quantifier body against the expected type,
+and at an unroll it refolds the expected type
+(``syntax.refold_candidates``).  Only at the joints the term leaves open
+(function domains, dropped product components) does it try candidates
+from a caller-supplied pool: the target images of the types the source
+program's own typing derivation names (``verify.build_pool``,
+``verify.target_pool``), held as a ``syntax.Listed``.  A pool handed over
+as a function of no arguments is built at the first such joint, and
+never on a term that leaves none open.  At an application whose function
+and argument both leave the domain open, each candidate domain is tried
+on the argument first, as ``ElabChecker`` does: the argument is usually
+the smaller side, and a function that is a λ would re-check its whole
+body at every domain the argument refutes.  Both checks are pure and
+memoized, so the order changes no verdict.
 
 The evaluation-context grammar is declared once, in ``CONTEXTS``: the
 fields each constructor evaluates, left to right (thunk bodies,
@@ -124,14 +127,29 @@ def _evaluated(m: Term, holds) -> bool:
 # Typechecking
 # ---------------------------------------------------------------------------
 
+# The forms whose check reads ``synth`` first: a type or a refutation
+# decides them, and only where it leaves the type open do their joints try
+# candidates.
+_SPINES = (MVar, MFixVar, MApp, MProj, MUnroll)
+_UNSEEN = object()
+
+
+def _carry(t, conclude):
+    """A spine's answer from its premise's: None and False pass through."""
+    return t if t is None or t is False else conclude(t)
+
+
 class TargetChecker:
     """Memoizing checker for core terms against a fixed candidate pool.
 
-    Preservation checks re-type nearly identical terms step after step;
-    the memo makes a whole trace roughly linear in total size.  The pool
-    is a ``Listed``, given built or as a function of no arguments that the
-    first joint trying candidates calls.  It is keyed once and not walked,
-    so each goal's candidate list keys only the goal's subterms.
+    ``synth`` answers a type, a refutation or nothing, as
+    ``ElabChecker._synth`` does, and ``check`` tries candidates only where
+    it answers nothing.  Preservation checks re-type nearly identical
+    terms step after step; the memos make a whole trace roughly linear in
+    total size.  The pool is a ``Listed``, given built or as a function of
+    no arguments that the first joint trying candidates calls.  It is
+    keyed once and not walked, so each goal's candidate list keys only the
+    goal's subterms.
     """
 
     def __init__(self, pool: tuple[TgtType, ...] | Callable[[], tuple] = ()):
@@ -148,62 +166,59 @@ class TargetChecker:
             hit = self._cands[key] = self._pool.then((ty, AUnit()))
         return hit
 
-    def synth(self, ctx: TgtCtx, m: Term) -> TgtType | None:
-        """Best-effort synthesis; None where the term underdetermines it."""
+    def synth(self, ctx: TgtCtx, m: Term) -> TgtType | bool | None:
+        """The one type ``m`` has; False when it has none (an unbound
+        variable, a function position that is not an arrow or whose
+        argument fails its domain, a projection, force, unroll or case of
+        the wrong shape, case branches of different types); None where
+        the term leaves its type open."""
         key = (ctx.entries, m)
-        hit = self._syn.get(key, False)
-        if hit is not False:
-            return hit
-        out = self._synth(ctx, m)
-        self._syn[key] = out
-        return out
+        hit = self._syn.get(key, _UNSEEN)
+        if hit is _UNSEEN:
+            hit = self._syn[key] = self._synth(ctx, m)
+        return hit
 
-    def _synth(self, ctx: TgtCtx, m: Term) -> TgtType | None:
+    def _synth(self, ctx: TgtCtx, m: Term) -> TgtType | bool | None:
         match m:
             case MUnit():
                 return AUnit()
-            case MVar(x):
+            case MVar(x) | MFixVar(x):
                 try:
-                    return ctx.lookup("x", x)
+                    return ctx.lookup("x" if isinstance(m, MVar) else "u", x)
                 except KeyError:
-                    return None
-            case MFixVar(u):
-                try:
-                    return ctx.lookup("u", u)
-                except KeyError:
-                    return None
+                    return False
             case MApp(fn, arg):
-                f = self.synth(ctx, fn)
-                if isinstance(f, AArrow) and self.check(ctx, arg, f.dom):
-                    return f.cod
-                return None
+                return _carry(self.synth(ctx, fn), lambda f: (
+                    f.cod if isinstance(f, AArrow) and self.check(ctx, arg, f.dom)
+                    else False))
             case MProj(k, body):
-                t = self.synth(ctx, body)
-                if isinstance(t, AProd):
-                    return t.left if k == 1 else t.right
-                return None
+                return _carry(self.synth(ctx, body), lambda t: (
+                    (t.left if k == 1 else t.right) if isinstance(t, AProd)
+                    else False))
             case MForce(body):
-                t = self.synth(ctx, body)
-                return t.body if isinstance(t, AThunk) else None
+                return _carry(self.synth(ctx, body),
+                              lambda t: t.body if isinstance(t, AThunk) else False)
             case MUnroll(body):
-                t = self.synth(ctx, body)
-                return unfold(t) if isinstance(t, ARec) else None
+                return _carry(self.synth(ctx, body),
+                              lambda t: unfold(t) if isinstance(t, ARec) else False)
             case MThunk(body):
-                t = self.synth(ctx, body)
-                return AThunk(t) if t is not None else None
+                return _carry(self.synth(ctx, body), AThunk)
             case MPair(l, r):
-                a = self.synth(ctx, l)
-                b = self.synth(ctx, r)
+                a, b = self.synth(ctx, l), self.synth(ctx, r)
+                if a is False or b is False:
+                    return False
                 return AProd(a, b) if a is not None and b is not None else None
             case MCase(scrut, x1, m1, x2, m2):
                 s = self.synth(ctx, scrut)
                 if not isinstance(s, ASum):
-                    return None
+                    return None if s is None else False
                 a = self.synth(_bind(ctx, "x", x1, s.left), m1)
                 b = self.synth(_bind(ctx, "x", x2, s.right), m2)
-                if a is not None and b is not None and alpha_eq(a, b):
-                    return a
-                return None
+                if a is False or b is False:
+                    return False
+                if a is None or b is None:
+                    return None
+                return a if alpha_eq(a, b) else False
         return None
 
     def check(self, ctx: TgtCtx, m: Term, ty: TgtType) -> bool:
@@ -216,19 +231,14 @@ class TargetChecker:
         return out
 
     def _check(self, ctx: TgtCtx, m: Term, ty: TgtType) -> bool:
+        if isinstance(m, _SPINES):
+            t = self.synth(ctx, m)
+            if t is not None:
+                # A synthesized type is the term's only type.
+                return t is not False and alpha_eq(t, ty)
         match m:
             case MUnit():
                 return isinstance(ty, AUnit)
-            case MVar(x):
-                try:
-                    return alpha_eq(ctx.lookup("x", x), ty)
-                except KeyError:
-                    return False
-            case MFixVar(u):
-                try:
-                    return alpha_eq(ctx.lookup("u", u), ty)
-                except KeyError:
-                    return False
             case MLam(x, body):
                 return isinstance(ty, AArrow) and self.check(
                     _bind(ctx, "x", x, ty.dom), body, ty.cod
@@ -256,14 +266,11 @@ class TargetChecker:
                 return isinstance(ty, ARec) and self.check(ctx, body, unfold(ty))
             case MForce(body):
                 return self.check(ctx, body, AThunk(ty))
+            # The open joints: the spine's head leaves its type open.
             case MApp(fn, arg):
-                f = self.synth(ctx, fn)
-                if f is not None:
-                    return (isinstance(f, AArrow) and alpha_eq(f.cod, ty)
-                            and self.check(ctx, arg, f.dom))
                 a = self.synth(ctx, arg)
                 if a is not None:
-                    return self.check(ctx, fn, AArrow(a, ty))
+                    return a is not False and self.check(ctx, fn, AArrow(a, ty))
                 # The argument first (see the module docstring): a
                 # domain it refutes never reaches the function's body.
                 return any(
@@ -272,10 +279,6 @@ class TargetChecker:
                     for cand in self.candidates(ty)
                 )
             case MProj(k, body):
-                t = self.synth(ctx, body)
-                if t is not None:
-                    return isinstance(t, AProd) and alpha_eq(
-                        t.left if k == 1 else t.right, ty)
                 return any(
                     self.check(
                         ctx, body,
@@ -284,12 +287,10 @@ class TargetChecker:
                     for other in self.candidates(ty)
                 )
             case MUnroll(body):
-                t = self.synth(ctx, body)
-                if t is not None:
-                    return isinstance(t, ARec) and alpha_eq(unfold(t), ty)
                 return any(self.check(ctx, body, cand)
                            for cand in refold_candidates(ty))
             case MCase(scrut, x1, m1, x2, m2):
+                # A refuted scrutinee, or one of another shape, refutes.
                 s = self.synth(ctx, scrut)
                 if s is not None and not isinstance(s, ASum):
                     return False
@@ -307,6 +308,7 @@ class TargetChecker:
             case MTyApp(body):
                 t = self.synth(ctx, body)
                 if t is not None:
+                    # A refuted body, or one that is not polymorphic, refutes.
                     if not isinstance(t, AForall):
                         return False
                     sol = match_instantiate(t, ty)

@@ -113,7 +113,6 @@ from .syntax import (
     join,
     node_count,
     plug,
-    record,
     subst1,
     unfold,
     valof,
@@ -258,11 +257,10 @@ def _pool(tys: list[EconType], derivs: list[Derivation]) -> tuple[EconType, ...]
 
 def target_pool(pool: tuple[EconType, ...]) -> tuple:
     """The core types of ``pool``'s types that name no order variable, in
-    pool order.  The pool is closed under subterms, so one translation
-    table for the call translates each distinct subtree object once, and
-    the translated pool shares its subtrees as the pool does."""
-    table: dict = {}
-    return tuple(ty_target(t, table) for t in pool if not free_names(t, "eo"))
+    pool order.  ``ty_target`` is kept on each node and the pool is closed
+    under subterms, so each distinct subtree object is translated once,
+    and the translated pool shares its subtrees as the pool does."""
+    return tuple(ty_target(t) for t in pool if not free_names(t, "eo"))
 
 
 @dataclass
@@ -527,20 +525,11 @@ def nfree_elab(j: Judgment, program: str = "?") -> CheckOutcome:
 # Step-by-step simulation
 # ---------------------------------------------------------------------------
 
-@record
-class SimStep:
-    index: int
-    target_rule: str
-    source_steps: int
-    byvalue_only: bool
-    valueness: str
-
-
 @dataclass
 class ConsistencyReport:
     program: str
     target_n_free: bool
-    steps: list[SimStep] = field(default_factory=list)
+    steps: list[int] = field(default_factory=list)  # source steps per core step
     verdict: str = PASS
     reason: str = ""
     final_target: Term | None = None
@@ -596,7 +585,7 @@ def consistency(j: Judgment, fuel: int = 10_000, search_depth: int = 8,
         return report
     run = tgt_mod.run(m, fuel)
     seen = {(alpha_key(m), alpha_key(e_cur))}
-    for i, rule in enumerate(run):
+    for rule in run:
         m2 = run.term()
         if nfree and not n_free_target(m2):
             report.verdict = FAIL
@@ -627,9 +616,7 @@ def consistency(j: Judgment, fuel: int = 10_000, search_depth: int = 8,
                 report.verdict = FAIL
                 report.reason = "an N-free program needed a by-name step"
                 return report
-        report.steps.append(
-            SimStep(i, rule, depth, not used_byname, phi2.value)
-        )
+        report.steps.append(depth)
         m, e_cur, phi = m2, e2, phi2
         report.note = _stop(seen, (alpha_key(m), alpha_key(e_cur)), m)
         if report.note:

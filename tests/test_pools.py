@@ -367,8 +367,8 @@ def deep():
 
 @pytest.mark.usefixtures("deep")
 def test_target_pool_translates_each_type_as_ty_target_does():
-    """Translating a pool through one shared table gives, entry for entry
-    and in order, the types that ``ty_target`` gives alone: on every
+    """Translating a pool gives, entry for entry and in order, the types
+    that ``ty_target`` gives for each entry alone: on every
     corpus pool, the default menu's pool and a nested-pairs pool."""
     pools = [j.pool for _, j in _corpus_judgments()]
     pools.append(build_pool(Unit(), [econ.econ_type(t) for t in default_menu()]))
@@ -384,9 +384,9 @@ def test_target_pool_translates_each_type_as_ty_target_does():
 def test_target_pool_shares_the_subtrees_it_translates():
     """The pool of k nested pairs lists about 2k nested types, each a
     subterm of the next.  Translated one by one they share no node, about
-    2k² node objects in all (80 401 at k = 200); through one table, each
-    subtree object is translated once and the translations share their
-    subtrees."""
+    2k² node objects in all (80 401 at k = 200); with each translation
+    kept on its node, each subtree object is translated once and the
+    translations share their subtrees."""
     k = 200
     pool = _nested_pairs(k).pool
     nodes = {id(s) for t in target_pool(pool) for s in subterms(t)}

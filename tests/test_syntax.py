@@ -513,7 +513,7 @@ def test_records_behave_as_the_frozen_dataclasses_they_replace():
     record refuses assignment and deletion; and a kept answer lands in the
     node's ``__dict__``."""
     records = _records()
-    assert len(records) == 68  # 57 in syntax.py, 11 elsewhere
+    assert len(records) == 67  # 57 in syntax.py, 10 elsewhere
     for cls in records:
         twin = _twin(cls)
         assert cls.__match_args__ == twin.__match_args__, cls

@@ -5,8 +5,13 @@ import itertools
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import reference_target as ref
+from test_steppers import _core_terms, _k, _names
 
 from eopoly import econ, target
+from eopoly.elaborate import ty_target
 from eopoly.enum_terms import enumerate_welltyped
 from eopoly.program import load_program
 from eopoly.syntax import (
@@ -39,7 +44,7 @@ from eopoly.syntax import (
     no_redex,
     subterms,
 )
-from eopoly.verify import Judgment
+from eopoly.verify import Judgment, run_type_safety
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -135,17 +140,114 @@ def test_ill_typed_core_terms_are_rejected(entries, m, ty):
     assert not target.TargetChecker().check(TgtCtx(entries), m, ty)
 
 
-def test_synthesized_function_type_decides_application(monkeypatch):
-    # f's type is known, so no candidate domain is worth trying: the
-    # codomain 1 is not the goal thunk type, and that settles it.
+class _Asked:
+    """A core checker that notes every question a type-safety run asks."""
+
+    def __init__(self, pool):
+        self.questions = []
+        self._checker = target.TargetChecker(pool)
+
+    def check(self, ctx, m, ty):
+        self.questions.append((ctx, m, ty))
+        return self._checker.check(ctx, m, ty)
+
+
+def _agree(pool, questions):
+    """Both checkers, each with ``pool``, answer every ``check`` question
+    alike; the number of questions asked."""
+    new, old = target.TargetChecker(pool), ref.TargetChecker(pool)
+    for ctx, m, ty in questions:
+        assert new.check(ctx, m, ty) == old.check(ctx, m, ty), (ctx.entries, m, ty)
+    return len(questions)
+
+
+def _type_safety_questions(judgments):
+    """Each judgment's pool, with the questions its type-safety run asks
+    (every state at the run's type, and each typed-embedding test) and
+    each again at the thunk of that type."""
+    for j in judgments:
+        asked = _Asked(j.tpool)
+        run_type_safety(j.elab.term, ty_target(j.typing.ty), j.tpool,
+                        checker=asked)
+        yield j.tpool, [q for ctx, m, ty in asked.questions
+                        for q in ((ctx, m, ty), (ctx, m, AThunk(ty)))]
+
+
+def test_core_checker_answers_as_the_reference_on_type_safety_runs():
+    """The checker that reads refutations off ``synth`` and the one that
+    re-derives them (``reference_target``) agree on every question of
+    every corpus file's and every bound-5 judgment's type-safety run, and
+    on the hand-written ill-typed table."""
+    corpus = []
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        prog = load_program(path)
+        e = econ.econ_expr(prog.main) if prog.lang == "impartial" else prog.main
+        corpus.append(Judgment(e, None, SYNTH))
+    bound5 = (Judgment(econ.econ_expr(imp.expr), econ.econ_type(imp.ty),
+                       imp.direction) for imp in enumerate_welltyped(5))
+    asked = sum(_agree(pool, qs) for pool, qs in
+                _type_safety_questions(itertools.chain(corpus, bound5)))
+    assert asked > 5_000, asked
+    assert _agree((), [(TgtCtx(entries), m, ty)
+                       for entries, m, ty in ILL_TYPED]) == len(ILL_TYPED)
+
+
+NAT = ARec("t", ASum(AU, ATyVar("t")))
+_SMALL = (AU, AArrow(AU, AU), AProd(AU, AU), ASum(AU, AU), AThunk(AU), NAT, ID_TY)
+
+
+def _drawn_terms():
+    """``_core_terms``, and a case in a position whose type synthesizes:
+    under a projection, or applied to an argument."""
+    t = _core_terms()
+    case = st.builds(MCase, t, _names, t, _names, t)
+    return st.one_of(t, st.builds(MProj, _k, case), st.builds(MApp, case, t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["x", "u"]), _names,
+                          st.sampled_from(_SMALL)),
+                min_size=2, max_size=3, unique_by=lambda en: en[:2]),
+       _drawn_terms(), st.sampled_from(_SMALL))
+@example([("x", "x", ASum(AU, AU)), ("x", "y", AU)],
+         MProj(1, MCase(MVar("x"), "x", MPair(MUnit(), MVar("y")),
+                        "y", MPair(MUnit(), MUnit()))), AU)
+@example([("x", "x", ASum(AU, AU)), ("x", "y", AU)],
+         MProj(2, MCase(MVar("x"), "x", MPair(MUnit(), MVar("y")),
+                        "y", MPair(MUnit(), MThunk(MUnit())))), AU)
+def test_core_checker_answers_as_the_reference_on_drawn_terms(entries, m, ty):
+    """Both checkers, with the small types as their pool, agree on drawn
+    core terms, well typed or not, under a context of two or three small
+    types: at the drawn type and at its thunk."""
+    ctx = TgtCtx(tuple(entries))
+    _agree(_SMALL, [(ctx, m, ty), (ctx, m, AThunk(ty))])
+
+
+F_UNIT = AArrow(AU, AU)
+
+
+@pytest.mark.parametrize("entries, m, ty, want", [
+    # f's codomain 1 is not the goal thunk type, and that settles it.
+    pytest.param((("x", "f", F_UNIT),), MApp(MVar("f"), MUnit()), AThunk(AU),
+                 False, id="application-codomain-mismatch"),
+    pytest.param((("x", "f", F_UNIT),), MApp(MVar("f"), MUnit()), AU,
+                 True, id="application-decided"),
+    # f is not a function, so (f ()).1 has no type at all.
+    pytest.param((("x", "f", AU),), MProj(1, MApp(MVar("f"), MUnit())), AU,
+                 False, id="projection-of-refuted-application"),
+    # z is unbound, so z.1 has no type at all.
+    pytest.param((), MProj(1, MVar("z")), AU,
+                 False, id="projection-of-unbound-variable"),
+])
+def test_synthesized_function_type_decides_application(monkeypatch, entries,
+                                                       m, ty, want):
+    """A spine whose head's type is known, or refuted, is decided by
+    synthesis alone: no candidate type is worth trying."""
     def no_candidates(self, ty):
-        raise AssertionError("candidate domains tried")
+        raise AssertionError("candidate types tried")
 
     monkeypatch.setattr(target.TargetChecker, "candidates", no_candidates)
-    ctx = TgtCtx((("x", "f", AArrow(AU, AU)),))
-    m = MApp(MVar("f"), MUnit())
-    assert not target.TargetChecker().check(ctx, m, AThunk(AU))
-    assert target.TargetChecker().check(ctx, m, AU)
+    assert target.TargetChecker().check(TgtCtx(entries), m, ty) is want
 
 
 def test_step_beta():
