@@ -215,12 +215,7 @@ def _verify_enumerated(args) -> list[CheckOutcome]:
 
 
 def cmd_verify(args) -> int:
-    if args.enumerate:
-        outcomes = _verify_enumerated(args)
-    else:
-        if not args.file:
-            raise EopolyError("verify needs a file or --enumerate BOUND")
-        outcomes = _verify_program(args)
+    outcomes = _verify_enumerated(args) if args.enumerate else _verify_program(args)
     failed = [o for o in outcomes if o.verdict == verify_mod.FAIL]
     exhausted = [o for o in outcomes if o.verdict == verify_mod.SEARCH_EXHAUSTED]
     if args.json:
@@ -327,6 +322,8 @@ def _main(argv: list[str] | None) -> int:
         args = ap.parse_args(argv)
         if args.command == "verify" and args.enumerate and args.file:
             ap.error("verify takes a FILE or --enumerate BOUND, not both")
+        if args.command == "verify" and not args.enumerate and not args.file:
+            ap.error("verify needs a FILE or a positive --enumerate BOUND")
     except SystemExit as ex:
         return 2 if ex.code else 0
     try:

@@ -13,15 +13,14 @@ types and fixed points alike.
 ``kept`` is the one way an answer about a node alone lives on the node
 (its hash, alpha key, unfolding and size here; its guardedness, its
 suspension normal form and whether it is a value elsewhere), so it dies
-with the node and a lookup never compares two equal nodes.  Two memos
-stand apart: free names sit in a hand-written slot, because ``subst``
-probes for them without starting a walk, learns them for each node it
-walks, and with closed replacements returns a subtree in which no key is
-free unwalked; and ``_scoped_key``, the alpha key under a binder's
-scope, stays a table until nodes are interned, so that equal but
-distinct bodies share its answers.  Only keys under a binder use that
-table: a node's key outside every binder is built from its children's
-kept keys.
+with the node and a lookup never compares two equal nodes.  Only free
+names stand apart, in a hand-written slot, because ``subst`` probes for
+them without starting a walk, learns them for each node it walks, and
+with closed replacements returns a subtree in which no key is free
+unwalked.  The package keeps no table of nodes beyond one request: a
+node's key outside every binder is built from its children's kept keys,
+and a binder's body is keyed afresh, under its scope, inside its
+binder's kept key.
 
 ``Listed`` is the package's one list up to alpha-equivalence, and the
 candidate list of both membership searches: the alpha-distinct nodes of
@@ -83,7 +82,6 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import chain
 from typing import ClassVar, Iterator
 
@@ -216,6 +214,11 @@ class Node:
     scopes: ClassVar[tuple[tuple[str, str, tuple[str, ...]], ...]] = ()
     # (namespace, field) for leaf references, e.g. Var declares ("x", "name").
     ref: ClassVar[tuple[str, str] | None] = None
+    # The declaration compiled for the generic walks, once per class at the
+    # end of this module: per field, in field order, the field's name and
+    # the (binder_field, namespace) pairs whose binder scopes over it, or
+    # None for a field that holds a binder.
+    _plan: ClassVar[tuple[tuple[str, tuple[tuple[str, str], ...] | None], ...]] = ()
 
 
 _ABSENT, _ITSELF = object(), object()
@@ -264,20 +267,6 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{stem}_{k}"
 
 
-@lru_cache(maxsize=None)
-def _plan(cls: type) -> tuple[tuple[str, tuple[tuple[str, str], ...] | None], ...]:
-    """``cls``'s binding declaration, compiled once for the generic walks.
-
-    One entry per field, in field order: the field's name and the
-    ``(binder_field, namespace)`` pairs whose binder scopes over it, or
-    None for a field that holds a binder.
-    """
-    binders = {bf for bf, _, _ in cls.scopes}
-    return tuple((f, None if f in binders else
-                  tuple((bf, ns) for bf, ns, scoped in cls.scopes if f in scoped))
-                 for f in cls.__match_args__)
-
-
 _NO_NAMES: frozenset = frozenset()
 
 
@@ -298,7 +287,7 @@ def _free(node: object, walk: bool = True) -> frozenset[tuple[str, str]] | None:
     if out is not None:
         return out
     out = _NO_NAMES
-    for f, scope in _plan(type(node)):
+    for f, scope in type(node)._plan:
         if scope is None:
             continue
         v = getattr(node, f)
@@ -366,20 +355,20 @@ def alpha_key(node: object, _env: tuple[tuple[str, str], ...] = ()) -> object:
     Bound names are replaced by binder indices; free names stay themselves.
     A node's own key is kept on the node: looking it up in a shared table
     would compare it structurally with an equal node already stored there.
+    A key under a binder (``_env`` names the binders crossed) is built
+    afresh each time, and kept nowhere.
     """
-    if _env:
-        return _scoped_key(node, _env)
-    if isinstance(node, Node):
-        return _own_key(node)
-    return _key(node, ())
+    if _env or not isinstance(node, Node):
+        return _key(node, _env)
+    return _own_key(node)
 
 
 @kept
 def _own_key(node: Node) -> object:
     """``node``'s key outside any binder, built from its children's keys
     with no table lookup: a child outside the node's binders brings its
-    own kept key, and only a binder's body is keyed through
-    ``_scoped_key``."""
+    own kept key, and a binder's body is keyed under the binder's scope
+    as part of this key."""
     return _key(node, ())
 
 
@@ -402,7 +391,7 @@ def _key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
                 return (cls.__name__, i)
         return (cls.__name__, name)
     parts: list[object] = [cls.__name__]
-    for f, scope in _plan(cls):
+    for f, scope in cls._plan:
         if scope is None:
             continue
         v = getattr(node, f)
@@ -411,9 +400,6 @@ def _key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
                           if scope else _env)
         parts.append(v)
     return tuple(parts)
-
-
-_scoped_key = lru_cache(maxsize=None)(_key)
 
 
 def alpha_eq(a: object, b: object) -> bool:
@@ -878,7 +864,7 @@ def _subst(node: object, sub: dict, closed: bool) -> object:
     under = _under_binders(node, sub, closed) if cls.scopes else None
     values = []
     changed = False
-    for f, scope in _plan(cls):
+    for f, scope in cls._plan:
         v = getattr(node, f)
         if scope is None:
             new = under[f][1]
@@ -949,7 +935,7 @@ def node_count(node: object) -> int:
     if isinstance(node, EO):
         return 1
     n = 1
-    for f, _ in _plan(type(node)):
+    for f, _ in type(node)._plan:
         v = getattr(node, f)
         if isinstance(v, (Node, EO)):
             n += node_count(v)
@@ -1123,7 +1109,7 @@ def match_instantiate(binder: Node, goal: Node) -> Node | None | str:
             return _same_ref(ns, getattr(p, f), getattr(g, f), env)
         return all(go(getattr(p, f), getattr(g, f),
                       env + tuple((ns, getattr(p, bf), getattr(g, bf)) for bf, ns in scope))
-                   for f, scope in _plan(cls) if scope is not None)
+                   for f, scope in cls._plan if scope is not None)
 
     if not go(binder.body, goal, ()):
         return None
@@ -1405,11 +1391,18 @@ SYNTH = "synth"
 
 
 # A record hashes its whole field tuple at every call, and memo tables hash
-# constantly, so each node keeps its hash.
+# constantly, so each node keeps its hash; and each node class compiles its
+# binding declaration into its ``_plan`` here, once.
 for _cls in [c for c in list(globals().values()) if isinstance(c, type)]:
     if issubclass(_cls, (Node, EO)) and "__hash__" in vars(_cls):
         _cls.__hash__ = kept(_cls.__hash__)
-del _cls
+    if issubclass(_cls, Node) and "__match_args__" in vars(_cls):
+        _binders = {bf for bf, _, _ in _cls.scopes}
+        _cls._plan = tuple(
+            (f, None if f in _binders else
+             tuple((bf, ns) for bf, ns, scoped in _cls.scopes if f in scoped))
+            for f in _cls.__match_args__)
+del _cls, _binders
 
 
 @dataclass(eq=False)

@@ -1,6 +1,7 @@
 """Command-line behavior on the corpus."""
 
 import contextlib
+import gc
 import glob
 import importlib
 import io
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+from eopoly import syntax
 from eopoly.cli import main
 from eopoly.enum_terms import enumerate_welltyped
 
@@ -495,6 +497,29 @@ def test_verify_takes_a_file_or_an_enumeration(capsys):
     code, out, err = run(capsys, "verify", path("id_poly_v.eo"), "--enumerate", "1")
     assert code == 2
     assert out == "" and "not both" in err
+
+
+def test_verify_without_a_file_or_an_enumeration_is_a_usage_error(capsys):
+    for argv in (["verify"], ["--json", "verify"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("usage: "), argv
+        assert "error: verify needs a FILE or a positive --enumerate BOUND" in err
+
+
+def _live_nodes():
+    gc.collect()
+    return sum(isinstance(o, syntax.Node) for o in gc.get_objects())
+
+
+def test_no_node_outlives_its_request(capsys):
+    """Verifying every corpus file in one process leaves no node alive:
+    no table kept across requests holds one."""
+    before = _live_nodes()
+    for f in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        code, out, _ = run(capsys, "verify", f)
+        assert code in (0, 1) and out.endswith(" search-exhausted\n"), f
+    assert _live_nodes() == before
 
 
 def test_zero_counts_are_accepted(capsys):

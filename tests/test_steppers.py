@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 import reference_steppers as ref
 from eopoly import econ, source, syntax, target
-from eopoly import elaborate as elaborate_module
 from eopoly.elaborate import elaborate
 from eopoly.enum_terms import enumerate_welltyped
 from eopoly.parser import parse_term_text
@@ -296,22 +295,13 @@ def _runs(n):
             lambda: source.cbv_evaluate(e, 100_000))
 
 
-def _clear_package_tables():
-    for mod in (syntax, elaborate_module):
-        for v in vars(mod).values():
-            if hasattr(v, "cache_info"):
-                v.cache_clear()
-
-
 def test_shorter_runs_leave_nothing_a_longer_run_compares(monkeypatch):
     """Map at V over 512 elements, run in the core and as by-value source
     after the same runs over 64, 128 and 256 elements, makes no more
-    structural node comparisons than when run alone, from empty tables: no
-    table kept across runs holds a node that a later run's equal node is
-    compared with in full."""
-    _clear_package_tables()
+    structural node comparisons than when run alone: nothing kept across
+    runs holds a node that a later run's equal node is compared with in
+    full."""
     alone = _eq_calls(monkeypatch, _runs(512))
-    _clear_package_tables()
     for n in (64, 128, 256):
         for run in _runs(n):
             run()

@@ -466,16 +466,14 @@ def _package_modules():
             for m in pkgutil.iter_modules(eopoly.__path__)]
 
 
-def test_no_package_table_but_the_plans_and_the_scoped_keys():
-    """Across the package, the process-lifetime memo tables are the
-    per-class plans and ``_scoped_key``, which keys only what lies under
-    a binder and waits for hash-consing; every other answer about a node
-    is kept on the node, so a lookup of an equal node left by an earlier
-    request cannot compare the two in full, and nothing outlives its
-    node."""
+def test_no_package_table():
+    """No module of the package keeps a process-lifetime memo table: every
+    answer about a node is kept on the node, so a lookup of an equal node
+    left by an earlier request cannot compare the two in full, and nothing
+    outlives its node."""
     tables = {name for mod in _package_modules()
               for name, v in vars(mod).items() if hasattr(v, "cache_info")}
-    assert tables == {"_plan", "_scoped_key"}
+    assert tables == set()
 
 
 def _records():
@@ -548,10 +546,10 @@ def test_records_behave_as_the_frozen_dataclasses_they_replace():
 
 
 def test_kept_answers_die_with_their_nodes():
-    """Types and a core term asked for every answer kept on a node are
-    freed by reference counting alone once dropped: no table holds them
-    (``_scoped_key``'s holds only the bodies under their binders), and no
-    kept answer refers back to its node."""
+    """Types and a core term asked for every answer kept on a node, and a
+    binder's body keyed under its binder, are freed by reference counting
+    alone once dropped: no table holds them, and no kept answer refers
+    back to its node."""
     gc.disable()
     try:
         normal = SRec("a", SSum(SUnit(), SArrow(STyVar("a"), SUnit())))
@@ -567,9 +565,9 @@ def test_kept_answers_die_with_their_nodes():
             wf.rec_guarded(ty)
         assert elaborate._nf(normal) is normal
         assert elaborate._nf(suspended) == SProd(SUnit(), normal)
-        refs = [weakref.ref(n) for n in (normal, suspended, term)]
+        refs = [weakref.ref(n) for n in (normal, suspended, term, normal.body)]
         del normal, suspended, term, node, ty
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None, None, None, None]
     finally:
         gc.enable()
 
@@ -581,18 +579,38 @@ def _binder_free(depth):
     return t
 
 
-def test_binder_free_keys_are_built_without_the_table(monkeypatch):
-    """Outside a binder, a node's key is built from its children's kept
-    keys: keying a binder-free tree puts nothing in ``_scoped_key``'s
-    table, and keying an equal but distinct tree compares no two nodes."""
-    a, b = _binder_free(30), _binder_free(30)
+def _nested_binders(depth):
+    t = SArrow(STyVar("a0"), SUnit())
+    for i in range(depth):
+        t = (SForall if i % 2 else SRec)(f"a{i}", SProd(t, STyVar(f"a{i}")))
+    return t
+
+
+def _keyed_comparing(monkeypatch, a, b):
+    """The keys of ``a`` and ``b``, and the nodes compared to build them."""
     calls = []
     for cls in {type(n) for n in subterms(a)}:
         monkeypatch.setattr(cls, "__eq__",
                             lambda x, y, eq=cls.__eq__: calls.append(x) or eq(x, y))
-    syntax._scoped_key.cache_clear()
     keys = alpha_key(a), alpha_key(b)
-    assert syntax._scoped_key.cache_info().currsize == 0
-    assert calls == []
     monkeypatch.undo()
+    return keys, calls
+
+
+def test_binder_free_keys_are_built_without_the_table(monkeypatch):
+    """Outside a binder, a node's key is built from its children's kept
+    keys: keying an equal but distinct tree compares no two nodes."""
+    a, b = _binder_free(30), _binder_free(30)
+    keys, calls = _keyed_comparing(monkeypatch, a, b)
+    assert calls == []
+    assert keys[0] == keys[1] and a == b and a is not b
+
+
+def test_keys_under_binders_are_built_without_a_table(monkeypatch):
+    """Under a binder, a key is built afresh from the body: keying an equal
+    but distinct tree of nested quantifiers and recursive types compares
+    no two nodes."""
+    a, b = _nested_binders(30), _nested_binders(30)
+    keys, calls = _keyed_comparing(monkeypatch, a, b)
+    assert calls == []
     assert keys[0] == keys[1] and a == b and a is not b
