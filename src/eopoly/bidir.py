@@ -88,7 +88,7 @@ from .syntax import (
     subst1,
     unfold,
 )
-from .wf import eo_wf, rec_guarded, ty_wf
+from .wf import rec_guarded, ty_wf
 
 _SYNTH_FORMS = (Var, FixVar, App, Proj, TyApp, EoApp, Anno)
 
@@ -302,7 +302,7 @@ def synth(s: System, ctx: Ctx, e: Expr) -> Derivation:
             return Derivation(p + "all-elim", ctx, e, SYNTH, ty, rb.valueness,
                                (rb,), {"ty_arg": arg_ty})
         case EoApp(body, eo):
-            if not eo_wf(ctx, eo):
+            if not ty_wf(ctx, eo):
                 raise IllFormedType(f"evaluation order not in scope: {eo!r}")
             rb = expose(s, ctx, body, synth(s, ctx, body), "alleo")
             ty = instantiate(rb.ty, eo)

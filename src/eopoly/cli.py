@@ -252,7 +252,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         return p
 
     p = add("check", cmd_check, help="typecheck a program")
@@ -321,9 +321,9 @@ def _main(argv: list[str] | None) -> int:
     try:
         args = ap.parse_args(argv)
         if args.command == "verify" and args.enumerate and args.file:
-            ap.error("verify takes a FILE or --enumerate BOUND, not both")
+            args.parser.error("verify takes a FILE or --enumerate BOUND, not both")
         if args.command == "verify" and not args.enumerate and not args.file:
-            ap.error("verify needs a FILE or a positive --enumerate BOUND")
+            args.parser.error("verify needs a FILE or a positive --enumerate BOUND")
     except SystemExit as ex:
         return 2 if ex.code else 0
     try:

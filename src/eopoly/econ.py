@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from . import bidir
 from .syntax import (
+    EO,
     N,
     V,
     VAL,
@@ -101,6 +102,9 @@ def econ_expr(e: Expr) -> Expr:
 
 
 def _econ_child(n: Node) -> Node:
+    # An order, the argument of an instantiation marker, translates to itself.
+    if isinstance(n, EO):
+        return n
     return econ_expr(n) if isinstance(n, Expr) else econ_type(n)
 
 

@@ -2,10 +2,10 @@
 
 A type is N-free when every order it carries is by-value and it has no
 order quantifier; a judgment additionally needs an N-free context (term
-variables declared val) and an N-free expression: one walk over the
-expression and the types inside it finds every order an instantiation
-marker or an annotation carries.  A core term is N-free when it contains
-no thunk or force.
+variables declared val) and an N-free expression.  An order is a node, so
+one ``subterms`` walk over a type or an expression meets every order in
+it, on a connective, in an annotation or at an instantiation marker.  A
+core term is N-free when it contains no thunk or force.
 """
 
 from __future__ import annotations
@@ -25,19 +25,13 @@ from .syntax import (
     Term,
     V,
     VAL,
-    children,
     subterms,
 )
 
 
 def _orders_ok(node: Node, forbid_quantifier: type) -> bool:
-    for n in subterms(node):
-        if isinstance(n, forbid_quantifier):
-            return False
-        for _, v in children(n):
-            if isinstance(v, EO) and v != V:
-                return False
-    return True
+    return not any(isinstance(n, forbid_quantifier) or (isinstance(n, EO) and n != V)
+                   for n in subterms(node))
 
 
 def n_free_impartial_type(ty: ImpType) -> bool:

@@ -1,14 +1,16 @@
 """Abstract syntax shared by every other module.
 
-One binding engine serves all five syntactic categories (three type
-grammars, source expressions, target terms).  Every node is a frozen
-``record``; binding structure is declared per class via ``scopes`` and
-``ref``.  Each class's declaration is compiled once into a plan (per
-field, the binders that scope over it), and every generic walk reads the
-plan: ``free_names``, ``subst`` and ``alpha_key``, and on top of them the
-structural helpers every grammar shares (``unfold``, ``match_instantiate``,
-``subterms``, ``node_count`` and the like).  ``unfold`` serves recursive
-types and fixed points alike.
+One binding engine serves all six syntactic categories (evaluation
+orders, three type grammars, source expressions, target terms).  Every
+node is a frozen ``record``; binding structure is declared per class via
+``scopes`` and ``ref``, and an order variable is a reference as a type
+variable is, so no walk treats orders apart.  Each class's declaration
+is compiled once into a plan (per field, the binders that scope over
+it), and every generic walk reads the plan: ``free_names``, ``subst``
+and ``alpha_key``, and on top of them the structural helpers every
+grammar shares (``unfold``, ``match_instantiate``, ``subterms``,
+``node_count`` and the like).  ``unfold`` serves recursive types and
+fixed points alike.
 
 ``kept`` is the one way an answer about a node alone lives on the node
 (its hash, alpha key, unfolding and size here; its guardedness, its
@@ -53,9 +55,10 @@ The binder interface.  Every rule that crosses a binder opens it through
 these five, and no other module calls ``subst`` or ``fresh_name``:
 
     instantiate(b, v, field)  ``b``'s scoped ``field`` with its bound name
-                              replaced by ``v`` (a node, or an :class:`EO`):
-                              a redex's contractum, a quantifier's
-                              instance, or a body opened at a new name;
+                              replaced by ``v``, a node of the bound name's
+                              namespace: a redex's contractum, a
+                              quantifier's type or order instance, or a
+                              body opened at a new name;
     Ctx.fresh(name, *kinds, scope)
                               the name to open a binder at: its own, unless
                               the context already declares it, and then one
@@ -144,30 +147,8 @@ def record(cls: type) -> type:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation orders and valuenesses
+# Valuenesses
 # ---------------------------------------------------------------------------
-
-@record
-class EO:
-    """An evaluation order: by-value, by-name, or a quantified variable."""
-
-    tag: str  # "V" | "N" | "var"
-    name: str = ""
-
-    def is_var(self) -> bool:
-        return self.tag == "var"
-
-    def __repr__(self) -> str:
-        return self.name if self.tag == "var" else self.tag
-
-
-V = EO("V")
-N = EO("N")
-
-
-def eo_var(name: str) -> EO:
-    return EO("var", name)
-
 
 class Valueness(str, Enum):
     VAL = "val"
@@ -225,7 +206,7 @@ _ABSENT, _ITSELF = object(), object()
 
 
 def kept(fn):
-    """``fn``, a function of one node or order, with each answer kept in its
+    """``fn``, a function of one node, with each answer kept in its
     argument's ``__dict__``: the answer dies with the node, and a lookup
     never compares the node with an equal one.  An answer that is the node
     itself is kept as a marker, which makes no reference cycle."""
@@ -291,20 +272,17 @@ def _free(node: object, walk: bool = True) -> frozenset[tuple[str, str]] | None:
         if scope is None:
             continue
         v = getattr(node, f)
-        if isinstance(v, Node):
-            ref = v.ref
-            if ref is not None:
-                names = frozenset([(ref[0], getattr(v, ref[1]))])
-            else:
-                names = v.__dict__.get("_free")
-                if names is None:
-                    if not walk:
-                        return None
-                    names = _free(v)
-        elif isinstance(v, EO) and v.tag == "var":
-            names = frozenset([("eo", v.name)])
-        else:
+        if not isinstance(v, Node):
             continue
+        ref = v.ref
+        if ref is not None:
+            names = frozenset([(ref[0], getattr(v, ref[1]))])
+        else:
+            names = v.__dict__.get("_free")
+            if names is None:
+                if not walk:
+                    return None
+                names = _free(v)
         for bf, bns in scope:
             bound = (bns, getattr(node, bf))
             if bound in names:
@@ -316,18 +294,16 @@ def _free(node: object, walk: bool = True) -> frozenset[tuple[str, str]] | None:
 
 
 def _leaf_free(v: object) -> frozenset[tuple[str, str]]:
-    """The free pairs of a reference, an order or a plain field."""
+    """The free pairs of a reference or a plain field."""
     if isinstance(v, Node):
         return frozenset([(v.ref[0], getattr(v, v.ref[1]))])
-    if isinstance(v, EO) and v.is_var():
-        return frozenset([("eo", v.name)])
     return _NO_NAMES
 
 
 def subst1(node: object, ns: str, name: str, replacement: object) -> object:
     """``node`` with ``replacement`` for the free ``name`` of namespace
     ``ns``; ``node`` itself when ``replacement`` refers to that name."""
-    ref = ("eo", "name") if isinstance(replacement, EO) else type(replacement).ref
+    ref = type(replacement).ref
     if ref is not None and ref[0] == ns and getattr(replacement, ref[1]) == name:
         return node
     return subst(node, {(ns, name): replacement})
@@ -335,9 +311,10 @@ def subst1(node: object, ns: str, name: str, replacement: object) -> object:
 
 def instantiate(binder: Node, value: object, field: str = "body") -> object:
     """``binder``'s scoped ``field`` with its bound name replaced by
-    ``value``: a node of that name's namespace, or an :class:`EO` for an
-    order binder.  The field itself comes back when ``value`` is a
-    reference to the bound name."""
+    ``value``, a node of that name's namespace: a type for a type
+    binder, an order for an order binder, a term for a term binder.  The
+    field itself comes back when ``value`` is a reference to the bound
+    name."""
     bf, ns = next((bf, ns) for bf, ns, scoped in type(binder).scopes
                   if field in scoped)
     return subst1(getattr(binder, field), ns, getattr(binder, bf), value)
@@ -373,13 +350,6 @@ def _own_key(node: Node) -> object:
 
 
 def _key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
-    if isinstance(node, EO):
-        if node.is_var():
-            for i, (ns, x) in enumerate(reversed(_env)):
-                if ns == "eo" and x == node.name:
-                    return ("eo", i)
-            return ("eo", node.name)
-        return node
     if not isinstance(node, Node):
         return node
     cls = type(node)
@@ -395,7 +365,7 @@ def _key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
         if scope is None:
             continue
         v = getattr(node, f)
-        if isinstance(v, (Node, EO)):
+        if isinstance(v, Node):
             v = alpha_key(v, _env + tuple((bns, getattr(node, bf)) for bf, bns in scope)
                           if scope else _env)
         parts.append(v)
@@ -405,6 +375,48 @@ def _key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
 def alpha_eq(a: object, b: object) -> bool:
     """Equality up to consistent renaming of bound names, all namespaces."""
     return alpha_key(a) == alpha_key(b)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation orders: by-value, by-name, or a reference to an order binder
+# ---------------------------------------------------------------------------
+
+class EO(Node):
+    """An evaluation order: by-value, by-name, or a quantified variable.
+    Either kind has a ``tag`` ("V", "N" or "var") and a ``name`` (empty
+    but for a variable)."""
+
+    __slots__ = ()
+
+    def is_var(self) -> bool:
+        return self.ref is not None
+
+
+@record
+class EOVar(EO):
+    name: str
+    ref: ClassVar = ("eo", "name")
+    tag: ClassVar[str] = "var"
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+@record
+class EOConst(EO):
+    tag: str  # "V" | "N"
+    name: ClassVar[str] = ""
+
+    def __repr__(self) -> str:
+        return self.tag
+
+
+V = EOConst("V")
+N = EOConst("N")
+
+
+def eo_var(name: str) -> EO:
+    return EOVar(name)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +835,6 @@ def _ref_like(sub: dict, ns: str, name: str, new: str) -> object:
     """A reference to ``new`` of the class of the reference to ``name`` in
     ``sub``'s replacements: a binder renamed so as not to capture that
     name refers to itself in the captured variable's own grammar."""
-    if ns == "eo":
-        return eo_var(new)
     return next(type(n)(new) for r in sub.values() if isinstance(r, Node)
                 for n in subterms(r)
                 if type(n).ref is not None and type(n).ref[0] == ns
@@ -834,9 +844,9 @@ def _ref_like(sub: dict, ns: str, name: str, new: str) -> object:
 def subst(node: object, sub: dict[tuple[str, str], object]) -> object:
     """Simultaneous capture-avoiding substitution.
 
-    ``sub`` maps ``(namespace, name)`` to a replacement: an AST node for the
-    "x"/"u"/"ty" namespaces, an :class:`EO` for "eo".  Capture is avoided by
-    renaming the binder, never reported.
+    ``sub`` maps ``(namespace, name)`` to a replacement, a node of that
+    namespace: a term for "x" and "u", a type for "ty", an order for "eo".
+    Capture is avoided by renaming the binder, never reported.
     """
     if not sub:
         return node
@@ -847,12 +857,6 @@ def _subst(node: object, sub: dict, closed: bool) -> object:
     # With ``closed`` replacements no binder is renamed, so a subtree in
     # which no key is free comes back as it is; the walk learns the free
     # names of each node it visits for the next substitution into it.
-    if isinstance(node, EO):
-        if node.is_var() and ("eo", node.name) in sub:
-            repl = sub[("eo", node.name)]
-            assert isinstance(repl, EO)
-            return repl
-        return node
     if not isinstance(node, Node):
         return node
     cls = type(node)
@@ -868,7 +872,7 @@ def _subst(node: object, sub: dict, closed: bool) -> object:
         v = getattr(node, f)
         if scope is None:
             new = under[f][1]
-        elif isinstance(v, (Node, EO)):
+        elif isinstance(v, Node):
             inner = under[scope[-1][0]][0] if scope else sub
             new = _subst(v, inner, closed) if inner else v
         else:
@@ -931,13 +935,11 @@ def rebuild(node: Node, f) -> Node:
 
 @kept
 def node_count(node: object) -> int:
-    """Number of nodes in ``node``; types and orders count as nodes."""
-    if isinstance(node, EO):
-        return 1
+    """Number of nodes in ``node``: terms, types and orders alike."""
     n = 1
     for f, _ in type(node)._plan:
         v = getattr(node, f)
-        if isinstance(v, (Node, EO)):
+        if isinstance(v, Node):
             n += node_count(v)
     return n
 
@@ -1012,7 +1014,8 @@ class Listed:
         whole: its first occurrence listed every subterm it has.
         Alpha-equivalence would not do, since the two may differ in their
         open subterms.  A subtree that the list holds is walked all the
-        same, since the list need not hold its subterms."""
+        same, since the list need not hold its subterms.  A list holds
+        types, so the walk does not descend into an order."""
         self._more(None)
         seen: set = set()
         keys: dict = {}
@@ -1027,7 +1030,7 @@ class Listed:
                 keys.setdefault(k, n)
             for f in reversed(type(n).__match_args__):
                 v = getattr(n, f)
-                if isinstance(v, Node):
+                if isinstance(v, Node) and not isinstance(v, EO):
                     todo.append(v)
         return self._listed + list(keys.values())
 
@@ -1084,12 +1087,6 @@ def match_instantiate(binder: Node, goal: Node) -> Node | None | str:
     solution: list[Node] = []
 
     def go(p: object, g: object, env: tuple[tuple[str, str, str], ...]) -> bool:
-        if isinstance(p, EO) or isinstance(g, EO):
-            if not (isinstance(p, EO) and isinstance(g, EO)):
-                return False
-            if p.is_var() and g.is_var():
-                return _same_ref("eo", p.name, g.name, env)
-            return p == g
         if not isinstance(p, Node):
             return p == g
         cls = type(p)
@@ -1394,7 +1391,7 @@ SYNTH = "synth"
 # constantly, so each node keeps its hash; and each node class compiles its
 # binding declaration into its ``_plan`` here, once.
 for _cls in [c for c in list(globals().values()) if isinstance(c, type)]:
-    if issubclass(_cls, (Node, EO)) and "__hash__" in vars(_cls):
+    if issubclass(_cls, Node) and "__hash__" in vars(_cls):
         _cls.__hash__ = kept(_cls.__hash__)
     if issubclass(_cls, Node) and "__match_args__" in vars(_cls):
         _binders = {bf for bf, _, _ in _cls.scopes}

@@ -118,7 +118,7 @@ from .syntax import (
     valof,
     vleq,
 )
-from .wf import eo_wf, rec_guarded, ty_wf
+from .wf import rec_guarded, ty_wf
 
 PASS = "pass"
 FAIL = "fail"
@@ -981,7 +981,7 @@ def _replay_node(d: Derivation) -> None:
         _conclude(d, VAL)
     elif rule == "alleo-elim":
         _shape(d, EoApp, SYNTH, 1)
-        _expect(eo_wf(d.ctx, e.eo), d, "order not in scope")
+        _expect(ty_wf(d.ctx, e.eo), d, "order not in scope")
         p = _premise(d, 0, e.body, SYNTH)
         _is(d, p.ty, s.alleo)
         _expect(_info(d, "eo") == e.eo, d, "recorded order")

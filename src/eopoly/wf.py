@@ -15,7 +15,6 @@ that strips and unfolds until a connective shows ends without a budget.
 from __future__ import annotations
 
 from .syntax import (
-    EO,
     AArrow,
     AProd,
     ASum,
@@ -36,15 +35,9 @@ from .syntax import (
 _GUARDS = (IArrow, IProd, ISum, SArrow, SProd, SSum, AArrow, AProd, ASum)
 
 
-def eo_wf(ctx: Ctx, eo: EO) -> bool:
-    if eo.is_var():
-        return ctx.declares("eo", eo.name)
-    return True
-
-
 def ty_wf(ctx: Ctx, ty: Node) -> bool:
-    """A type of any grammar is well formed when the context declares each
-    of its free type and order variables."""
+    """A type of any grammar, or an order, is well formed when the context
+    declares each of its free type and order variables."""
     return (free_names(ty, "ty") <= ctx.declared("ty")
             and free_names(ty, "eo") <= ctx.declared("eo"))
 
@@ -59,9 +52,10 @@ def rec_guarded(ty: Node) -> bool:
 def _guarded(ty: Node, unguarded: frozenset[str]) -> bool:
     # ``unguarded`` holds the recursive variables whose binder has not yet
     # been separated from the current position by an arrow, product, or sum.
+    # An order variable is a reference too, but never a recursive one.
     cls = type(ty)
     if cls.ref is not None:
-        return getattr(ty, cls.ref[1]) not in unguarded
+        return cls.ref[0] != "ty" or getattr(ty, cls.ref[1]) not in unguarded
     if isinstance(ty, _GUARDS):
         unguarded = frozenset()
     for binder, ns, _ in cls.scopes:

@@ -5,22 +5,25 @@ into a per-class plan, these functions rebuilt per-node dictionaries from
 the declaration on every visit and rebuilt each changed node whole.  They
 are slow but follow the declaration plainly, so ``tests/test_binding.py``
 runs them as the oracle for ``free_names``, ``subst``, ``alpha_key``,
-``subterms`` and ``node_count``.  Kept as they were, with three
+``subterms`` and ``node_count``.  Kept as they were, with four
 exceptions: the per-node memo of ``alpha_key`` is stored under its own
 attribute, so the two engines never read each other's keys; a binder
 renamed to avoid capture refers to itself with the class of the reference
 it would have captured, so a type binder inside an expression is renamed
-in the captured variable's type grammar; and a changed node is rebuilt
+in the captured variable's type grammar; a changed node is rebuilt
 positionally over its class's ``__match_args__``, where it once went
 through ``dataclasses.replace``, since nodes are ``syntax.record``s and
-not dataclasses.  Do not tidy them.
+not dataclasses; and an order is keyed as any other node is, a variable
+as a reference and a constant by its tag, and a renamed order variable
+is built with ``eo_var``, since orders became nodes and ``EO`` a class
+of two records.  Do not tidy them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from eopoly.syntax import EO, Node, children, fresh_name
+from eopoly.syntax import EO, Node, children, eo_var, fresh_name
 
 
 @lru_cache(maxsize=None)
@@ -63,13 +66,6 @@ def alpha_key(node: object, _env: tuple[tuple[str, str], ...] = ()) -> object:
 
 @lru_cache(maxsize=None)
 def _scoped_key(node: object, _env: tuple[tuple[str, str], ...]) -> object:
-    if isinstance(node, EO):
-        if node.is_var():
-            for i, (ns, x) in enumerate(reversed(_env)):
-                if ns == "eo" and x == node.name:
-                    return ("eo", i)
-            return ("eo", node.name)
-        return node
     if not isinstance(node, Node):
         return node
     cls = type(node)
@@ -102,7 +98,7 @@ def _captured_ref(sub: dict[tuple[str, str], object], ns: str, name: str,
     """A reference to ``fresh`` built like the reference to ``name`` that
     a replacement in ``sub`` would have had captured."""
     if ns == "eo":
-        return EO("var", fresh)
+        return eo_var(fresh)
     for repl in sub.values():
         if isinstance(repl, Node):
             for n in subterms(repl):

@@ -76,7 +76,7 @@ from eopoly.syntax import (
     unfold,
     valof,
 )
-from eopoly.wf import eo_wf, rec_guarded, ty_wf
+from eopoly.wf import rec_guarded, ty_wf
 
 
 # The single-name substitutions these oracles were written against.
@@ -306,7 +306,7 @@ def _synth(ctx: ImpCtx, e: Expr) -> TypingResult:
                            (rb.deriv,), {"ty_arg": arg_ty})
             return TypingResult(ty, rb.valueness, d)
         case EoApp(body, eo):
-            if not eo_wf(ctx, eo):
+            if not ty_wf(ctx, eo):
                 raise IllFormedType(f"evaluation order not in scope: {eo!r}")
             rb = _synth(ctx, body)
             rb = expose(ctx, body, rb, "alleo")
@@ -605,7 +605,7 @@ def _econ_synth(ctx: EconCtx, e: Expr) -> EconTypingResult:
                            (rb.deriv,), {"ty_arg": arg_ty})
             return EconTypingResult(ty, rb.valueness, d)
         case EoApp(body, eo):
-            if not eo_wf(ctx, eo):
+            if not ty_wf(ctx, eo):
                 raise IllFormedType(f"evaluation order not in scope: {eo!r}")
             rb = _econ_synth(ctx, body)
             rb = econ_expose(ctx, body, rb, "alleo")

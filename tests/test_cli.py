@@ -60,6 +60,22 @@ def test_check_renames_type_binder_in_expression(tmp_path, capsys):
                                 "valueness: val"]
 
 
+def test_an_order_variable_named_like_a_recursive_one(tmp_path, capsys):
+    """``%a`` under ``rec[%a] 'a`` is an order, not an occurrence of the
+    recursive ``'a``, so the quantified type is guarded and the program
+    checks and verifies."""
+    f = tmp_path / "order_named_like_rec.eo"
+    f.write_text("#lang impartial\n"
+                 "(((inj1 () : all %a. rec[%a] 'a. 1 +[%a] 'a) {N})"
+                 " : rec[N] 'a. 1 +[N] 'a)\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 0, err
+    assert out.splitlines() == ["type: rec[N] 'a. 1 +[N] 'a", "valueness: val"]
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 0, err
+    assert out.endswith("7 checks: 7 ok, 0 failed, 0 search-exhausted\n")
+
+
 @pytest.mark.parametrize("lang,ty", [("impartial", "1 -[V]> 1 -[V]> 1"),
                                      ("econ", "1 -> 1 -> 1")])
 @pytest.mark.parametrize("outer", ["\\x.", "\\y.", "fix x. \\z.", "fix y. \\z."])
@@ -500,11 +516,18 @@ def test_verify_takes_a_file_or_an_enumeration(capsys):
 
 
 def test_verify_without_a_file_or_an_enumeration_is_a_usage_error(capsys):
-    for argv in (["verify"], ["--json", "verify"]):
+    """Both of ``verify``'s own usage errors show ``verify``'s usage."""
+    for argv, message in [
+            (["verify"], "verify needs a FILE or a positive --enumerate BOUND"),
+            (["--json", "verify"], "verify needs a FILE or a positive --enumerate BOUND"),
+            (["verify", "--enumerate", "2", path("id_poly_v.eo")],
+             "verify takes a FILE or --enumerate BOUND, not both"),
+            (["--json", "verify", "--enumerate", "2", path("id_poly_v.eo")],
+             "verify takes a FILE or --enumerate BOUND, not both")]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
-        assert out == "" and err.startswith("usage: "), argv
-        assert "error: verify needs a FILE or a positive --enumerate BOUND" in err
+        assert out == "" and err.startswith("usage: eopoly verify "), (argv, err)
+        assert f"error: {message}" in err
 
 
 def _live_nodes():

@@ -17,7 +17,10 @@ the root of its derivation, so no module reads a ``deriv`` off it: that
 alias is kept for the benchmark alone.  A frozen record is a
 ``syntax.record``, which builds its class without ``dataclass``'s
 per-class code generation, so no module decorates a class with
-``dataclass(frozen=True)``.
+``dataclass(frozen=True)``.  The binding engine reads each node's
+``scopes``/``ref`` declaration and nothing else, so its walks in
+``syntax.py`` name no class defined there but ``Node``: an order, a
+type and a term are bound, keyed and substituted alike.
 """
 
 import ast
@@ -209,3 +212,41 @@ def test_the_frozen_check_sees_both_spellings_and_spares_the_rest():
            "@record\nclass E: pass\n"
            "x = dataclass(frozen=True)\n")
     assert frozen_dataclasses(src) == [1, 3]
+
+
+ENGINE_WALKS = {"_free", "_leaf_free", "subst1", "_key", "_subst",
+                "_under_binders", "_ref_like", "node_count", "match_instantiate"}
+
+
+def classes_named_in_walks(source: str) -> list[tuple[str, str]]:
+    """Each module-level function of ``ENGINE_WALKS`` in ``source`` with
+    each class defined in ``source``, ``Node`` excepted, that it names."""
+    tree = ast.parse(source)
+    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)} - {"Node"}
+    return sorted({(f.name, n.id) for f in tree.body
+                   if isinstance(f, ast.FunctionDef) and f.name in ENGINE_WALKS
+                   for n in ast.walk(f)
+                   if isinstance(n, ast.Name) and n.id in classes})
+
+
+def test_the_binding_engine_names_no_node_class():
+    with open(os.path.join(SRC, "syntax.py"), encoding="utf-8") as fh:
+        source = fh.read()
+    defined = {f.name for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)}
+    assert ENGINE_WALKS <= defined
+    assert classes_named_in_walks(source) == []
+
+
+def test_the_walk_check_sees_bodies_annotations_and_inner_functions():
+    src = ("class Node: pass\n"
+           "class EO(Node): pass\n"
+           "class IArrow(Node): pass\n"
+           "def _key(n: Node, e: EO):\n"
+           "    return isinstance(n, Node)\n"
+           "def match_instantiate(b, g):\n"
+           "    def go(p): return isinstance(p, IArrow)\n"
+           "    return go(b)\n"
+           "def rebuild(n): return isinstance(n, EO)\n"
+           "def _subst(n, v=str): return int(n)\n")
+    assert classes_named_in_walks(src) == [("_key", "EO"),
+                                           ("match_instantiate", "IArrow")]

@@ -27,7 +27,8 @@ from eopoly.syntax import (
     eo_var,
     subst1,
 )
-from eopoly.wf import eo_wf, rec_guarded, ty_wf
+from eopoly.econ import econ_type
+from eopoly.wf import rec_guarded, ty_wf
 
 from grammars import ECON, GRAMMARS, TGT
 
@@ -35,11 +36,13 @@ U = IUnit()
 
 
 def test_eo_wf():
+    """An order is well formed as a type is: by its free order names."""
     empty = ImpCtx()
-    assert eo_wf(empty, V)
-    assert eo_wf(empty, N)
-    assert not eo_wf(empty, eo_var("a"))
-    assert eo_wf(empty.with_eo("a"), eo_var("a"))
+    assert ty_wf(empty, V)
+    assert ty_wf(empty, N)
+    assert not ty_wf(empty, eo_var("a"))
+    assert ty_wf(empty.with_eo("a"), eo_var("a"))
+    assert not ty_wf(empty.with_ty("a"), eo_var("a"))
 
 
 def test_impartial_wf():
@@ -106,6 +109,17 @@ def test_guardedness_outer_variable_guarded_before_inner_binder():
     for g in GRAMMARS:
         odd = g.rec("b", g.sum(g.unit, g.prod(g.unit, g.rec("c", g.var("b")))))
         assert rec_guarded(odd)
+
+
+def test_guardedness_ignores_an_order_variable_of_the_same_name():
+    """An order variable is a reference, but never to a recursive type
+    variable, even one of the same name: ``%a`` here guards nothing and
+    breaks nothing."""
+    a = eo_var("a")
+    ty = IAllEo("a", IRec("a", ISum(U, ITyVar("a"), a), a))
+    assert rec_guarded(ty)
+    assert rec_guarded(econ_type(ty))
+    assert not rec_guarded(IAllEo("a", IRec("a", ITyVar("a"), a)))
 
 
 def test_guardedness_checks_nested_binders():
