@@ -25,7 +25,10 @@ and argument both leave the domain open, each candidate domain is tried
 on the argument first, as ``ElabChecker`` does: the argument is usually
 the smaller side, and a function that is a λ would re-check its whole
 body at every domain the argument refutes.  Both checks are pure and
-memoized, so the order changes no verdict.
+memoized, so the order changes no verdict.  ``hole_type`` reads off the
+first derivation that ``check`` finds the type at which it types one
+evaluated field: the type of an evaluation frame's hole, which
+``verify.run_type_safety`` keeps for each frame of a run.
 
 The evaluation-context grammar is declared once, in ``CONTEXTS``: the
 fields each constructor evaluates, left to right (thunk bodies,
@@ -266,66 +269,101 @@ class TargetChecker:
                 return isinstance(ty, ARec) and self.check(ctx, body, unfold(ty))
             case MForce(body):
                 return self.check(ctx, body, AThunk(ty))
-            # The open joints: the spine's head leaves its type open.
-            case MApp(fn, arg):
-                a = self.synth(ctx, arg)
-                if a is not None:
-                    return a is not False and self.check(ctx, fn, AArrow(a, ty))
-                # The argument first (see the module docstring): a
-                # domain it refutes never reaches the function's body.
-                return any(
-                    self.check(ctx, arg, cand)
-                    and self.check(ctx, fn, AArrow(cand, ty))
-                    for cand in self.candidates(ty)
-                )
-            case MProj(k, body):
-                return any(
-                    self.check(
-                        ctx, body,
-                        AProd(ty, other) if k == 1 else AProd(other, ty),
-                    )
-                    for other in self.candidates(ty)
-                )
-            case MUnroll(body):
-                return any(self.check(ctx, body, cand)
-                           for cand in refold_candidates(ty))
-            case MCase(scrut, x1, m1, x2, m2):
+            case MCase(scrut):
                 # A refuted scrutinee, or one of another shape, refutes.
                 s = self.synth(ctx, scrut)
-                if s is not None and not isinstance(s, ASum):
-                    return False
-                sums = [s] if s is not None else [
-                    c for c in self.candidates(ty) if isinstance(c, ASum)
-                ]
-                for cand in sums:
-                    if s is None and not self.check(ctx, scrut, cand):
-                        continue
-                    if self.check(_bind(ctx, "x", x1, cand.left), m1, ty) and self.check(
-                        _bind(ctx, "x", x2, cand.right), m2, ty
-                    ):
-                        return True
-                return False
+                if s is not None:
+                    return isinstance(s, ASum) and self._branches(ctx, m, s, ty)
             case MTyApp(body):
                 t = self.synth(ctx, body)
                 if t is not None:
                     # A refuted body, or one that is not polymorphic, refutes.
-                    if not isinstance(t, AForall):
-                        return False
-                    sol = match_instantiate(t, ty)
-                    return sol == "any" or (sol is not None and ty_wf(ctx, sol))
+                    return isinstance(t, AForall) and self._instance(ctx, t, ty)
+        return self._joint(ctx, m, ty) is not None
+
+    def _joint(self, ctx: TgtCtx, m: Term, ty: TgtType) -> TgtType | None:
+        """At an open joint, where the head of ``m`` leaves its type open:
+        the head's type (the function's arrow, the projected product, the
+        unrolled recursive type, the scrutinee's sum or the instantiated
+        quantifier) in the first derivation of ``m`` at ``ty`` that the
+        candidates give, tried in order; None when none does."""
+        match m:
+            case MApp(fn, arg):
+                a = self.synth(ctx, arg)
+                if a is False:
+                    return None
+                if a is not None:
+                    f = AArrow(a, ty)
+                    return f if self.check(ctx, fn, f) else None
+                # The argument first (see the module docstring): a
+                # domain it refutes never reaches the function's body.
+                for cand in self.candidates(ty):
+                    if self.check(ctx, arg, cand) and self.check(
+                            ctx, fn, f := AArrow(cand, ty)):
+                        return f
+            case MProj(k, body):
+                for other in self.candidates(ty):
+                    t = AProd(ty, other) if k == 1 else AProd(other, ty)
+                    if self.check(ctx, body, t):
+                        return t
+            case MUnroll(body):
+                for cand in refold_candidates(ty):
+                    if self.check(ctx, body, cand):
+                        return cand
+            case MCase(scrut):
+                for cand in self.candidates(ty):
+                    if (isinstance(cand, ASum) and self.check(ctx, scrut, cand)
+                            and self._branches(ctx, m, cand, ty)):
+                        return cand
+            case MTyApp(body):
                 if isinstance(body, MTyLam):
                     # The goal does not mention the bound variable here, so
                     # the body checking at a quantifier that binds nothing
                     # around the goal witnesses some valid quantified type.
-                    return self.check(ctx, body, vacuous(AForall, "ty", ty))
+                    t = vacuous(AForall, "ty", ty)
+                    return t if self.check(ctx, body, t) else None
                 for cand in self._pool:
-                    if isinstance(cand, AForall):
-                        sol = match_instantiate(cand, ty)
-                        if sol == "any" or (sol is not None and ty_wf(ctx, sol)):
-                            if self.check(ctx, body, cand):
-                                return True
-                return False
-        return False
+                    if (isinstance(cand, AForall) and self._instance(ctx, cand, ty)
+                            and self.check(ctx, body, cand)):
+                        return cand
+        return None
+
+    def _branches(self, ctx: TgtCtx, m: MCase, s: ASum, ty: TgtType) -> bool:
+        """Both branches of the case ``m`` on a scrutinee of sum ``s`` check
+        at ``ty``."""
+        return self.check(_bind(ctx, "x", m.var1, s.left), m.body1, ty) and self.check(
+            _bind(ctx, "x", m.var2, s.right), m.body2, ty)
+
+    @staticmethod
+    def _instance(ctx: TgtCtx, t: AForall, ty: TgtType) -> bool:
+        """``ty`` is an instance of ``t`` at a type well formed in ``ctx``."""
+        sol = match_instantiate(t, ty)
+        return sol == "any" or (sol is not None and ty_wf(ctx, sol))
+
+    def hole_type(self, ctx: TgtCtx, m: Term, field: str,
+                  ty: TgtType) -> TgtType | None:
+        """The type at which the first derivation of ``m`` at ``ty`` that
+        ``check`` finds types the field ``field``, one that ``CONTEXTS``
+        evaluates; None when ``m`` does not check at ``ty``.  Each premise
+        of that derivation is about one field, so ``m`` with any term of
+        that type in ``field`` checks at ``ty`` too (the replacement
+        lemma)."""
+        if not self.check(ctx, m, ty):
+            return None
+        match m:
+            case MPair():
+                return getattr(ty, field)
+            case MInj(k):
+                return ty.left if k == 1 else ty.right
+            case MRoll():
+                return unfold(ty)
+            case MForce():
+                return AThunk(ty)
+        # A synthesized head decides the derivation; else the joint does.
+        t = self.synth(ctx, getattr(m, CONTEXTS[type(m)][0]))
+        if t is None:
+            t = self._joint(ctx, m, ty)
+        return t.dom if field == "arg" else t
 
 
 def _bind(ctx: TgtCtx, kind: str, name: str, ty: TgtType) -> TgtCtx:

@@ -24,13 +24,17 @@ checks, and share one fuel rule and two stops: ``fuel`` counts
 contractions, so a run that reaches a value in exactly ``fuel`` steps
 ends in that value; a repeated state (the core term, or the (core,
 source) pair) and a core term past ``GROWTH_CAP`` nodes each end the
-check early with a pass and a note.  Type safety has a third stop, a
-state that embeds an earlier one in a typed evaluation context
-(``_typed_embedding``), which ends most growing producers a few steps in
-instead of at the cap.  ``Run.term()`` returns a node built
-in an earlier state wherever the state rebuilds it around the same
-fields, so the stops' ``alpha_key`` and ``node_count``, kept on each
-node, and the core checker's memo see each rebuilt node once per run.
+check early with a pass and a note.  Type safety keeps the type of each
+frame's hole beside the run's frames (``_Holes``), so a step checks only
+what it changed: the frames the walk pushed or rebuilt and the
+contractum, at the type of the hole they fill.  It has a third stop, a
+state that embeds an earlier hole content below a context that did not
+change, in a typed evaluation context (``_typed_embedding``), which ends
+growing producers a few steps in instead of at the cap.  ``Run.term()``
+returns a node built in an earlier state wherever the state rebuilds it
+around the same fields, so the stops' ``alpha_key`` and ``node_count``,
+kept on each node, and the core checker's memo see each rebuilt node
+once per run.
 
 The suspension-point checks on one judgment share one :class:`Judgment`,
 which derives it once and builds its elaboration and pools on first use:
@@ -378,8 +382,8 @@ def _stop(seen: set, key: object, m: Term) -> str:
     nodes the rest of the run only repeats already-checked redex families.
     Neither stop masks a violation in the checked prefix.  Type safety
     tries ``_typed_embedding`` after both, which ends a producer that grows
-    at its hole; the cap is left for the simulation and for producers
-    that grow below an outer context that never changes.
+    at its hole or below an outer context that never changes; the cap is
+    left for the simulation.
     """
     if key in seen:
         return "cycle, no violation"
@@ -394,70 +398,188 @@ def _outline(m: Term) -> tuple:
     return type(m), node_count(m)
 
 
-def _typed_embedding(seen: set, outlines: set, frames: list, m: Term, ty,
+class _Holes:
+    """A type-safety run's frames with the type of each one's hole, and
+    the hole contents met at each depth.
+
+    ``frames`` are the last state's frames.  ``types[d]`` is τ_d, the type
+    of the hole of ``frames[d - 1]``, the frame at depth d; τ_0 is the
+    run's type.  A frame gets its τ at the first step that keeps it, from
+    the first derivation ``TargetChecker.hole_type`` finds for the state's
+    hole content at depth d - 1 at τ_(d-1): the frame with its hole
+    filled.  It keeps the τ while it stays on the run's stack, so F_d[x]
+    checks at τ_(d-1) for every x : τ_d.  A frame that no step keeps, as
+    most of a short run's are not, never costs a τ.  ``kept`` is the depth
+    of the deepest frame the last step kept.
+
+    ``levels[d]`` maps the ``_outline`` of each hole content noted at depth
+    d, while the frames down to depth d stayed the same objects, to those
+    contents, and ``outlines`` maps an outline to the depths that hold it.
+    A depth's contents are forgotten with its frame: a popped frame never
+    comes back.  Every state is noted at depth 0, by its ``alpha_key`` in
+    ``seen``, the cycle stop's set.  Below, a state is noted only from
+    ``kept`` down, where the step's refocusing reached: so a step notes
+    what it changed, not the whole hole path.
+    """
+
+    def __init__(self, m: Term, ty):
+        self.frames, self.types, self.kept = [], [ty], 0
+        self.levels, self.outlines, self.seen = [{}], {}, {alpha_key(m)}
+        self.enter([m])
+
+    def typed(self, frames: list, contents: list,
+              checker: tgt_mod.TargetChecker) -> bool:
+        """Whether the state checks frame by frame.  ``contents[d]`` is its
+        hole content at depth d along ``frames``.  The frames kept from the
+        last state keep their τ, and the content below the deepest of them
+        that has one, which holds every frame the walk pushed or rebuilt
+        and the contractum, checks at that τ.  Then the state checks at τ_0
+        by the replacement lemma, and each kept frame without a τ gets one
+        from that derivation.  Where the content does not check, every
+        frame is forgotten and the answer is False: the caller checks the
+        whole state."""
+        # The walk pushes and pops in place, so the frames kept are the
+        # deepest one still on the stack and all those above it.
+        p = min(len(frames), len(self.frames))
+        while p and frames[p - 1] is not self.frames[p - 1]:
+            p -= 1
+        self._forget(p)
+        d = len(self.types) - 1
+        if not checker.check(TgtCtx(), contents[d], self.types[d]):
+            self._forget(0)
+            return False
+        for d in range(d, p):
+            _, fields, i = frames[d]
+            t = checker.hole_type(TgtCtx(), contents[d], fields[i], self.types[d])
+            if t is None:
+                self._forget(d)
+                break
+            self.types.append(t)
+        for frame in frames[len(self.frames):]:
+            self.frames.append(frame)
+            self.levels.append({})
+        return True
+
+    def _forget(self, p: int) -> None:
+        """Drop the frames below depth ``p`` and the contents met there."""
+        for d in range(p + 1, len(self.levels)):
+            for o in self.levels[d]:
+                self.outlines[o].discard(d)
+        del self.frames[p:], self.types[p + 1:], self.levels[p + 1:]
+        self.kept = p
+
+    def enter(self, contents: list) -> None:
+        """Note ``contents[d]``, the state's hole content at depth d, at
+        depth 0 and at each depth from ``kept`` on."""
+        for d in (0, *range(max(self.kept, 1), len(self.levels))):
+            o = _outline(contents[d])
+            self.outlines.setdefault(o, set()).add(d)
+            if d:
+                self.levels[d].setdefault(o, []).append(contents[d])
+
+    def met(self, d: int, y: Term) -> bool:
+        """Whether ``y`` is alpha-equal to a content noted at depth ``d``
+        whose τ is known."""
+        if not d:
+            return alpha_key(y) in self.seen
+        return d < len(self.types) and any(
+            alpha_eq(y, z) for z in self.levels[d][_outline(y)])
+
+
+def _contents(frames: list, m: Term) -> list:
+    """The hole contents of the state ``m`` at each depth along ``frames``,
+    from ``m`` itself to the contractum."""
+    contents = [m]
+    for _, fields, i in frames:
+        contents.append(getattr(contents[-1], fields[i]))
+    return contents
+
+
+def _typed_embedding(holes: _Holes, frames: list, contents: list,
                      checker: tgt_mod.TargetChecker) -> bool:
-    """Whether the state ``m`` embeds an earlier state in a typed context:
-    a node strictly below its root on the hole path ``frames`` has its
-    ``alpha_key`` in ``seen``, the earlier states' keys, so that ``m`` is
-    S_j = C[S_i] for a non-empty context C, and C[x] checks at ``ty``
-    under ``x : ty``.  Only a node whose ``_outline`` is in ``outlines``,
-    the earlier states' outlines, can match, and the walk looks up no
-    other node's key, since a lookup hashes the whole key.  The caller has
-    checked ``m`` and every earlier state after the first at ``ty``.
-    Then the rest of the run is safe:
+    """Whether the state embeds an earlier state's hole content below a
+    context that did not change, in a typed context.
+
+    Write Y_d for ``contents[d]``, the content of the hole at depth d along
+    the hole path ``frames``; Y_0 is the state.  The test is: some Y_e is
+    alpha-equal to a Y_d that ``holes`` noted at a shallower depth d under
+    the same frame objects, so that the state is S_j = D[C[Y]] for an
+    earlier state S_i = D[Y], where D is the context down to depth d and C
+    the non-empty context from d to e; and C[x] checks at σ under
+    ``x : σ``, where σ = τ_d is the type of D's hole.  Only a content whose
+    ``_outline`` the same depths hold is compared.  The root-type stop is
+    the case d = 0, where D is empty and σ is the run's type; a deeper d is
+    tried only for e at or below ``holes.kept``.  ``holes`` then notes the
+    state's contents.  The caller has checked this state and every earlier
+    one after the first, frame by frame where D's τ is known (so each Y_d
+    since S_i checks at σ), else whole (so d = 0).  Then the rest of the
+    run is safe:
 
     * C is made of evaluation frames: each field that a frame evaluates
       before its hole holds a value, and no frame binds a name over the
-      hole.  So X -> X' gives C[X] -> C[X'] whenever X is not a value.
+      hole.  So X -> X' gives D[C[X]] -> D[C[X']] whenever X is not a
+      value.  D's frames stayed the same objects from S_i to S_j, so the
+      run never left D's hole, and Y is not a value.
     * The core run is deterministic and commutes with renaming, so from
-      S_i it repeats inside C forever: every later state is C^n[S_t] with
-      n >= 1 and i <= t < j.
+      S_i it repeats inside C forever: every later state is D[C^n[Y_t]]
+      with n >= 1 and Y_t the depth-d content of S_t, i <= t < j.
     * Each such S_t stepped, so no later state is stuck.
-    * Each S_t with t >= 1 was checked at ``ty``, and C[S_0] is S_j, which
-      was checked too.  C[x] checks at ``ty`` under ``x : ty``, so by the
-      substitution lemma (Wright & Felleisen, Inf. & Comp. 1994) and
-      induction on n, every C^n[S_t] is typed.
+    * Each Y_t with t > i checks at σ, and C[Y_i] is S_j's depth-d
+      content, which checks at σ too.  C[x] checks at σ under ``x : σ``,
+      so by the substitution lemma (Wright & Felleisen, Inf. & Comp. 1994)
+      and induction on n, every C^n[Y_t] checks at σ, and D[C^n[Y_t]]
+      checks at the run's type by the replacement lemma.
 
     So stopping here hides no violation, just as the cycle stop hides
-    none.  It is a homeomorphic-embedding termination check (Leuschel,
-    SAS 1998) narrowed to embeddings whose every extension is typed.
+    none.  A terminating run never meets such an embedding, since from
+    S_j it would repeat inside C forever.  Which contents ``holes`` notes
+    decides only which embeddings are seen and how soon, never whether a
+    stop is sound.  It is a homeomorphic-embedding termination check
+    (Leuschel, SAS 1998) narrowed to embeddings whose every extension is
+    typed.
     """
-    node = m
-    for depth, (_, fields, i) in enumerate(frames, 1):
-        node = getattr(node, fields[i])
-        if _outline(node) in outlines and alpha_key(node) in seen:
-            x = TgtCtx().apart("x", "x", scope=(m,))
-            if checker.check(TgtCtx((("x", x, ty),)),
-                             plug(frames[:depth], MVar(x)), ty):
+    for e, y in enumerate(contents[1:], 1):
+        for d in holes.outlines.get(_outline(y), ()):
+            if d >= e or (d and e < holes.kept) or not holes.met(d, y):
+                continue
+            sigma = holes.types[d]
+            x = TgtCtx().apart("x", "x", scope=(contents[0],))
+            if checker.check(TgtCtx((("x", x, sigma),)),
+                             plug(frames[d:e], MVar(x)), sigma):
                 return True
+    holes.enter(contents)
     return False
 
 
 def run_type_safety(m: Term, ty, pool, fuel: int = 10_000,
                     program: str = "?", checker=None) -> CheckOutcome:
-    """Step to completion, re-checking the type after every step.
+    """Step to completion, checking the type after every step.
 
-    The run stops early, passing with a note, at the first repeated state,
-    at a typed self-embedding (see ``_typed_embedding``) or past the growth
-    cap (see ``_stop``).  ``pool`` is the core checker's pool, or a
-    function of no arguments that builds it (see ``target.TargetChecker``).
+    A step checks what it changed: the frames the walk pushed or rebuilt
+    and the contractum, at the type of the hole they fill
+    (``_Holes.typed``); where that fails, it checks the whole state at
+    ``ty``.  The run stops early, passing with a note, at the first
+    repeated state, at a typed embedding (see ``_typed_embedding``) or past
+    the growth cap (see ``_stop``).  ``pool`` is the core checker's pool,
+    or a function of no arguments that builds it (see
+    ``target.TargetChecker``).
     """
     name = "target-type-safety"
     if checker is None:
         checker = tgt_mod.TargetChecker(pool)
     run = tgt_mod.run(m, fuel)
-    seen, outlines = {alpha_key(m)}, {_outline(m)}
+    holes = _Holes(m, ty)
     for _ in run:
         m = run.term()
-        if not checker.check(TgtCtx(), m, ty):
+        contents = _contents(run.frames, m)
+        if not (holes.typed(run.frames, contents, checker)
+                or checker.check(TgtCtx(), m, ty)):
             return CheckOutcome(
                 name, program, FAIL,
                 {"reason": "type not preserved", "term": m, "steps": run.steps},
             )
-        note = _stop(seen, alpha_key(m), m)
-        outlines.add(_outline(m))
-        if not note and _typed_embedding(seen, outlines, run.frames, m, ty,
-                                         checker):
+        note = _stop(holes.seen, alpha_key(m), m)
+        if not note and _typed_embedding(holes, run.frames, contents, checker):
             note = "typed embedding, no violation"
         if note:
             return CheckOutcome(name, program, PASS,

@@ -3,6 +3,7 @@
 import glob
 import itertools
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_target as ref
 from test_steppers import _core_terms, _k, _names
 
-from eopoly import econ, target
+from eopoly import econ, target, verify
 from eopoly.elaborate import ty_target
 from eopoly.enum_terms import enumerate_welltyped
 from eopoly.program import load_program
@@ -141,7 +142,9 @@ def test_ill_typed_core_terms_are_rejected(entries, m, ty):
 
 
 class _Asked:
-    """A core checker that notes every question a type-safety run asks."""
+    """A core checker that notes every question a type-safety run asks:
+    each ``check``, and the hole content at its type that each
+    ``hole_type`` checks first."""
 
     def __init__(self, pool):
         self.questions = []
@@ -150,6 +153,10 @@ class _Asked:
     def check(self, ctx, m, ty):
         self.questions.append((ctx, m, ty))
         return self._checker.check(ctx, m, ty)
+
+    def hole_type(self, ctx, m, field, ty):
+        self.questions.append((ctx, m, ty))
+        return self._checker.hole_type(ctx, m, field, ty)
 
 
 def _agree(pool, questions):
@@ -161,10 +168,22 @@ def _agree(pool, questions):
     return len(questions)
 
 
+def _type_safety_judgments():
+    """Each corpus file's judgment, then each bound-5 judgment."""
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
+        prog = load_program(path)
+        e = econ.econ_expr(prog.main) if prog.lang == "impartial" else prog.main
+        yield Judgment(e, None, SYNTH)
+    for imp in enumerate_welltyped(5):
+        yield Judgment(econ.econ_expr(imp.expr), econ.econ_type(imp.ty),
+                       imp.direction)
+
+
 def _type_safety_questions(judgments):
     """Each judgment's pool, with the questions its type-safety run asks
-    (every state at the run's type, and each typed-embedding test) and
-    each again at the thunk of that type."""
+    (what each step changed, each hole type read, each whole state
+    checked where the frame-wise check fails, and each typed-embedding
+    test) and each again at the thunk of that type."""
     for j in judgments:
         asked = _Asked(j.tpool)
         run_type_safety(j.elab.term, ty_target(j.typing.ty), j.tpool,
@@ -178,18 +197,35 @@ def test_core_checker_answers_as_the_reference_on_type_safety_runs():
     re-derives them (``reference_target``) agree on every question of
     every corpus file's and every bound-5 judgment's type-safety run, and
     on the hand-written ill-typed table."""
-    corpus = []
-    for path in sorted(glob.glob(os.path.join(CORPUS, "*.eo"))):
-        prog = load_program(path)
-        e = econ.econ_expr(prog.main) if prog.lang == "impartial" else prog.main
-        corpus.append(Judgment(e, None, SYNTH))
-    bound5 = (Judgment(econ.econ_expr(imp.expr), econ.econ_type(imp.ty),
-                       imp.direction) for imp in enumerate_welltyped(5))
     asked = sum(_agree(pool, qs) for pool, qs in
-                _type_safety_questions(itertools.chain(corpus, bound5)))
+                _type_safety_questions(_type_safety_judgments()))
     assert asked > 5_000, asked
     assert _agree((), [(TgtCtx(entries), m, ty)
                        for entries, m, ty in ILL_TYPED]) == len(ILL_TYPED)
+
+
+def test_the_frame_wise_check_answers_as_the_whole_state_check(monkeypatch):
+    """On every state of every corpus file's and every bound-5 judgment's
+    type-safety run, checking frame by frame (what the step changed, at
+    the type of its hole) answers as ``check`` of the whole state at the
+    run's type, asked of a second checker.  Every state is well typed, so
+    the whole-state fallback never fires."""
+    answers, whole = Counter(), {}
+    typed = verify._Holes.typed
+
+    def both(holes, frames, contents, checker):
+        framewise = typed(holes, frames, contents, checker)
+        answers[framewise, whole["checker"].check(
+            TgtCtx(), contents[0], holes.types[0])] += 1
+        return framewise
+
+    monkeypatch.setattr(verify._Holes, "typed", both)
+    for j in _type_safety_judgments():
+        whole["checker"] = target.TargetChecker(j.tpool)
+        out = run_type_safety(j.elab.term, ty_target(j.typing.ty), j.tpool)
+        assert out.verdict == "pass", out
+    assert set(answers) == {(True, True)}, answers
+    assert answers[True, True] > 2_000, answers
 
 
 NAT = ARec("t", ASum(AU, ATyVar("t")))

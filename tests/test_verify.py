@@ -19,6 +19,7 @@ from eopoly.nfree import (
 from eopoly.parser import parse_type_text
 from eopoly.program import load_program, parse_program
 from eopoly.syntax import (
+    AProd,
     ARec,
     ASum,
     ATyVar,
@@ -68,7 +69,6 @@ from eopoly.syntax import (
     alpha_eq,
     alpha_key,
     eo_var,
-    node_count,
     rebuild,
     subterms,
     unfold,
@@ -80,6 +80,8 @@ from eopoly.verify import (
     ReplayError,
     SEARCH_EXHAUSTED,
     VACUOUS,
+    _Holes,
+    _contents,
     _search_match,
     _typed_embedding,
     build_pool,
@@ -280,40 +282,93 @@ def test_cycles_stop_both_checks_and_only_type_safety_stops_at_an_embedding():
     assert _safety(*grows).detail["steps"] <= 3
 
 
+NAT = ARec("r", ASum(AUnit(), ATyVar("r")))
+OMEGA = MFix("u", MFixVar("u"))
+
+
 def test_type_safety_stops_only_at_a_typed_embedding():
     """`unroll (fix u. u)` embeds the earlier state `fix u. u`, and both
     check at `1`, but `unroll x` does not check at `1` under `x : 1`, so
     the embedding says nothing about later states.  Under `roll inj2`, a
-    context that checks at `rec 'r. 1 + 'r`, the same embedding stops."""
-    earlier = MFix("u", MFixVar("u"))
-    seen, outlines = {alpha_key(earlier)}, {(MFix, node_count(earlier))}
+    context that checks at `rec 'r. 1 + 'r`, the same embedding stops.
+    Both states are checked whole here, so only the root type is known."""
     checker = target.TargetChecker()
-    untyped = MUnroll(earlier)
+    untyped = MUnroll(OMEGA)
     assert checker.check(TgtCtx(), untyped, AUnit())
-    assert not _typed_embedding(seen, outlines, [(untyped, ("body",), 0)],
-                                untyped, AUnit(), checker)
-    nat = ARec("r", ASum(AUnit(), ATyVar("r")))
-    typed = MRoll(MInj(2, earlier))
+    frames = [(untyped, ("body",), 0)]
+    assert not _typed_embedding(_Holes(OMEGA, AUnit()), frames,
+                                _contents(frames, untyped), checker)
+    typed = MRoll(MInj(2, OMEGA))
     frames = [(typed, ("body",), 0), (typed.body, ("body",), 0)]
-    assert checker.check(TgtCtx(), typed, nat)
-    assert _typed_embedding(seen, outlines, frames, typed, nat, checker)
+    assert checker.check(TgtCtx(), typed, NAT)
+    assert _typed_embedding(_Holes(OMEGA, NAT), frames,
+                            _contents(frames, typed), checker)
 
 
-def test_a_producer_growing_below_a_fixed_context_is_still_capped():
+def _below_a_pair(inner, outer=None):
+    """Two states of a run in the left hole of `(_, ())`, checked frame by
+    frame at `T * 1`, where T is what ``inner`` names: first `(Y, ())`
+    with Y = `fix u. u`, then `(C[Y], ())` with C = ``inner``, a frame
+    around Y.  ``outer`` is the second state's pair frame: the first one's,
+    unless a test rebuilds it.  Whether the second state stops."""
+    ty, wrap = inner
+    checker = target.TargetChecker()
+    first = MPair(OMEGA, MUnit())
+    frame = (first, ("left", "right"), 0)
+    holes = _Holes(first, AProd(ty, AUnit()))
+    assert holes.typed([frame], [first, OMEGA], checker)
+    assert not _typed_embedding(holes, [frame], [first, OMEGA], checker)
+    c = wrap(OMEGA)
+    second = MPair(c, MUnit())
+    frames = [outer or frame]
+    while c is not OMEGA:
+        frames.append((c, ("body",), 0))
+        c = c.body
+    contents = _contents(frames, second)
+    assert holes.typed(frames, contents, checker)
+    assert checker.check(TgtCtx(), second, AProd(ty, AUnit()))
+    return _typed_embedding(holes, frames, contents, checker)
+
+
+def test_an_embedding_below_a_fixed_context_stops_where_it_is_typed():
+    """The second state is D[C[Y]] for the first one's D[Y], where D is
+    the pair frame, whose hole type σ is T.  With C = `roll inj2 _` and
+    T = `rec 'r. 1 + 'r`, C[x] checks at σ under `x : σ`, and the run
+    stops.  With C = `unroll _` and T = `1`, both states check, but
+    `unroll x` does not check at `1` under `x : 1`, and the run goes on."""
+    assert _below_a_pair((NAT, lambda y: MRoll(MInj(2, y))))
+    assert not _below_a_pair((AUnit(), MUnroll))
+
+
+def test_an_embedding_across_a_rebuilt_frame_does_not_stop():
+    """The same typed embedding as above, but the second state's pair
+    frame is an equal frame built anew, as the walk builds one after
+    leaving the pair's hole: the run may have left D's hole in between,
+    so the key met under the old frame says nothing, and the run goes
+    on."""
+    rebuilt = (MPair(OMEGA, MUnit()), ("left", "right"), 0)
+    assert not _below_a_pair((NAT, lambda y: MRoll(MInj(2, y))), rebuilt)
+
+
+def test_a_producer_growing_below_a_fixed_context_stops_at_a_typed_embedding():
     # Bound-6 judgment 2880 (in `verify_enum`'s sample),
     # `inj2 ((fix u0. (fix u1. (u0 : rec[V] 'r. (1 +[V] 'r)))) : ...)`,
-    # grows below an `inj2` that never changes, so no state embeds a whole
-    # earlier one and the run ends at the growth cap.
+    # elaborates to `roll inj2 roll (fix u0. fix u1. unroll roll u0)`.  It
+    # grows below a `roll inj2` that never changes, so no state embeds a
+    # whole earlier one; below that context one does, at step 3.  Without
+    # hole types the run ended at the growth cap, at step 91.
     out = _safety(*_econ_judgment(6, 2880))
     assert out.verdict == PASS
-    assert out.detail == {"steps": 91, "note": "growth-capped, no violation"}
+    assert out.detail == {"steps": 3, "note": "typed embedding, no violation"}
 
 
 def test_type_safety_split_at_bound_five():
     """Type safety over the distinct elaborations of the bound-5
     enumeration, with the default-menu pool and one shared checker: how
     many runs end at a value, a cycle, a typed embedding and the growth
-    cap.  Without the typed-embedding stop, 95 runs were capped."""
+    cap.  Without the typed-embedding stop, 95 runs were capped; with it
+    at the root type alone, 12 were (value 1 216, cycle 557, embedding 83).
+    Below a context that does not change, the 12 stop too."""
     tpool = target_pool(build_pool(Unit(), [econ.econ_type(t)
                                             for t in default_menu()]))
     checker = target.TargetChecker(tpool)
@@ -331,8 +386,7 @@ def test_type_safety_split_at_bound_five():
         assert out.verdict == PASS
         notes[out.detail.get("note", "value")] += 1
     assert notes == {"value": 1216, "cycle, no violation": 557,
-                     "typed embedding, no violation": 83,
-                     "growth-capped, no violation": 12}
+                     "typed embedding, no violation": 95}
 
 
 def test_checks_do_not_step_from_the_root(monkeypatch):
